@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("BOSONIC_DS_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "ds-run":
@@ -104,9 +95,9 @@ def _load_config(path: str) -> dict:
 
 
 def _cmd_ds_run(args) -> int:
-    from .config import QuadratureConfig, Tolerances
+    from .config import Tolerances
     from .errors import (BoundViolationError, CalibrationError,
-                         QuadratureError, TrivialSplitterError, ValidationError)
+                         TrivialSplitterError, ValidationError)
     from .fock import FockSpace
     from .io import canonical_dumps, write_json
     from .states import parse_state_spec
@@ -119,30 +110,30 @@ def _cmd_ds_run(args) -> int:
 
     try:
         theta = float(args.theta if args.theta is not None else cfg["theta"])
+        if not math.isfinite(theta):
+            raise ValidationError(f"theta must be finite, got {theta}")
         cutoff = int(args.cutoff if args.cutoff is not None else cfg["cutoff"])
         seed = int(args.seed if args.seed is not None else cfg["seed"])
         modes = int(cfg.get("modes_per_arm", 1))
-        quad = QuadratureConfig(**cfg.get("quadrature", {}))
         tol = Tolerances(**cfg.get("tolerances", {}))
         _validate_positive_tolerances(tol)
         space = FockSpace(modes, cutoff)
-        rho1 = parse_state_spec(cfg["state1"], space, quad, tol)
-        rho2 = parse_state_spec(cfg["state2"], space, quad, tol)
+        rho1 = parse_state_spec(cfg["state1"], space, tol)
+        rho2 = parse_state_spec(cfg["state2"], space, tol)
     except KeyError as exc:
         return _fail(f"config is missing {exc}")
-    except (ValidationError, QuadratureError, ValueError, TypeError) as exc:
+    except (ValidationError, ValueError, TypeError) as exc:
         return _fail(str(exc))
 
     echo = {"theta": theta, "cutoff": cutoff, "seed": seed,
             "modes_per_arm": modes,
             "state1": cfg["state1"], "state2": cfg["state2"],
-            "quadrature": cfg.get("quadrature", {}),
             "tolerances": cfg.get("tolerances", {})}
 
     try:
-        report = run_experiment(rho1, rho2, theta, seed=seed, quad=quad,
-                                tol=tol, strict=False, config_echo=echo)
-    except (TrivialSplitterError, ValidationError, QuadratureError) as exc:
+        report = run_experiment(rho1, rho2, theta, seed=seed, tol=tol,
+                                strict=False, config_echo=echo)
+    except (TrivialSplitterError, ValidationError) as exc:
         return _fail(str(exc))
 
     status = 0
@@ -230,7 +221,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .errors import (QuadratureError, TrivialSplitterError, ValidationError)
+    from .errors import TrivialSplitterError, ValidationError
     from .fock import FockSpace
     from .states import parse_state_spec
     from .stability import nongaussianity_witness
@@ -241,7 +232,7 @@ def _cmd_witness(args) -> int:
         eps = nongaussianity_witness(rho, args.theta)
     except TrivialSplitterError as exc:
         return _fail(f"trivial splitter: {exc}")
-    except (ValidationError, QuadratureError, ValueError) as exc:
+    except (ValidationError, ValueError) as exc:
         return _fail(str(exc))
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"
     print(f"{verdict} (epsilon={eps:.6e})")

@@ -6,7 +6,7 @@ default, never a literal baked into a comparison site.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,23 +26,6 @@ class Tolerances:
     convention_abs: float = 1e-8     # absolute floor for the same check
     residual: float = 1e-9           # classifier reconstruction residual
     alpha_swap: float = 1e12         # |alpha| beyond which a map counts as a swap
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls the inverse phase-space quadrature used for state synthesis.
-
-    The extent per axis is chosen so the Gaussian envelope decays below
-    ``tail_tol`` at the boundary; the spacing resolves the envelope with the
-    given oversampling factor.  ``extent_round`` quantizes the extent upward
-    so repeated syntheses can share cached kernels.
-    """
-
-    tail_tol: float = 1e-9
-    oversample: float = 4.0
-    residual_tol: float = 1e-6
-    extent_round: float = 0.5
-    max_points_per_axis: int = 401
 
 
 @dataclass(frozen=True)
@@ -79,10 +62,4 @@ class KappaConfig:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-DEFAULT_QUADRATURE = QuadratureConfig()
 DEFAULT_KAPPA = KappaConfig()
-
-
-def config_dict(cfg) -> dict:
-    """Plain-dict echo of a config dataclass for report embedding."""
-    return asdict(cfg)

@@ -17,10 +17,6 @@ class CalibrationError(RuntimeError):
     """A construction-time self-test failed (sign or phase convention broke)."""
 
 
-class QuadratureError(RuntimeError):
-    """Phase-space quadrature did not meet its residual target."""
-
-
 class UncertaintyViolationError(RuntimeError):
     """Measured second moments violate Gamma + i*sigma >= 0 beyond tolerance.
 

@@ -18,9 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .config import (DEFAULT_KAPPA, DEFAULT_QUADRATURE, DEFAULT_TOLERANCES,
-                     KappaConfig, QuadratureConfig, Tolerances)
-from .errors import (CalibrationError, DimensionError, QuadratureError,
+from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
+from .errors import (CalibrationError, DimensionError,
                      UncertaintyViolationError, ValidationError)
 from .symplectic import GaussianState, beam_splitter, symplectic_form
 
@@ -64,9 +63,6 @@ class FockOperator:
         merged = tuple(dict.fromkeys(self.flags + new_flags))
         return FockOperator(self.space, self.matrix, self.kind, merged)
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.space, self.matrix.conj().T, self.kind, self.flags)
-
 
 def validate_density(op: FockOperator,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
@@ -104,15 +100,19 @@ def _embed(op1: np.ndarray, mode: int, n_modes: int, cutoff: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _quadrature_matrices(n_modes: int, cutoff: int) -> tuple:
+def _quadrature_matrices(n_modes: int, cutoff: int) -> np.ndarray:
+    """(Q1, P1, ..., Qn, Pn) stacked into one complex (2n, dim, dim) array,
+    so a combination sum_k u_k R_k is ``np.tensordot(u, quads, 1)``."""
     a = lowering(cutoff)
     q1 = (a + a.T) / SQRT2
     p1 = 1j * (a.T - a) / SQRT2
-    mats = []
+    dim = cutoff ** n_modes
+    quads = np.empty((2 * n_modes, dim, dim), dtype=complex)
     for mode in range(n_modes):
-        mats.append(_embed(q1, mode, n_modes, cutoff))
-        mats.append(_embed(p1, mode, n_modes, cutoff))
-    return tuple(m for m in mats)
+        quads[2 * mode] = _embed(q1, mode, n_modes, cutoff)
+        quads[2 * mode + 1] = _embed(p1, mode, n_modes, cutoff)
+    quads.flags.writeable = False   # one cached array serves every caller
+    return quads
 
 
 def quadratures(space: FockSpace) -> list:
@@ -123,15 +123,6 @@ def quadratures(space: FockSpace) -> list:
     """
     mats = _quadrature_matrices(space.n_modes, space.cutoff)
     return [FockOperator(space, m, "observable") for m in mats]
-
-
-def total_number_matrix(space: FockSpace) -> np.ndarray:
-    a = lowering(space.cutoff)
-    num1 = a.T @ a
-    out = np.zeros((space.dim, space.dim))
-    for mode in range(space.n_modes):
-        out = out + _embed(num1, mode, space.n_modes, space.cutoff)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +213,7 @@ def weyl_operator(space: FockSpace, xi: np.ndarray) -> FockOperator:
         raise ValidationError("xi must be finite")
     sigma = symplectic_form(space.n_modes)
     coeff = sigma.T @ xi   # xi . sigma R = sum_k (sigma^T xi)_k R_k
-    quads = _quadrature_matrices(space.n_modes, space.cutoff)
-    gen = sum(c * m for c, m in zip(coeff, quads))
+    gen = np.tensordot(coeff, _quadrature_matrices(space.n_modes, space.cutoff), 1)
     w = expm(1j * gen)
     flags = ()
     if float(np.linalg.norm(xi)) > safe_extent(space):
@@ -264,10 +254,6 @@ def char_batch(rho: FockOperator, xs: np.ndarray, chunk: int = 4096) -> np.ndarr
     return out
 
 
-def char_point(rho: FockOperator, xi: np.ndarray) -> complex:
-    return complex(char_batch(rho, np.asarray(xi, dtype=float).reshape(1, -1))[0])
-
-
 # ---------------------------------------------------------------------------
 # Beam-splitter unitary
 
@@ -286,18 +272,24 @@ def _beam_splitter_cached(n_per_arm: int, cutoff: int, theta: float) -> np.ndarr
     return u
 
 
+def _calibrated_states(space: FockSpace) -> np.ndarray:
+    """Mask of the number states whose quadrature transport the truncation
+    leaves intact: total quanta <= cutoff - 2, counted on integer labels."""
+    quanta = np.indices((space.cutoff,) * space.n_modes).sum(axis=0).ravel()
+    return quanta <= space.cutoff - 2
+
+
 def _calibrate_beam_splitter(space: FockSpace, u: np.ndarray, theta: float,
                              n_per_arm: int, tol: float = 1e-9) -> None:
     # Heisenberg transport must match the block rotation on every sector the
-    # truncation leaves intact (total quanta <= cutoff - 2).
+    # truncation leaves intact.
     s = beam_splitter(theta, n_per_arm)
     quads = _quadrature_matrices(space.n_modes, space.cutoff)
-    nmat = total_number_matrix(space)
-    keep = (np.real(np.diag(nmat)) <= space.cutoff - 2).astype(float)
+    keep = _calibrated_states(space).astype(float)
     proj = np.outer(keep, keep)
     for k in range(2 * space.n_modes):
         lhs = u.conj().T @ quads[k] @ u
-        rhs = sum(s[k, l] * quads[l] for l in range(2 * space.n_modes))
+        rhs = np.tensordot(s[k], quads, 1)
         defect = float(np.max(np.abs((lhs - rhs) * proj)))
         if defect > tol:
             raise CalibrationError(
@@ -413,10 +405,10 @@ class MomentTable:
     kappa_samples: int = 0
 
 
-def _kappa_value(rho_mat: np.ndarray, quads: tuple, u: np.ndarray,
+def _kappa_value(rho_mat: np.ndarray, quads: np.ndarray, u: np.ndarray,
                  v: np.ndarray) -> float:
-    ru = sum(c * m for c, m in zip(u, quads))
-    rv = sum(c * m for c, m in zip(v, quads))
+    ru = np.tensordot(u, quads, 1)
+    rv = np.tensordot(v, quads, 1)
     prod = rho_mat @ (ru @ ru) @ (rv @ rv)
     return float(np.sum(np.linalg.svd(prod, compute_uv=False)))
 
@@ -507,7 +499,7 @@ def gaussify(rho: FockOperator,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-state synthesis (inverse Weyl transform by quadrature)
+# Gaussian states: characteristic function and Fock-basis synthesis
 
 
 def gaussian_char_values(gs: GaussianState, xs: np.ndarray) -> np.ndarray:
@@ -524,102 +516,66 @@ def gaussian_char_values(gs: GaussianState, xs: np.ndarray) -> np.ndarray:
     return np.exp(-quad / 4.0 + 1j * phase)
 
 
-@functools.lru_cache(maxsize=3)
-def _synthesis_kernel(cutoff: int, extent: float, points: int) -> tuple:
-    """Grid nodes, trapezoid weights and W_{-xi} element tensor for one mode."""
-    axis = np.linspace(-extent, extent, points)
-    h = axis[1] - axis[0]
-    w1 = np.full(points, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
-    weights = np.outer(w1, w1).ravel()
-    alphas = weyl_alphas(-pts, 1)[:, 0]
-    elements = displacement_elements(alphas, cutoff)
-    return pts, weights, elements
+def _hermite_grid(a: np.ndarray, y: np.ndarray, g0: complex,
+                  cutoff: int) -> np.ndarray:
+    """Renormalized multidimensional Hermite array on (cutoff,) * len(y):
+    G_0 = g0 and G_{k+e_i} sqrt(k_i + 1) = y_i G_k + sum_j a_ij sqrt(k_j) G_{k-e_j}.
 
-
-def synthesis_grid(gs: GaussianState,
-                   quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
-    """Extent and point count resolving a Gaussian with covariance gs.gamma."""
-    lam_min = float(np.linalg.eigvalsh((gs.gamma + gs.gamma.T) / 2)[0])
-    if lam_min <= 0:
-        raise ValidationError("covariance must be positive definite for synthesis")
-    extent = np.sqrt(4.0 * np.log(1.0 / quad.tail_tol) / lam_min)
-    extent = np.ceil(extent / quad.extent_round) * quad.extent_round
-    h_max = 2.0 * np.pi / (extent * quad.oversample)
-    points = 2 * int(np.ceil(extent / h_max)) + 1
-    if points > quad.max_points_per_axis:
-        raise QuadratureError(
-            f"synthesis grid needs {points} points per axis "
-            f"(cap {quad.max_points_per_axis}); loosen tail_tol or rescale"
-        )
-    return float(extent), points
+    The k_0 = 0 slice is the same problem on the remaining axes; slice
+    k_0 + 1 follows from slices k_0 and k_0 - 1 by the recurrence along
+    axis 0, with shifted views for the other axes.
+    """
+    m = len(y)
+    if m == 0:
+        return np.asarray(g0, dtype=complex)
+    out = np.zeros((cutoff,) * m, dtype=complex)
+    out[0] = _hermite_grid(a[1:, 1:], y[1:], g0, cutoff)
+    root = np.sqrt(np.arange(cutoff))
+    lift = root[1:].reshape((-1,) + (1,) * (m - 2))
+    for k in range(cutoff - 1):
+        nxt = y[0] * out[k]
+        if k:
+            nxt += a[0, 0] * root[k] * out[k - 1]
+        for j in range(1, m):
+            np.moveaxis(nxt, j - 1, 0)[1:] += \
+                a[0, j] * lift * np.moveaxis(out[k], j - 1, 0)[:-1]
+        out[k + 1] = nxt / root[k + 1]
+    return out
 
 
 def gaussian_to_fock(gs: GaussianState, space: FockSpace,
-                     quad: QuadratureConfig = DEFAULT_QUADRATURE,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
-    """Synthesize the density matrix of a Gaussian state on a truncated space.
+    """Density matrix of an n-mode Gaussian state on a truncated space.
 
-    Trapezoidal quadrature of rho = (2pi)^-n Integral chi(xi) W_{-xi} d xi
-    over a uniform grid sized by ``synthesis_grid``.  The result is
-    Hermitized, validated against the residual tolerance, clipped to the
-    positive cone and renormalized to unit trace.
+    Exact matrix elements by the renormalized multidimensional-Hermite
+    recurrence (Dodonov, Man'ko & Man'ko, PRA 50, 813 (1994); Miatto &
+    Quesada, Quantum 4, 366 (2020)).  The truncated matrix is a principal
+    block of a positive trace-one operator, so it is positive with trace at
+    most 1; missing mass above the leak budget is flagged, then the block
+    is renormalized to unit trace.
     """
     gs = gs.validate(tol)
-    if gs.n != space.n_modes:
+    n = gs.n
+    if n != space.n_modes:
         raise DimensionError("state and space mode counts differ")
-    if space.n_modes != 1:
-        return _synthesize_product(gs, space, quad, tol)
-    extent, points = synthesis_grid(gs, quad)
-    pts, weights, elements = _synthesis_kernel(space.cutoff, extent, points)
-    chi = gaussian_char_values(gs, pts)
-    rho = np.einsum("m,mab->ab", weights * chi, elements) / (2.0 * np.pi)
+    # Husimi covariance Q in the complex (alpha, conj alpha) basis, with the
+    # quadratures reordered Q1..Qn, P1..Pn.
+    xxpp = np.r_[0:2 * n:2, 1:2 * n:2]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / SQRT2
+    q = w @ gs.gamma[np.ix_(xxpp, xxpp)] @ w.conj().T / 2.0 + np.eye(2 * n) / 2.0
+    q_inv = np.linalg.inv(q)
+    a = np.block([[zero, eye], [eye, zero]]) @ (np.eye(2 * n) - q_inv)
+    alpha = (gs.d[0::2] + 1j * gs.d[1::2]) / SQRT2
+    beta = np.concatenate([alpha, alpha.conj()])
+    g0 = np.exp(-0.5 * beta.conj() @ q_inv @ beta) / np.sqrt(np.linalg.det(q))
+    grid = _hermite_grid(a, beta.conj() - a @ beta, g0, space.cutoff)
+    rho = grid.reshape(space.dim, space.dim).T
     rho = (rho + rho.conj().T) / 2.0
 
-    # A trace above 1 can only come from the quadrature itself; a deficit is
-    # the state's mass beyond the cutoff, which is a truncation condition.
     trace = float(np.trace(rho).real)
     flags = ()
-    if trace - 1.0 > quad.residual_tol:
-        raise QuadratureError(
-            f"synthesis trace residual {trace - 1.0:.3e} exceeds "
-            f"{quad.residual_tol:.1e}; enlarge the grid"
-        )
-    if 1.0 - trace > quad.residual_tol:
-        flags += (f"truncation:synthesis:mass-deficit={1.0 - trace:.3e}",)
-    vals, vecs = np.linalg.eigh(rho)
-    if vals[0] < -1e-6:
-        raise QuadratureError(f"synthesized state has eigenvalue {vals[0]:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    rho = (vecs * vals) @ vecs.conj().T
-    rho /= np.trace(rho).real
-    out = FockOperator(space, rho, "density", flags)
+    if 1.0 - trace > tol.leak_budget:
+        flags = (f"truncation:synthesis:mass-deficit={1.0 - trace:.3e}",)
+    out = FockOperator(space, rho / trace, "density", flags)
     return flag_if_leaking(out, "synthesis", tol)
-
-
-def _synthesize_product(gs: GaussianState, space: FockSpace,
-                        quad: QuadratureConfig, tol: Tolerances) -> FockOperator:
-    # Quadrature cost grows exponentially with mode count, so multi-mode
-    # targets are supported exactly when they factorize over modes.
-    gamma = gs.gamma
-    cross = gamma.copy()
-    for l in range(gs.n):
-        cross[2 * l:2 * l + 2, 2 * l:2 * l + 2] = 0.0
-    worst = float(np.max(np.abs(cross)))
-    if worst > 1e-10:
-        raise DimensionError(
-            f"multi-mode synthesis needs a block-diagonal covariance "
-            f"(largest cross term {worst:.3e}); only product Gaussians are "
-            "representable per mode"
-        )
-    out = None
-    for l in range(gs.n):
-        factor = gaussian_to_fock(
-            GaussianState(gs.d[2 * l:2 * l + 2],
-                          gamma[2 * l:2 * l + 2, 2 * l:2 * l + 2]),
-            FockSpace(1, space.cutoff), quad, tol)
-        out = factor if out is None else tensor(out, factor)
-    return out

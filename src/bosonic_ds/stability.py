@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (DEFAULT_KAPPA, DEFAULT_QUADRATURE, DEFAULT_TOLERANCES,
-                     KappaConfig, QuadratureConfig, Tolerances)
+from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
 from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, ValidationError)
 from .fock import (FockOperator, FockSpace, beam_splitter_unitary, evolve,
@@ -256,7 +255,6 @@ def _operator_norm(gamma: np.ndarray) -> float:
 
 def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
                    seed: int = 0,
-                   quad: QuadratureConfig = DEFAULT_QUADRATURE,
                    kappa_cfg: KappaConfig = DEFAULT_KAPPA,
                    tol: Tolerances = DEFAULT_TOLERANCES,
                    strict: bool = True,
@@ -322,8 +320,8 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
 
     gs1 = gaussify(rho1, tol)
     gs2 = gaussify(rho2, tol)
-    synth1 = gaussian_to_fock(gs1, rho1.space, quad, tol)
-    synth2 = gaussian_to_fock(gs2, rho2.space, quad, tol)
+    synth1 = gaussian_to_fock(gs1, rho1.space, tol)
+    synth2 = gaussian_to_fock(gs2, rho2.space, tol)
     flags.extend(synth1.flags)
     flags.extend(synth2.flags)
     dist1 = hs_norm(rho1.matrix - synth1.matrix)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_QUADRATURE, DEFAULT_TOLERANCES, QuadratureConfig, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
 from .fock import FockOperator, FockSpace, density, flag_if_leaking, gaussian_to_fock
 from .symplectic import GaussianState
@@ -64,7 +64,11 @@ def mixture(components) -> FockOperator:
     weights = np.array([w for w, _ in components], dtype=float)
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be nonnegative")
-    weights = weights / weights.sum()
+    total = weights.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ValidationError(f"mixture weights must have a positive finite sum, "
+                              f"got {total}")
+    weights = weights / total
     space = components[0][1].space
     m = np.zeros((space.dim, space.dim), dtype=complex)
     flags = ()
@@ -77,25 +81,22 @@ def mixture(components) -> FockOperator:
 
 
 def squeezed_surrogate(space: FockSpace, z: float,
-                       quad: QuadratureConfig = DEFAULT_QUADRATURE,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
     """Gaussian state with covariance diag(e^{2z}, e^{-2z}), synthesized."""
     gs = GaussianState(np.zeros(2), np.diag([np.exp(2 * z), np.exp(-2 * z)]))
-    return gaussian_to_fock(gs, space, quad, tol)
+    return gaussian_to_fock(gs, space, tol)
 
 
 def displaced_vacuum(space: FockSpace, d,
-                     quad: QuadratureConfig = DEFAULT_QUADRATURE,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
     gs = GaussianState(np.asarray(d, dtype=float), np.eye(2 * space.n_modes))
-    return gaussian_to_fock(gs, space, quad, tol)
+    return gaussian_to_fock(gs, space, tol)
 
 
 _ALIASES = {"fock1": "fock:1", "fock2": "fock:2", "fock3": "fock:3"}
 
 
 def parse_state_spec(spec, space: FockSpace,
-                     quad: QuadratureConfig = DEFAULT_QUADRATURE,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
     """Build a density operator from a CLI state spec (string or JSON object)."""
     if isinstance(spec, str):
@@ -109,10 +110,10 @@ def parse_state_spec(spec, space: FockSpace,
         if head == "thermal":
             return thermal_state(space, float(arg), tol)
         if head == "squeezed":
-            return squeezed_surrogate(space, float(arg), quad, tol)
+            return squeezed_surrogate(space, float(arg), tol)
         if head == "displaced":
             d = np.array([float(x) for x in arg.split(",")])
-            return displaced_vacuum(space, d, quad, tol)
+            return displaced_vacuum(space, d, tol)
         if head == "file":
             return load_density(arg, expected_space=space, tol=tol)
         raise ValidationError(f"unknown state spec {spec!r}")
@@ -121,9 +122,9 @@ def parse_state_spec(spec, space: FockSpace,
         if kind == "gaussian":
             gs = GaussianState(np.asarray(spec["d"], dtype=float),
                                np.asarray(spec["gamma"], dtype=float))
-            return gaussian_to_fock(gs, space, quad, tol)
+            return gaussian_to_fock(gs, space, tol)
         if kind == "mixture":
-            comps = [(c["weight"], parse_state_spec(c["state"], space, quad, tol))
+            comps = [(c["weight"], parse_state_spec(c["state"], space, tol))
                      for c in spec["components"]]
             return mixture(comps)
         if kind == "file":

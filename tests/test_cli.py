@@ -94,6 +94,29 @@ def test_ds_run_bound_failure_exit_code(tmp_path, capsys):
     assert "invariant_failure" in report
 
 
+def test_ds_run_rejects_nan_theta(tmp_path, capsys):
+    cfg = write_config(tmp_path, theta="nan")
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "theta" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_ds_run_rejects_zero_mixture_weights(tmp_path, capsys):
+    cfg = write_config(tmp_path, state2={"kind": "mixture", "components": [
+        {"weight": 0.0, "state": "vacuum"},
+        {"weight": 0.0, "state": "fock:1"}]})
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mixture weights" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_witness_heavily_squeezed_low_cutoff(capsys):
+    assert main(["witness", "--state", "squeezed:1.2", "--theta", "0.7",
+                 "--cutoff", "8"]) == 0
+
+
 def test_ds_run_rejects_bad_tolerance(tmp_path, capsys):
     cfg = write_config(tmp_path, tolerances={"uncertainty": -1.0})
     assert main(["ds-run", "--config", str(cfg)]) == 1

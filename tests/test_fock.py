@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bosonic_ds.config import KappaConfig
-from bosonic_ds.errors import (DimensionError, QuadratureError,
-                               UncertaintyViolationError, ValidationError)
-from bosonic_ds.fock import (FockOperator, FockSpace, beam_splitter_unitary,
-                             certified_levels,
+from bosonic_ds.errors import (DimensionError, UncertaintyViolationError,
+                               ValidationError)
+from bosonic_ds.fock import (FockOperator, FockSpace, _calibrated_states,
+                             beam_splitter_unitary, certified_levels,
                              char_batch, density, evolve, gaussian_to_fock,
-                             gaussify, hs_norm, leak_population, moments,
-                             partial_trace, quadratures, safe_extent, tensor,
-                             trace_norm, weyl_operator)
-from bosonic_ds.states import fock_state, mixture, thermal_state, vacuum
+                             gaussify, hs_norm, leak_population, lowering,
+                             moments, partial_trace, quadratures, safe_extent,
+                             tensor, trace_norm, validate_density, weyl_operator)
+from bosonic_ds.states import (fock_state, mixture, squeezed_surrogate,
+                               thermal_state, vacuum)
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
 
@@ -139,6 +143,13 @@ def test_moment_transport_matches_symplectic():
     expected = transform_gaussian(beam_splitter(theta, 1), big)
     np.testing.assert_allclose(table.d, expected.d, atol=1e-6)
     np.testing.assert_allclose(table.gamma, expected.gamma, atol=1e-6)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 5), (2, 12), (4, 4), (4, 6)])
+def test_calibration_covers_every_intact_state(modes, cutoff):
+    # every number state with total quanta <= cutoff - 2 is certified
+    mask = _calibrated_states(FockSpace(modes, cutoff))
+    assert int(mask.sum()) == math.comb(cutoff - 2 + modes, modes)
 
 
 def test_odd_mode_count_rejected():
@@ -326,11 +337,38 @@ def test_synthesis_mass_deficit_flag():
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_synthesis_grid_cap():
-    space = FockSpace(1, 10)
-    gs = GaussianState(np.zeros(2), np.diag([25.0, 1.0 / 25.0]))
-    with pytest.raises(QuadratureError):
-        gaussian_to_fock(gs, space)
+def test_synthesis_matches_expm_construction():
+    # D(alpha) R(phi) S(r) nu_th built by matrix exponentials far above the
+    # cutoff; its Heisenberg action is R -> M_R M_S R + sqrt(2)(Re, Im) alpha
+    alpha, phi, r, nbar = 0.4 - 0.3j, 0.7, 0.35, 0.2
+    big, cutoff = 80, 12
+    a = lowering(big)
+    squeeze = expm((r / 2) * (a @ a - a.T @ a.T))
+    rotate = np.diag(np.exp(-1j * phi * np.arange(big)))
+    displace = expm(alpha * a.T - np.conj(alpha) * a)
+    u = displace @ rotate @ squeeze
+    pops = (nbar / (1 + nbar)) ** np.arange(big) / (1 + nbar)
+    block = (u @ np.diag(pops) @ u.conj().T)[:cutoff, :cutoff]
+    block /= np.trace(block).real
+
+    m = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]]) \
+        @ np.diag([np.exp(-r), np.exp(r)])
+    gs = GaussianState(np.sqrt(2) * np.array([alpha.real, alpha.imag]),
+                       (2 * nbar + 1) * m @ m.T)
+    assert abs(gs.gamma[0, 1]) > 0.5
+    rho = gaussian_to_fock(gs, FockSpace(1, cutoff))
+    assert np.max(np.abs(rho.matrix - block)) <= 1e-12
+
+
+def test_synthesis_heavily_squeezed_at_low_cutoff():
+    # 9.8% of squeezed:1.2 lies beyond cutoff 8: flagged, renormalized, valid
+    rho = validate_density(squeezed_surrogate(FockSpace(1, 8), 1.2))
+    assert any(f.startswith("truncation:synthesis:mass-deficit=") for f in rho.flags)
+    # at a cutoff that holds the state, its moments come back
+    table = moments(squeezed_surrogate(FockSpace(1, 160), 1.2), with_kappa=False)
+    np.testing.assert_allclose(table.gamma, np.diag([np.exp(2.4), np.exp(-2.4)]),
+                               atol=1e-8)
+    np.testing.assert_allclose(table.d, 0.0, atol=1e-8)
 
 
 def test_synthesis_rejects_invalid_covariance():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonic_ds.config import KappaConfig, QuadratureConfig, Tolerances
+from bosonic_ds.config import KappaConfig, Tolerances
 from bosonic_ds.errors import (BoundViolationError, CalibrationError,
                                TrivialSplitterError, ValidationError)
 from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, evolve,
@@ -133,11 +133,10 @@ def test_interference_epsilon_matches_oracle():
 
 
 def test_cm_gap_matches_direct_frobenius():
-    quad = QuadratureConfig(tail_tol=1e-11)
     space = FockSpace(1, 24)
-    r1 = gaussian_to_fock(GaussianState(np.zeros(2), 2 * np.eye(2)), space, quad)
-    r2 = gaussian_to_fock(GaussianState(np.zeros(2), np.eye(2)), space, quad)
-    rep = run_experiment(r1, r2, np.pi / 4, seed=1, quad=quad,
+    r1 = gaussian_to_fock(GaussianState(np.zeros(2), 2 * np.eye(2)), space)
+    r2 = gaussian_to_fock(GaussianState(np.zeros(2), np.eye(2)), space)
+    rep = run_experiment(r1, r2, np.pi / 4, seed=1,
                          kappa_cfg=KappaConfig(random_pairs=4, refine_steps=2))
     assert rep.cm_gap == pytest.approx(np.sqrt(2.0), abs=1e-8)
     assert rep.cm_gap == pytest.approx(float(np.linalg.norm(rep.gamma1 - rep.gamma2)),
@@ -295,15 +294,38 @@ def test_two_modes_per_arm_experiment():
     assert rep.dist_hs_1 > 0 and rep.dist_hs_2 > 0
 
 
-def test_multimode_synthesis_requires_product_structure():
-    from bosonic_ds.errors import DimensionError
-    from bosonic_ds.fock import gaussian_to_fock
+def test_correlated_two_mode_synthesis_matches_expm():
+    from scipy.linalg import expm
+
+    from bosonic_ds.fock import lowering, moments, validate_density
     from bosonic_ds.symplectic import two_mode_squeezer
 
-    s = two_mode_squeezer(0.3)
-    correlated = GaussianState(np.zeros(4), s @ s.T)   # valid but entangling
-    with pytest.raises(DimensionError):
-        gaussian_to_fock(correlated, FockSpace(2, 8))
+    # exp(r (a1+ a2+ - a1 a2)) realizes two_mode_squeezer(r); displaced
+    # thermal inputs, built far above the cutoff and then truncated
+    r, big, cutoff = 0.3, 24, 8
+    al1, al2, nb1, nb2 = 0.2 + 0.1j, -0.15 + 0.25j, 0.1, 0.05
+    a = lowering(big)
+    a1, a2 = np.kron(a, np.eye(big)), np.kron(np.eye(big), a)
+    u = expm(al1 * a1.T - np.conj(al1) * a1 + al2 * a2.T - np.conj(al2) * a2) \
+        @ expm(r * (a1.T @ a2.T - a1 @ a2))
+    pops = [(nb / (1 + nb)) ** np.arange(big) / (1 + nb) for nb in (nb1, nb2)]
+    rho_big = u @ np.diag(np.kron(*pops)) @ u.conj().T
+    idx = (np.arange(cutoff)[:, None] * big + np.arange(cutoff)[None, :]).ravel()
+    block = rho_big[np.ix_(idx, idx)]
+    block /= np.trace(block).real
+
+    s = two_mode_squeezer(r)
+    gs = GaussianState(np.sqrt(2) * np.array([al1.real, al1.imag, al2.real, al2.imag]),
+                       s @ np.diag([2 * nb1 + 1] * 2 + [2 * nb2 + 1] * 2) @ s.T)
+    rho = validate_density(gaussian_to_fock(gs, FockSpace(2, cutoff)))
+    assert np.max(np.abs(rho.matrix - block)) <= 1e-12
+
+    # correlated vacuum: moments return once the top-level defect of the
+    # truncated quadratures is negligible
+    vac = GaussianState(np.zeros(4), s @ s.T)
+    table = moments(gaussian_to_fock(vac, FockSpace(2, 10)), with_kappa=False)
+    np.testing.assert_allclose(table.gamma, vac.gamma, atol=1e-8)
+    np.testing.assert_allclose(table.d, 0.0, atol=1e-8)
 
 
 def test_sweep_rows_format():
