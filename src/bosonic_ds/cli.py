@@ -15,6 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+from .errors import (BoundViolationError, CalibrationError, DecompositionError,
+                     TrivialSplitterError, UncertaintyViolationError,
+                     ValidationError)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -62,20 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"ds-run": _cmd_ds_run, "constants": _cmd_constants,
+                "classify": _cmd_classify, "witness": _cmd_witness,
+                "selftest": _cmd_selftest}
     try:
-        if args.command == "ds-run":
-            return _cmd_ds_run(args)
-        if args.command == "constants":
-            return _cmd_constants(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "witness":
-            return _cmd_witness(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+        return commands[args.command](args)
     except BrokenPipeError:
         return 1
-    return 1
+    except TrivialSplitterError as exc:
+        return _fail(f"trivial splitter: {exc}")
+    except (ValueError, OSError, UncertaintyViolationError,
+            DecompositionError) as exc:
+        return _fail(str(exc))
 
 
 def _fail(message: str) -> int:
@@ -83,30 +85,32 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _read(what: str, path: str, load):
+    """``load(path)``; a read or parse failure names ``what`` and the path."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 
 
 def _load_config(path: str) -> dict:
-    text = Path(path).read_text()
-    data = json.loads(text)
+    data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     return data
 
 
-def _cmd_ds_run(args) -> int:
-    from .config import Tolerances
-    from .errors import (BoundViolationError, CalibrationError,
-                         TrivialSplitterError, ValidationError)
-    from .fock import FockSpace
-    from .io import canonical_dumps, write_json
-    from .states import parse_state_spec
-    from .stability import run_experiment, _enforce_invariants
+def _run_inputs(args, cfg: dict) -> tuple:
+    """(rho1, rho2, theta, seed, tol, echo) from the config and its overrides;
+    a missing key or a mistyped value is a ValidationError."""
+    from dataclasses import asdict
 
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read config {args.config}: {exc}")
+    from .config import Tolerances
+    from .fock import FockSpace
+    from .states import parse_state_spec
 
     try:
         theta = float(args.theta if args.theta is not None else cfg["theta"])
@@ -116,38 +120,39 @@ def _cmd_ds_run(args) -> int:
         seed = int(args.seed if args.seed is not None else cfg["seed"])
         modes = int(cfg.get("modes_per_arm", 1))
         tol = Tolerances(**cfg.get("tolerances", {}))
-        _validate_positive_tolerances(tol)
+        for name, value in asdict(tol).items():
+            if value <= 0:
+                raise ValidationError(f"tolerance {name} must be positive")
         space = FockSpace(modes, cutoff)
         rho1 = parse_state_spec(cfg["state1"], space, tol)
         rho2 = parse_state_spec(cfg["state2"], space, tol)
     except KeyError as exc:
-        return _fail(f"config is missing {exc}")
-    except (ValidationError, ValueError, TypeError) as exc:
-        return _fail(str(exc))
-
+        raise ValidationError(f"config is missing {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(str(exc)) from exc
     echo = {"theta": theta, "cutoff": cutoff, "seed": seed,
             "modes_per_arm": modes,
             "state1": cfg["state1"], "state2": cfg["state2"],
             "tolerances": cfg.get("tolerances", {})}
+    return rho1, rho2, theta, seed, tol, echo
 
-    try:
-        report = run_experiment(rho1, rho2, theta, seed=seed, tol=tol,
-                                strict=False, config_echo=echo)
-    except (TrivialSplitterError, ValidationError) as exc:
-        return _fail(str(exc))
 
-    status = 0
+def _cmd_ds_run(args) -> int:
+    from .io import canonical_dumps, write_json
+    from .stability import run_experiment, _enforce_invariants
+
+    cfg = _read("config", args.config, _load_config)
+    rho1, rho2, theta, seed, tol, echo = _run_inputs(args, cfg)
+    report = run_experiment(rho1, rho2, theta, seed=seed, tol=tol,
+                            strict=False, config_echo=echo)
+
+    payload = report.to_dict()
     diagnostic = None
     if not report.truncation_flags:
         try:
             _enforce_invariants(report, tol)
         except (BoundViolationError, CalibrationError) as exc:
-            status = 2
-            diagnostic = str(exc)
-
-    payload = report.to_dict()
-    if diagnostic:
-        payload["invariant_failure"] = diagnostic
+            diagnostic = payload["invariant_failure"] = str(exc)
     out = args.out or cfg.get("out")
     if out:
         write_json(payload, out)
@@ -155,32 +160,20 @@ def _cmd_ds_run(args) -> int:
         sys.stdout.write(canonical_dumps(payload))
     if diagnostic:
         print(f"invariant failure: {diagnostic}", file=sys.stderr)
-    return status
-
-
-def _validate_positive_tolerances(tol) -> None:
-    from dataclasses import asdict
-
-    for name, value in asdict(tol).items():
-        if value <= 0:
-            raise ValueError(f"tolerance {name} must be positive")
+        return 2
+    return 0
 
 
 def _cmd_constants(args) -> int:
-    from .errors import ValidationError
     from .io import csv_text, canonical_dumps
     from .stability import (C1_QUOTED_50_50, c1_direct_50_50, constants_sweep)
 
-    try:
-        rows = constants_sweep(args.theta_min, args.theta_max, args.steps,
-                               args.modes, args.kappa)
-    except ValidationError as exc:
-        return _fail(str(exc))
+    rows = constants_sweep(args.theta_min, args.theta_max, args.steps,
+                           args.modes, args.kappa)
 
     if args.format == "csv":
-        text = csv_text(["theta", "curve", "c1", "c2_shape", "c3"],
-                        ([r["theta"], r["curve"], r["c1"], r["c2_shape"], r["c3"]]
-                         for r in rows))
+        header = ["theta", "curve", "c1", "c2_shape", "c3"]
+        text = csv_text(header, ([r[k] for k in header] for r in rows))
     else:
         text = canonical_dumps({
             "rows": rows,
@@ -201,17 +194,9 @@ def _cmd_constants(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .classify import decompose
-    from .errors import DecompositionError, ValidationError
     from .io import canonical_dumps, load_matrix, write_json
 
-    try:
-        s = load_matrix(args.matrix)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read matrix {args.matrix}: {exc}")
-    try:
-        result = decompose(s, seed=args.seed)
-    except (ValidationError, DecompositionError) as exc:
-        return _fail(str(exc))
+    result = decompose(_read("matrix", args.matrix, load_matrix), seed=args.seed)
     payload = result.to_dict()
     if args.out:
         write_json(payload, args.out)
@@ -221,19 +206,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .errors import TrivialSplitterError, ValidationError
     from .fock import FockSpace
     from .states import parse_state_spec
     from .stability import nongaussianity_witness
 
-    try:
-        space = FockSpace(1, args.cutoff)
-        rho = parse_state_spec(args.state, space)
-        eps = nongaussianity_witness(rho, args.theta)
-    except TrivialSplitterError as exc:
-        return _fail(f"trivial splitter: {exc}")
-    except (ValidationError, ValueError) as exc:
-        return _fail(str(exc))
+    rho = parse_state_spec(args.state, FockSpace(1, args.cutoff))
+    eps = nongaussianity_witness(rho, args.theta)
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"
     print(f"{verdict} (epsilon={eps:.6e})")
     return 0

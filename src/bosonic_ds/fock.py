@@ -367,12 +367,12 @@ def hs_norm(op: FockOperator | np.ndarray) -> float:
 
 
 def mode_populations(rho: FockOperator) -> np.ndarray:
-    """Per-mode level occupations, shape (n_modes, cutoff)."""
-    out = np.empty((rho.space.n_modes, rho.space.cutoff))
-    for l in range(rho.space.n_modes):
-        red = partial_trace(rho, (l,)) if rho.space.n_modes > 1 else rho
-        out[l] = np.real(np.diag(red.matrix))
-    return out
+    """Per-mode level occupations, shape (n_modes, cutoff): the diagonal as
+    a (cutoff,) * n_modes array, summed over every other mode."""
+    n = rho.space.n_modes
+    pops = np.real(np.diag(rho.matrix)).reshape((rho.space.cutoff,) * n)
+    return np.array([pops.sum(axis=tuple(k for k in range(n) if k != l))
+                     for l in range(n)])
 
 
 def leak_population(rho: FockOperator) -> float:

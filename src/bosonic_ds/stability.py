@@ -15,6 +15,7 @@ the report carries both numbers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,24 +132,31 @@ def _cross_cov_matrix(g_mat: np.ndarray, space: FockSpace,
 
     Satisfies Gamma_1 - Gamma_2 = (2 / cos^2 theta) V exactly for centered
     product inputs; its Frobenius norm matches any orthogonally conjugated
-    variant of the same object.
+    variant of the same object.  Contracted per arm: with g indexed
+    [(a, b), (c, e)], Tr[g (R_1k x R_2l)] = sum g_abce R_1k[c, a] R_2l[e, b].
     """
     n2 = space.n_modes
     if n2 % 2:
         raise ValidationError("cross covariance needs a two-arm space")
-    n = n2 // 2
-    quads = _quadrature_matrices(space.n_modes, space.cutoff)
-    arm1 = quads[: 2 * n]
-    arm2 = quads[2 * n:]
     t = math.tan(theta)
     if t == 0:
         raise TrivialSplitterError("cross covariance undefined at theta = m pi")
-    m = np.empty((2 * n, 2 * n), dtype=complex)
-    for k, r1 in enumerate(arm1):
-        left = g_mat @ r1
-        for l, r2 in enumerate(arm2):
-            m[k, l] = np.einsum("ij,ji->", left, r2)
-    return m / t
+    arm = _quadrature_matrices(n2 // 2, space.cutoff)
+    d = arm.shape[1]
+    return np.einsum("abce,kca,leb->kl", g_mat.reshape(d, d, d, d), arm, arm,
+                     optimize=True) / t
+
+
+def _cross_covariance(g_mat: np.ndarray, pair_space: FockSpace, theta: float,
+                      kappa: float | None, epsilon: float) -> CrossCovariance:
+    """V, its Frobenius norm and, given kappa, the bound on that norm."""
+    v = _cross_cov_matrix(g_mat, pair_space, theta)
+    norm = float(np.linalg.norm(v))
+    if kappa is None:
+        return CrossCovariance(v, norm, None, None)
+    n = pair_space.n_modes // 2
+    bound = math.sqrt(24.0 * n ** 2 * kappa * epsilon) / abs(math.tan(theta))
+    return CrossCovariance(v, norm, bound, norm <= bound)
 
 
 def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
@@ -158,15 +166,61 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
     g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
     if epsilon is None:
         epsilon = trace_norm(g)
-    v = _cross_cov_matrix(g, rho_ab.space, theta)
-    norm = float(np.linalg.norm(v))
-    bound = None
-    within = None
-    if kappa is not None:
-        n = rho_ab.space.n_modes // 2
-        bound = math.sqrt(24.0 * n ** 2 * kappa * epsilon) / abs(math.tan(theta))
-        within = norm <= bound
-    return CrossCovariance(v, norm, bound, within)
+    return _cross_covariance(g, rho_ab.space, theta, kappa, epsilon)
+
+
+# ---------------------------------------------------------------------------
+# The splitter output
+
+
+@dataclass(frozen=True)
+class PairOutput:
+    """rho_ab = U (rho1 x rho2) U*, its reductions, g and epsilon = |g|_1."""
+
+    rho_ab: FockOperator
+    rho_a: FockOperator
+    rho_b: FockOperator
+    g: np.ndarray
+    epsilon: float
+
+
+def _check_fits_memory(pair_space: FockSpace) -> None:
+    """Refuse a pair space whose dense working set, 2 n_pair + 10 complex
+    dim x dim matrices (the quadratures, U, rho_ab, g and the kappa
+    temporaries), exceeds physical memory; skipped where that is unknown."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    dim = pair_space.dim
+    need = (2 * pair_space.n_modes + 10) * dim ** 2 * 16
+    if 0 < physical < need:
+        raise ValidationError(
+            f"pair dim {dim} ({pair_space.n_modes // 2} modes per arm, cutoff "
+            f"{pair_space.cutoff}) needs about {need / 2 ** 30:.1f} GiB of dense "
+            f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
+        )
+
+
+def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
+                tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
+    """Send rho1 x rho2 through the splitter; reduce and measure epsilon."""
+    if is_trivial_angle(theta):
+        raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
+    validate_density(rho1, tol)
+    validate_density(rho2, tol)
+    if rho1.space != rho2.space:
+        raise ValidationError("input states live on different spaces")
+    pair_space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+    _check_fits_memory(pair_space)
+    # U first, so the product state is not alive while U is built and
+    # calibrated: that would raise the peak memory.
+    u = beam_splitter_unitary(pair_space, theta)
+    rho_ab = evolve(tensor(rho1, rho2), u)
+    rho_a = partial_trace(rho_ab, "first")
+    rho_b = partial_trace(rho_ab, "second")
+    g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
+    return PairOutput(rho_ab, rho_a, rho_b, g, trace_norm(g))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +296,6 @@ class StabilityReport:
             "config": self.config,
         }
 
-    @property
-    def bounds_hold(self) -> bool | None:
-        if self.margin_state is None:
-            return None
-        return self.margin_state >= 0 and self.margin_cm >= 0
-
 
 def _operator_norm(gamma: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(gamma))))
@@ -267,39 +315,25 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     raises CalibrationError.  With ``strict=False`` the report is returned
     regardless, for callers that surface failures through exit codes.
     """
-    if is_trivial_angle(theta):
-        raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
-    validate_density(rho1, tol)
-    validate_density(rho2, tol)
-    if rho1.space != rho2.space:
-        raise ValidationError("input states live on different spaces")
+    out = pair_output(rho1, rho2, theta, tol)
     n = rho1.space.n_modes
-    cutoff = rho1.space.cutoff
+    epsilon = out.epsilon
 
     flags = []
     for label, op in (("input1", rho1), ("input2", rho2)):
         leak = leak_population(op)
         if leak > tol.leak_budget:
             flags.append(f"truncation:{label}:leak={leak:.3e}")
-    flags.extend(rho1.flags)
-    flags.extend(rho2.flags)
-
-    pair_space = FockSpace(2 * n, cutoff)
-    u = beam_splitter_unitary(pair_space, theta)
-    rho_ab = evolve(tensor(rho1, rho2), u)
-    leak_out = leak_population(rho_ab)
+    flags.extend(rho1.flags + rho2.flags)
+    leak_out = leak_population(out.rho_ab)
     if leak_out > tol.leak_budget:
         flags.append(f"truncation:output:leak={leak_out:.3e}")
 
-    rho_a = partial_trace(rho_ab, "first")
-    rho_b = partial_trace(rho_ab, "second")
-    g_mat = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
-    epsilon = trace_norm(g_mat)
-
-    m1 = moments(rho1, with_kappa=False)
-    m2 = moments(rho2, with_kappa=False)
-    mab = moments(rho_ab, seed=seed, cfg=kappa_cfg)
-    lam = 0.5 * max(_operator_norm(m1.gamma), _operator_norm(m2.gamma))
+    # Gaussify before the kappa search, so a cutoff too small fails early.
+    gs1 = gaussify(rho1, tol)
+    gs2 = gaussify(rho2, tol)
+    mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg)
+    lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
     kappa = mab.kappa
     trace_gamma_out = float(np.trace(mab.gamma))
 
@@ -318,20 +352,14 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     else:
         r = r_floor = bound1 = bound2 = None
 
-    gs1 = gaussify(rho1, tol)
-    gs2 = gaussify(rho2, tol)
     synth1 = gaussian_to_fock(gs1, rho1.space, tol)
     synth2 = gaussian_to_fock(gs2, rho2.space, tol)
-    flags.extend(synth1.flags)
-    flags.extend(synth2.flags)
+    flags.extend(synth1.flags + synth2.flags)
     dist1 = hs_norm(rho1.matrix - synth1.matrix)
     dist2 = hs_norm(rho2.matrix - synth2.matrix)
     cm_gap = float(np.linalg.norm(gs1.gamma - gs2.gamma))
 
-    v = _cross_cov_matrix(g_mat, pair_space, theta)
-    v_norm = float(np.linalg.norm(v))
-    v_bound = math.sqrt(24.0 * n ** 2 * kappa * epsilon) / abs(math.tan(theta))
-    v_within = v_norm <= v_bound
+    cov = _cross_covariance(out.g, out.rho_ab.space, theta, kappa, epsilon)
 
     margin_state = margin_cm = None
     if bound1 is not None:
@@ -356,8 +384,9 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
         dist_hs_1=dist1, dist_hs_2=dist2, cm_gap=cm_gap,
         bound1=bound1, bound2=bound2,
         margin_state=margin_state, margin_cm=margin_cm,
-        v=v, v_norm=v_norm, v_bound=v_bound, v_within_bound=v_within,
-        d1=m1.d, d2=m2.d, gamma1=m1.gamma, gamma2=m2.gamma,
+        v=cov.v, v_norm=cov.norm, v_bound=cov.bound,
+        v_within_bound=cov.within_bound,
+        d1=gs1.d, d2=gs2.d, gamma1=gs1.gamma, gamma2=gs2.gamma,
         truncation_flags=flags, notes=notes,
         config=dict(config_echo or {}),
     )
@@ -411,12 +440,4 @@ def nongaussianity_witness(rho: FockOperator, theta: float,
     Zero (within truncation noise) exactly when rho is Gaussian; the
     canonical two-photon interference case gives 1.5 at theta = pi/4.
     """
-    if is_trivial_angle(theta):
-        raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
-    validate_density(rho, tol)
-    pair_space = FockSpace(2 * rho.space.n_modes, rho.space.cutoff)
-    u = beam_splitter_unitary(pair_space, theta)
-    rho_ab = evolve(tensor(rho, rho), u)
-    rho_a = partial_trace(rho_ab, "first")
-    rho_b = partial_trace(rho_ab, "second")
-    return trace_norm(rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix))
+    return pair_output(rho, rho, theta, tol).epsilon

@@ -190,6 +190,34 @@ def test_classify_missing_file(capsys):
     assert main(["classify", "--matrix", "/nonexistent/m.json"]) == 1
 
 
+def test_classify_malformed_json(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("{not json")
+    assert main(["classify", "--matrix", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read matrix")
+    assert len(err.strip().splitlines()) == 1
+
+
+TMS = two_mode_squeezer(0.3)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"state1": "displaced:3,0", "cutoff": 6}, "increase the cutoff"),
+    ({"modes_per_arm": 2, "cutoff": 5,
+      "state1": {"kind": "gaussian", "d": [0.0] * 4,
+                 "gamma": (TMS @ TMS.T).tolist()}}, "increase the cutoff"),
+    ({"modes_per_arm": 3, "cutoff": 6}, "GiB"),
+], ids=["displaced-cutoff-6", "two-mode-squeezed-cutoff-5", "3-modes-per-arm"])
+def test_ds_run_cutoff_or_size_failure_is_one_line(tmp_path, capsys, overrides,
+                                                    message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_witness_lines(capsys):
     assert main(["witness", "--state", "fock:1", "--theta", str(np.pi / 4),
                  "--cutoff", "8"]) == 0

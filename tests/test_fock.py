@@ -406,3 +406,16 @@ def test_space_validation():
         FockSpace(1, 1)
     with pytest.raises(DimensionError):
         FockOperator(FockSpace(1, 4), np.eye(3))
+
+
+def test_mode_populations_match_partial_traces():
+    from bosonic_ds.fock import mode_populations
+
+    space = FockSpace(3, 3)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    m = a @ a.conj().T
+    rho = density(space, m / np.trace(m).real)
+    ref = np.array([np.real(np.diag(partial_trace(rho, (l,)).matrix))
+                    for l in range(3)])
+    np.testing.assert_allclose(mode_populations(rho), ref, atol=1e-14)

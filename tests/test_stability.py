@@ -342,3 +342,47 @@ def test_sweep_rows_format():
     lines = text.strip().splitlines()
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == pytest.approx(np.pi / 6)
+
+
+# --- the single splitter-output core ---------------------------------------
+
+
+def test_witness_equals_experiment_epsilon():
+    space = FockSpace(1, 8)
+    rho = mixture([(0.7, vacuum(space)), (0.3, fock_state(space, 1))])
+    rep = run_experiment(rho, rho, 0.6, seed=0, kappa_cfg=CHEAP_KAPPA,
+                         strict=False)
+    assert nongaussianity_witness(rho, 0.6) == rep.epsilon
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 8), (2, 3)])
+def test_cross_cov_matrix_matches_dense_reference(n, cutoff):
+    from bosonic_ds.fock import quadratures
+    from bosonic_ds.stability import _cross_cov_matrix
+
+    rng = np.random.default_rng(11)
+    pair = FockSpace(2 * n, cutoff)
+    a = rng.normal(size=(pair.dim, pair.dim)) + 1j * rng.normal(size=(pair.dim, pair.dim))
+    g = (a + a.conj().T) / pair.dim
+    quads = [q.matrix for q in quadratures(pair)]
+    theta = 0.6
+    ref = np.array([[np.trace(g @ r1 @ r2) for r2 in quads[2 * n:]]
+                    for r1 in quads[:2 * n]]) / math.tan(theta)
+    v = _cross_cov_matrix(g, pair, theta)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_report_v_matches_cross_covariance_V():
+    space = FockSpace(1, 8)
+    r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 2))])
+    r2 = thermal_state(space, 0.2)
+    theta = 0.7
+    rep = run_experiment(r1, r2, theta, seed=2, kappa_cfg=CHEAP_KAPPA,
+                         strict=False)
+    rho_ab = evolve(tensor(r1, r2), beam_splitter_unitary(FockSpace(2, 8), theta))
+    res = cross_covariance_V(rho_ab, partial_trace(rho_ab, "first"),
+                             partial_trace(rho_ab, "second"), theta,
+                             kappa=rep.kappa, epsilon=rep.epsilon)
+    np.testing.assert_array_equal(rep.v, res.v)
+    assert rep.v_norm == res.norm
+    assert rep.v_bound == res.bound
