@@ -106,7 +106,7 @@ def _load_config(path: str) -> dict:
 def _run_inputs(args, cfg: dict) -> tuple:
     """(rho1, rho2, theta, seed, tol, echo) from the config and its overrides;
     a missing key or a mistyped value is a ValidationError."""
-    from dataclasses import asdict
+    from dataclasses import asdict, fields
 
     from .config import Tolerances
     from .fock import FockSpace
@@ -119,7 +119,14 @@ def _run_inputs(args, cfg: dict) -> tuple:
         cutoff = int(args.cutoff if args.cutoff is not None else cfg["cutoff"])
         seed = int(args.seed if args.seed is not None else cfg["seed"])
         modes = int(cfg.get("modes_per_arm", 1))
-        tol = Tolerances(**cfg.get("tolerances", {}))
+        tolerances = cfg.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ValidationError("tolerances must be a JSON object")
+        known = {f.name for f in fields(Tolerances)}
+        for name in tolerances:
+            if name not in known:
+                raise ValidationError(f"unknown tolerance {name!r}")
+        tol = Tolerances(**tolerances)
         for name, value in asdict(tol).items():
             if value <= 0:
                 raise ValidationError(f"tolerance {name} must be positive")

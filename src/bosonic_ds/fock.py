@@ -282,15 +282,16 @@ def _calibrated_states(space: FockSpace) -> np.ndarray:
 def _calibrate_beam_splitter(space: FockSpace, u: np.ndarray, theta: float,
                              n_per_arm: int, tol: float = 1e-9) -> None:
     # Heisenberg transport must match the block rotation on every sector the
-    # truncation leaves intact.
+    # truncation leaves intact; only U's columns on those states enter.
     s = beam_splitter(theta, n_per_arm)
     quads = _quadrature_matrices(space.n_modes, space.cutoff)
-    keep = _calibrated_states(space).astype(float)
-    proj = np.outer(keep, keep)
+    keep = np.flatnonzero(_calibrated_states(space))
+    uk = u[:, keep]
+    quads_kk = quads[:, keep][:, :, keep]
     for k in range(2 * space.n_modes):
-        lhs = u.conj().T @ quads[k] @ u
-        rhs = np.tensordot(s[k], quads, 1)
-        defect = float(np.max(np.abs((lhs - rhs) * proj)))
+        lhs = uk.conj().T @ quads[k] @ uk
+        rhs = np.tensordot(s[k], quads_kk, 1)
+        defect = float(np.max(np.abs(lhs - rhs)))
         if defect > tol:
             raise CalibrationError(
                 f"beam-splitter transport defect {defect:.3e} on component {k}; "
@@ -405,23 +406,47 @@ class MomentTable:
     kappa_samples: int = 0
 
 
-def _kappa_value(rho_mat: np.ndarray, quads: np.ndarray, u: np.ndarray,
+def support(rho: FockOperator) -> tuple:
+    """Eigenpairs (v, p) of a density with |p| > len(p) eps max|p|, the
+    accuracy of ``eigh`` itself (``numpy.linalg.matrix_rank``'s default
+    floor), so rho = v diag(p) v* holds to roundoff."""
+    p, v = np.linalg.eigh(rho.matrix)
+    keep = np.abs(p) > len(p) * np.finfo(float).eps * np.max(np.abs(p))
+    return v[:, keep], p[keep]
+
+
+def _kappa_value(left: np.ndarray, quads: np.ndarray, u: np.ndarray,
                  v: np.ndarray) -> float:
+    """Trace norm of left R_u R_u R_v R_v, multiplied left to right so a
+    factor with few rows keeps every product small."""
     ru = np.tensordot(u, quads, 1)
     rv = np.tensordot(v, quads, 1)
-    prod = rho_mat @ (ru @ ru) @ (rv @ rv)
+    prod = left @ ru @ ru @ rv @ rv
     return float(np.sum(np.linalg.svd(prod, compute_uv=False)))
 
 
 def estimate_kappa(rho: FockOperator, seed: int = 0,
-                   cfg: KappaConfig = DEFAULT_KAPPA) -> tuple:
+                   cfg: KappaConfig = DEFAULT_KAPPA,
+                   factor: tuple | None = None) -> tuple:
     """Sampled maximum of the trace norm of rho R_u^2 R_v^2 over unit u, v.
 
     Directions are taken in quadrature space; the target supremum ranges
     over xi . sigma R, but sigma is orthogonal so both direction sets
     coincide.  Canonical axes, random pairs, then greedy local refinement.
+
+    ``factor = (w, p)`` with rho = w diag(p) w* and orthonormal columns w
+    gives the same singular values from the r x dim matrix diag(p) w* X.
+    A candidate must beat the best by more than dim roundoff units, so
+    pairs that tie exactly (by symmetry) keep the first one whichever
+    path evaluates them.
     """
     quads = _quadrature_matrices(rho.space.n_modes, rho.space.cutoff)
+    if factor is None:
+        left = rho.matrix
+    else:
+        w, p = factor
+        left = p[:, None] * w.conj().T
+    margin = 1.0 + rho.space.dim * np.finfo(float).eps
     dim = 2 * rho.space.n_modes
     rng = np.random.default_rng(seed)
     best, best_pair = -np.inf, None
@@ -429,9 +454,9 @@ def estimate_kappa(rho: FockOperator, seed: int = 0,
 
     def consider(u, v):
         nonlocal best, best_pair, n_eval
-        val = _kappa_value(rho.matrix, quads, u, v)
+        val = _kappa_value(left, quads, u, v)
         n_eval += 1
-        if val > best:
+        if val > best * margin:
             best, best_pair = val, (u.copy(), v.copy())
 
     eye = np.eye(dim)
@@ -455,23 +480,29 @@ def estimate_kappa(rho: FockOperator, seed: int = 0,
 
 def moments(rho: FockOperator, *, seed: int = 0,
             cfg: KappaConfig = DEFAULT_KAPPA,
-            with_kappa: bool = True) -> MomentTable:
+            with_kappa: bool = True,
+            factor: tuple | None = None) -> MomentTable:
     """Displacement, covariance (anticommutator convention), per-axis fourth
-    moments Tr[rho R_k^4], and the sampled kappa of the state."""
+    moments Tr[rho R_k^4], and the sampled kappa of the state (evaluated on
+    ``factor`` when given, see ``estimate_kappa``).
+
+    Each trace is an elementwise sum, Tr[A B] = sum(A * B.T), so only R_k rho,
+    R_k rho R_k and R_k^2 are formed."""
     quads = _quadrature_matrices(rho.space.n_modes, rho.space.cutoff)
     rmat = rho.matrix
     dim = 2 * rho.space.n_modes
-    d = np.array([np.trace(rmat @ q).real for q in quads])
+    d = np.array([np.sum(rmat * q.T).real for q in quads])
     gamma = np.empty((dim, dim))
     prods = [q @ rmat for q in quads]
     for k in range(dim):
         for l in range(k, dim):
-            skl = np.trace(quads[l] @ prods[k])   # Tr[rho R_k R_l]
+            skl = np.sum(quads[l] * prods[k].T)   # Tr[rho R_l R_k]
             gamma[k, l] = gamma[l, k] = 2.0 * skl.real - 2.0 * d[k] * d[l]
-    fourth = np.array([np.trace(rmat @ np.linalg.matrix_power(q, 4)).real
-                       for q in quads])
+    fourth = np.array([np.sum((prods[k] @ q) * (q @ q).T).real
+                       for k, q in enumerate(quads)])
     if with_kappa:
-        kappa, pair, n_eval = estimate_kappa(rho, seed=seed, cfg=cfg)
+        kappa, pair, n_eval = estimate_kappa(rho, seed=seed, cfg=cfg,
+                                             factor=factor)
         kappa = max(kappa, float(np.max(fourth)))
     else:
         kappa, pair, n_eval = float(np.max(fourth)), None, 0

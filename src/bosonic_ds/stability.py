@@ -25,8 +25,8 @@ from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, ValidationError)
 from .fock import (FockOperator, FockSpace, beam_splitter_unitary, evolve,
                    gaussian_to_fock, gaussify, hs_norm, leak_population,
-                   moments, partial_trace, tensor, trace_norm, validate_density,
-                   _quadrature_matrices)
+                   moments, partial_trace, support, tensor, trace_norm,
+                   validate_density, _quadrature_matrices)
 from .symplectic import is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
@@ -175,8 +175,10 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
 
 @dataclass(frozen=True)
 class PairOutput:
-    """rho_ab = U (rho1 x rho2) U*, its reductions, g and epsilon = |g|_1."""
+    """The splitter U, rho_ab = U (rho1 x rho2) U*, its reductions, g and
+    epsilon = |g|_1."""
 
+    u: FockOperator
     rho_ab: FockOperator
     rho_a: FockOperator
     rho_b: FockOperator
@@ -202,9 +204,10 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
         )
 
 
-def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
-    """Send rho1 x rho2 through the splitter; reduce and measure epsilon."""
+def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
+                tol: Tolerances) -> FockSpace:
+    """The pair space, once the angle mixes the arms, both inputs are
+    densities on one space and the pair fits in memory."""
     if is_trivial_angle(theta):
         raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
     validate_density(rho1, tol)
@@ -213,6 +216,13 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
         raise ValidationError("input states live on different spaces")
     pair_space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
     _check_fits_memory(pair_space)
+    return pair_space
+
+
+def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
+                tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
+    """Send rho1 x rho2 through the splitter; reduce and measure epsilon."""
+    pair_space = _check_pair(rho1, rho2, theta, tol)
     # U first, so the product state is not alive while U is built and
     # calibrated: that would raise the peak memory.
     u = beam_splitter_unitary(pair_space, theta)
@@ -220,7 +230,7 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
     rho_a = partial_trace(rho_ab, "first")
     rho_b = partial_trace(rho_ab, "second")
     g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
-    return PairOutput(rho_ab, rho_a, rho_b, g, trace_norm(g))
+    return PairOutput(u, rho_ab, rho_a, rho_b, g, trace_norm(g))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +325,11 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     raises CalibrationError.  With ``strict=False`` the report is returned
     regardless, for callers that surface failures through exit codes.
     """
+    # Gaussify before the splitter, so a cutoff too small for an input fails
+    # before U is built and the pair evolved.
+    _check_pair(rho1, rho2, theta, tol)
+    gs1 = gaussify(rho1, tol)
+    gs2 = gaussify(rho2, tol)
     out = pair_output(rho1, rho2, theta, tol)
     n = rho1.space.n_modes
     epsilon = out.epsilon
@@ -329,10 +344,11 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     if leak_out > tol.leak_budget:
         flags.append(f"truncation:output:leak={leak_out:.3e}")
 
-    # Gaussify before the kappa search, so a cutoff too small fails early.
-    gs1 = gaussify(rho1, tol)
-    gs2 = gaussify(rho2, tol)
-    mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg)
+    # rho_ab = w diag(p) w* with w = U (v1 x v2), p = p1 x p2: kappa is
+    # searched on this exact factor of rank rank(rho1) rank(rho2).
+    (v1, p1), (v2, p2) = support(rho1), support(rho2)
+    mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg,
+                  factor=(out.u.matrix @ np.kron(v1, v2), np.kron(p1, p2)))
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
     kappa = mab.kappa
     trace_gamma_out = float(np.trace(mab.gamma))

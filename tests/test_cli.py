@@ -122,6 +122,14 @@ def test_ds_run_rejects_bad_tolerance(tmp_path, capsys):
     assert main(["ds-run", "--config", str(cfg)]) == 1
 
 
+def test_ds_run_names_unknown_tolerance(tmp_path, capsys):
+    cfg = write_config(tmp_path, tolerances={"bogus": 1.0})
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown tolerance 'bogus'")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_constants_single_row(capsys):
     assert main(["constants", "--theta-min", str(np.pi / 4),
                  "--theta-max", str(np.pi / 4), "--steps", "1"]) == 0

@@ -5,14 +5,17 @@ import pytest
 from scipy.linalg import expm
 
 from bosonic_ds.config import KappaConfig
-from bosonic_ds.errors import (DimensionError, UncertaintyViolationError,
-                               ValidationError)
-from bosonic_ds.fock import (FockOperator, FockSpace, _calibrated_states,
+from bosonic_ds.errors import (CalibrationError, DimensionError,
+                               UncertaintyViolationError, ValidationError)
+from bosonic_ds.fock import (FockOperator, FockSpace, _beam_splitter_cached,
+                             _calibrate_beam_splitter, _calibrated_states,
+                             _kappa_value, _quadrature_matrices,
                              beam_splitter_unitary, certified_levels,
-                             char_batch, density, evolve, gaussian_to_fock,
-                             gaussify, hs_norm, leak_population, lowering,
-                             moments, partial_trace, quadratures, safe_extent,
-                             tensor, trace_norm, validate_density, weyl_operator)
+                             char_batch, density, estimate_kappa, evolve,
+                             gaussian_to_fock, gaussify, hs_norm,
+                             leak_population, lowering, moments, partial_trace,
+                             quadratures, safe_extent, support, tensor,
+                             trace_norm, validate_density, weyl_operator)
 from bosonic_ds.states import (fock_state, mixture, squeezed_surrogate,
                                thermal_state, vacuum)
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
@@ -152,6 +155,14 @@ def test_calibration_covers_every_intact_state(modes, cutoff):
     assert int(mask.sum()) == math.comb(cutoff - 2 + modes, modes)
 
 
+def test_calibration_rejects_reversed_angle():
+    # the certified-block comparison still catches a sign flip of theta
+    space = FockSpace(2, 8)
+    u = _beam_splitter_cached(1, 8, -0.4)
+    with pytest.raises(CalibrationError):
+        _calibrate_beam_splitter(space, u, 0.4, 1)
+
+
 def test_odd_mode_count_rejected():
     with pytest.raises(DimensionError):
         beam_splitter_unitary(FockSpace(3, 4), 0.3)
@@ -263,6 +274,107 @@ def test_vacuum_fourth_moment_and_kappa():
     assert table.kappa >= 0.75 - 1e-12
     assert table.kappa >= np.max(table.fourth) - 1e-12
     assert table.kappa_samples > 0
+
+
+def test_moments_match_full_product_traces():
+    # elementwise trace sums against the traces of the full products
+    rng = np.random.default_rng(6)
+    space = FockSpace(2, 4)
+    a = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    rho = density(space, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    table = moments(rho, with_kappa=False)
+    quads = _quadrature_matrices(2, 4)
+    m = rho.matrix
+    d = np.array([np.trace(m @ q).real for q in quads])
+    gamma = np.array([[2 * np.trace(m @ qk @ ql).real - 2 * d[k] * d[l]
+                       for l, ql in enumerate(quads)] for k, qk in enumerate(quads)])
+    fourth = [np.trace(m @ np.linalg.matrix_power(q, 4)).real for q in quads]
+    np.testing.assert_allclose(table.d, d, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(table.gamma, gamma, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(table.fourth, fourth, rtol=0, atol=1e-13)
+
+
+def _output_and_factor(rho1, rho2, theta):
+    """rho_ab = U (rho1 x rho2) U* and its factor (U (v1 x v2), p1 x p2)."""
+    pair = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+    u = beam_splitter_unitary(pair, theta)
+    (v1, p1), (v2, p2) = support(rho1), support(rho2)
+    return (evolve(tensor(rho1, rho2), u),
+            (u.matrix @ np.kron(v1, v2), np.kron(p1, p2)))
+
+
+def _fock_mixtures():
+    space = FockSpace(1, 10)
+    return (mixture([(0.7, vacuum(space)), (0.3, fock_state(space, 2))]),
+            mixture([(0.6, fock_state(space, 1)), (0.4, fock_state(space, 3))]))
+
+
+def _thermal_and_mixture():
+    space = FockSpace(1, 10)
+    return (thermal_state(space, 0.3),
+            mixture([(0.8, vacuum(space)), (0.2, fock_state(space, 1))]))
+
+
+def _synthesized_thermal_vacuum():
+    space = FockSpace(1, 24)
+    return (gaussian_to_fock(GaussianState(np.zeros(2), 2 * np.eye(2)), space),
+            gaussian_to_fock(GaussianState(np.zeros(2), np.eye(2)), space))
+
+
+def _two_mode_mixtures():
+    one, two = FockSpace(1, 4), FockSpace(2, 4)
+    r1 = tensor(mixture([(0.9, vacuum(one)), (0.1, fock_state(one, 1))]),
+                vacuum(one))
+    r2 = mixture([(0.6, fock_state(two, (0, 0))), (0.3, fock_state(two, (1, 1))),
+                  (0.1, fock_state(two, (0, 2)))])
+    return r1, r2
+
+
+@pytest.mark.parametrize("make, rank, n_dirs", [
+    (_fock_mixtures, 4, 20),               # exact zero eigenvalues
+    (_thermal_and_mixture, 20, 20),
+    (_synthesized_thermal_vacuum, 24, 5),  # dense SVDs at dim 576 are slow
+    (_two_mode_mixtures, 6, 20),
+], ids=["fock-mixtures", "thermal-mixture", "synthesized-cutoff-24",
+        "two-modes-per-arm"])
+def test_kappa_factor_matches_dense(make, rank, n_dirs):
+    # the factor's rank is the product of the input ranks, and every sampled
+    # trace norm agrees with the dense rho_ab path
+    rho1, rho2 = make()
+    rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
+    assert len(p) == rank
+    left = p[:, None] * w.conj().T
+    quads = _quadrature_matrices(rho_ab.space.n_modes, rho_ab.space.cutoff)
+    rng = np.random.default_rng(2)
+    for _ in range(n_dirs):
+        u, v = rng.normal(size=(2, 2 * rho_ab.space.n_modes))
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        dense = _kappa_value(rho_ab.matrix, quads, u, v)
+        assert _kappa_value(left, quads, u, v) == pytest.approx(dense, rel=1e-12)
+
+
+def test_support_drops_roundoff_and_keeps_weights():
+    vac = gaussian_to_fock(GaussianState(np.zeros(2), np.eye(2)), FockSpace(1, 24))
+    assert len(support(vac)[1]) == 1
+    space = FockSpace(1, 10)
+    mix = mixture([(0.5, vacuum(space)), (0.3, fock_state(space, 2)),
+                   (0.2, fock_state(space, 7))])
+    np.testing.assert_allclose(np.sort(support(mix)[1]), [0.2, 0.3, 0.5],
+                               atol=1e-15)
+
+
+def test_kappa_search_ties_resolve_alike_on_factor_and_dense():
+    # (Q2, Q2) and (P2, P2) tie exactly by joint phase symmetry; roundoff
+    # must not let either path pick a different pair to refine from
+    space = FockSpace(1, 14)
+    rho1 = mixture([(0.8924, vacuum(space)), (0.1076, fock_state(space, 1))])
+    rho_ab, factor = _output_and_factor(rho1, thermal_state(space, 0.3357),
+                                        0.638025)
+    dense, dense_pair, _ = estimate_kappa(rho_ab, seed=0)
+    low, low_pair, _ = estimate_kappa(rho_ab, seed=0, factor=factor)
+    assert low == pytest.approx(dense, rel=1e-12)
+    for a, b in zip(low_pair, dense_pair):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_gaussify_round_trip():

@@ -5,7 +5,8 @@ import pytest
 
 from bosonic_ds.config import KappaConfig, Tolerances
 from bosonic_ds.errors import (BoundViolationError, CalibrationError,
-                               TrivialSplitterError, ValidationError)
+                               TrivialSplitterError, UncertaintyViolationError,
+                               ValidationError)
 from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, evolve,
                              gaussian_to_fock, partial_trace, tensor)
 from bosonic_ds.stability import (C1_QUOTED_50_50, c1_constant, c1_direct_50_50,
@@ -386,3 +387,20 @@ def test_report_v_matches_cross_covariance_V():
     np.testing.assert_array_equal(rep.v, res.v)
     assert rep.v_norm == res.norm
     assert rep.v_bound == res.bound
+
+
+def test_gaussify_fails_before_the_splitter(monkeypatch):
+    # a two-mode-squeezed input cut hard at cutoff 5 fails in gaussify,
+    # before U is built
+    from bosonic_ds import stability
+    from bosonic_ds.symplectic import two_mode_squeezer
+
+    def no_splitter(*args):
+        raise AssertionError("beam splitter built before gaussify")
+
+    monkeypatch.setattr(stability, "beam_splitter_unitary", no_splitter)
+    tms = two_mode_squeezer(0.3)
+    space = FockSpace(2, 5)
+    rho1 = gaussian_to_fock(GaussianState(np.zeros(4), tms @ tms.T), space)
+    with pytest.raises(UncertaintyViolationError):
+        run_experiment(rho1, vacuum(space), np.pi / 4, seed=0)
