@@ -11,9 +11,8 @@ from .fock import (FockOperator, FockSpace, MomentTable, beam_splitter_unitary,
                    moments, partial_trace, quadratures, tensor, trace_norm,
                    weyl_operator)
 from .phase_space import (CharGrid, SigmaPositivityReport, char_function,
-                          char_grid, classical_marginal, derivative_moments,
-                          ds_residual, parseval_distance, sigma_positivity_test,
-                          wigner_from_char)
+                          char_grid, derivative_moments, ds_residual,
+                          parseval_distance, sigma_positivity_test)
 from .stability import (StabilityReport, c1_constant, c2_constant, c3_constant,
                         constants_sweep, cross_covariance_V, f_bound,
                         nongaussianity_witness, region_radius, run_experiment,

@@ -93,36 +93,48 @@ def lowering(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
 
 
-def _embed(op1: np.ndarray, mode: int, n_modes: int, cutoff: int) -> np.ndarray:
-    left = np.eye(cutoff ** mode)
-    right = np.eye(cutoff ** (n_modes - mode - 1))
-    return np.kron(np.kron(left, op1), right)
+def apply_quadratures(x: np.ndarray, coeffs, space: FockSpace) -> np.ndarray:
+    """x @ sum_k c_k R_k for x of shape (r, dim), with R = (Q1, P1, ..., Qn, Pn).
 
-
-@functools.lru_cache(maxsize=16)
-def _quadrature_matrices(n_modes: int, cutoff: int) -> np.ndarray:
-    """(Q1, P1, ..., Qn, Pn) stacked into one complex (2n, dim, dim) array,
-    so a combination sum_k u_k R_k is ``np.tensordot(u, quads, 1)``."""
-    a = lowering(cutoff)
-    q1 = (a + a.T) / SQRT2
-    p1 = 1j * (a.T - a) / SQRT2
-    dim = cutoff ** n_modes
-    quads = np.empty((2 * n_modes, dim, dim), dtype=complex)
-    for mode in range(n_modes):
-        quads[2 * mode] = _embed(q1, mode, n_modes, cutoff)
-        quads[2 * mode + 1] = _embed(p1, mode, n_modes, cutoff)
-    quads.flags.writeable = False   # one cached array serves every caller
-    return quads
+    Each R_k acts on one mode, so the sum is contracted into axis l of x
+    reshaped to (r,) + (cutoff,) * n, one mode at a time.  The one-mode
+    M = c_Q Q + c_P P is tridiagonal, M[k, k+1] = (c_Q - i c_P) sqrt(k+1)/sqrt2
+    and M[k+1, k] = (c_Q + i c_P) sqrt(k+1)/sqrt2, so the contraction is two
+    shifted products.
+    """
+    d = space.cutoff
+    t = x.reshape((-1,) + (d,) * space.n_modes)
+    out = np.zeros(t.shape, dtype=complex)
+    root = np.sqrt(np.arange(1.0, d)) / SQRT2
+    for mode in range(space.n_modes):
+        cq, cp = coeffs[2 * mode], coeffs[2 * mode + 1]
+        if cq == 0 and cp == 0:
+            continue
+        src = np.moveaxis(t, mode + 1, -1)
+        dst = np.moveaxis(out, mode + 1, -1)
+        dst[..., 1:] += src[..., :-1] * ((cq - 1j * cp) * root)
+        dst[..., :-1] += src[..., 1:] * ((cq + 1j * cp) * root)
+    return out.reshape(x.shape)
 
 
 def quadratures(space: FockSpace) -> list:
-    """The 2n operators (Q1, P1, ..., Qn, Pn) built from truncated ladders.
+    """The 2n operators (Q1, P1, ..., Qn, Pn) built from truncated ladders,
+    as dense matrices (the quadrature primitive applied to the identity).
 
     [Q_l, P_l] = i holds exactly below the top Fock level; the defect at
     level cutoff-1 is the unavoidable truncation artifact.
     """
-    mats = _quadrature_matrices(space.n_modes, space.cutoff)
-    return [FockOperator(space, m, "observable") for m in mats]
+    eye = np.eye(space.dim)
+    return [FockOperator(space, apply_quadratures(eye, e, space), "observable")
+            for e in np.eye(2 * space.n_modes)]
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_quadratures(cutoff: int) -> np.ndarray:
+    """One mode's (Q, P) as a read-only complex (2, cutoff, cutoff) array."""
+    quads = np.array([q.matrix for q in quadratures(FockSpace(1, cutoff))])
+    quads.flags.writeable = False
+    return quads
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +225,7 @@ def weyl_operator(space: FockSpace, xi: np.ndarray) -> FockOperator:
         raise ValidationError("xi must be finite")
     sigma = symplectic_form(space.n_modes)
     coeff = sigma.T @ xi   # xi . sigma R = sum_k (sigma^T xi)_k R_k
-    gen = np.tensordot(coeff, _quadrature_matrices(space.n_modes, space.cutoff), 1)
-    w = expm(1j * gen)
+    w = expm(1j * apply_quadratures(np.eye(space.dim), coeff, space))
     flags = ()
     if float(np.linalg.norm(xi)) > safe_extent(space):
         flags = ("weyl:beyond-safe-extent",)
@@ -259,16 +270,14 @@ def char_batch(rho: FockOperator, xs: np.ndarray, chunk: int = 4096) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=8)
-def _beam_splitter_cached(n_per_arm: int, cutoff: int, theta: float) -> np.ndarray:
-    space = FockSpace(2 * n_per_arm, cutoff)
+def _pair_unitary(cutoff: int, theta: float) -> np.ndarray:
+    """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff):
+    a read-only complex array, calibrated once at construction."""
     a = lowering(cutoff)
-    gen = np.zeros((space.dim, space.dim))
-    for l in range(n_per_arm):
-        a1 = _embed(a, l, space.n_modes, cutoff)
-        a2 = _embed(a, n_per_arm + l, space.n_modes, cutoff)
-        gen += a2.T @ a1 - a1.T @ a2
-    u = expm(theta * gen)
-    _calibrate_beam_splitter(space, u, theta, n_per_arm)
+    a1, a2 = np.kron(a, np.eye(cutoff)), np.kron(np.eye(cutoff), a)
+    u = expm(theta * (a2.T @ a1 - a1.T @ a2)).astype(complex)
+    _calibrate_beam_splitter(u, theta, cutoff)
+    u.flags.writeable = False   # one cached array serves every caller
     return u
 
 
@@ -279,18 +288,20 @@ def _calibrated_states(space: FockSpace) -> np.ndarray:
     return quanta <= space.cutoff - 2
 
 
-def _calibrate_beam_splitter(space: FockSpace, u: np.ndarray, theta: float,
-                             n_per_arm: int, tol: float = 1e-9) -> None:
-    # Heisenberg transport must match the block rotation on every sector the
-    # truncation leaves intact; only U's columns on those states enter.
-    s = beam_splitter(theta, n_per_arm)
-    quads = _quadrature_matrices(space.n_modes, space.cutoff)
+def _calibrate_beam_splitter(u: np.ndarray, theta: float, cutoff: int,
+                             tol: float = 1e-9) -> None:
+    # Heisenberg transport of the pair unitary must match the block rotation
+    # on every sector the truncation leaves intact; only U's columns on those
+    # states enter.  The splitter on n mode pairs is a product of commuting
+    # pair unitaries, so its transport follows from this one.
+    space = FockSpace(2, cutoff)
+    s = beam_splitter(theta, 1)
     keep = np.flatnonzero(_calibrated_states(space))
     uk = u[:, keep]
-    quads_kk = quads[:, keep][:, :, keep]
-    for k in range(2 * space.n_modes):
-        lhs = uk.conj().T @ quads[k] @ uk
-        rhs = np.tensordot(s[k], quads_kk, 1)
+    rows = np.eye(space.dim)[keep]
+    for k, e in enumerate(np.eye(4)):
+        lhs = apply_quadratures(uk.conj().T, e, space) @ uk
+        rhs = apply_quadratures(rows, s[k], space)[:, keep]
         defect = float(np.max(np.abs(lhs - rhs)))
         if defect > tol:
             raise CalibrationError(
@@ -299,16 +310,34 @@ def _calibrate_beam_splitter(space: FockSpace, u: np.ndarray, theta: float,
             )
 
 
+def apply_splitter(u_pair: np.ndarray, x: np.ndarray,
+                   space: FockSpace) -> np.ndarray:
+    """U x for x of shape (dim, r) on the two-arm ``space``: the pair unitary
+    ``u_pair`` (cutoff^2 x cutoff^2) acts on axes (l, n + l) of x reshaped to
+    (cutoff,) * 2n + (r,), that is on arm-1 mode l and arm-2 mode l."""
+    d, n = space.cutoff, space.n_modes // 2
+    pair = u_pair.reshape((d,) * 4)
+    t = x.reshape((d,) * (2 * n) + (-1,))
+    for l in range(n):
+        t = np.moveaxis(np.tensordot(pair, t, axes=([2, 3], [l, n + l])),
+                        (0, 1), (l, n + l))
+    return t.reshape(x.shape)
+
+
 def beam_splitter_unitary(space: FockSpace, theta: float) -> FockOperator:
     """Unitary on a two-arm space whose moment transport realizes the block
     rotation: Gamma' = S Gamma S^T, d' = S d.
 
     The generator convention is verified at construction against the
-    symplectic transport on all untruncated number sectors.
+    symplectic transport on all untruncated number sectors.  At one mode
+    per arm this is the cached pair unitary itself; larger spaces get the
+    dense product of one pair unitary per mode pair.
     """
     if space.n_modes % 2:
         raise DimensionError("beam splitter needs two equal arms (even mode count)")
-    u = _beam_splitter_cached(space.n_modes // 2, space.cutoff, float(theta))
+    u = _pair_unitary(space.cutoff, float(theta))
+    if space.n_modes > 2:
+        u = apply_splitter(u, np.eye(space.dim), space)
     return FockOperator(space, u, "unitary")
 
 
@@ -336,7 +365,7 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
 def partial_trace(op: FockOperator, keep) -> FockOperator:
     """Trace out all modes not listed in ``keep`` (an iterable of mode indices,
     or "first"/"second" to keep one arm of a two-arm space)."""
-    n, d = op.space.n_modes, op.space.cutoff
+    n = op.space.n_modes
     if keep == "first":
         keep = tuple(range(n // 2))
     elif keep == "second":
@@ -344,17 +373,34 @@ def partial_trace(op: FockOperator, keep) -> FockOperator:
     keep = tuple(sorted(keep))
     if not keep or any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
         raise DimensionError(f"invalid mode subset {keep} for {n} modes")
-    tensor_form = op.matrix.reshape((d,) * (2 * n))
+    return FockOperator(FockSpace(len(keep), op.space.cutoff),
+                        _reduce(op.matrix, op.space, keep), op.kind, op.flags)
+
+
+def _reduce(matrix: np.ndarray, space: FockSpace, keep: tuple) -> np.ndarray:
+    """Partial trace of a dim x dim array over every mode not in the sorted
+    tuple ``keep``."""
+    n, d = space.n_modes, space.cutoff
     letters = "abcdefghijkl"
-    row = list(letters[:n])
-    col = [letters[i] if i not in keep else letters[i].upper() for i in range(n)]
-    spec = "".join(row) + "".join(col) + "->" + \
-        "".join(letters[i] for i in keep) + "".join(letters[i].upper() for i in keep)
-    reduced = np.einsum(spec, tensor_form)
+    row = letters[:n]
+    col = "".join(letters[i].upper() if i in keep else letters[i]
+                  for i in range(n))
+    out = "".join(letters[i] for i in keep) + "".join(letters[i].upper() for i in keep)
+    reduced = np.einsum(f"{row}{col}->{out}", matrix.reshape((d,) * (2 * n)))
     dk = d ** len(keep)
-    out = FockOperator(FockSpace(len(keep), d), reduced.reshape(dk, dk),
-                       op.kind, op.flags)
-    return out
+    return reduced.reshape(dk, dk)
+
+
+def mode_pair_moments(x: np.ndarray, space: FockSpace, i: int,
+                      j: int) -> np.ndarray:
+    """Tr[x R_{i,a} R_{j,b}] for a, b in (Q, P), on modes i < j of a dim x dim
+    array x, as a (2, 2) array.  R_{i,a} R_{j,b} acts on two modes only, so
+    this is the same contraction on the two-mode reduction of x: with it
+    indexed [(a, b), (c, e)], sum x_abce R_a[c, a] R_b[e, b]."""
+    d = space.cutoff
+    quads = _mode_quadratures(d)
+    red = _reduce(x, space, (i, j)).reshape(d, d, d, d)
+    return np.einsum("abce,kca,leb->kl", red, quads, quads)
 
 
 def trace_norm(op: FockOperator | np.ndarray) -> float:
@@ -415,13 +461,13 @@ def support(rho: FockOperator) -> tuple:
     return v[:, keep], p[keep]
 
 
-def _kappa_value(left: np.ndarray, quads: np.ndarray, u: np.ndarray,
+def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
                  v: np.ndarray) -> float:
-    """Trace norm of left R_u R_u R_v R_v, multiplied left to right so a
-    factor with few rows keeps every product small."""
-    ru = np.tensordot(u, quads, 1)
-    rv = np.tensordot(v, quads, 1)
-    prod = left @ ru @ ru @ rv @ rv
+    """Trace norm of left R_u R_u R_v R_v, applied left to right by the
+    quadrature primitive, so a factor with few rows keeps every product small."""
+    prod = left
+    for c in (u, u, v, v):
+        prod = apply_quadratures(prod, c, space)
     return float(np.sum(np.linalg.svd(prod, compute_uv=False)))
 
 
@@ -440,7 +486,6 @@ def estimate_kappa(rho: FockOperator, seed: int = 0,
     pairs that tie exactly (by symmetry) keep the first one whichever
     path evaluates them.
     """
-    quads = _quadrature_matrices(rho.space.n_modes, rho.space.cutoff)
     if factor is None:
         left = rho.matrix
     else:
@@ -454,7 +499,7 @@ def estimate_kappa(rho: FockOperator, seed: int = 0,
 
     def consider(u, v):
         nonlocal best, best_pair, n_eval
-        val = _kappa_value(left, quads, u, v)
+        val = _kappa_value(left, rho.space, u, v)
         n_eval += 1
         if val > best * margin:
             best, best_pair = val, (u.copy(), v.copy())
@@ -486,20 +531,32 @@ def moments(rho: FockOperator, *, seed: int = 0,
     moments Tr[rho R_k^4], and the sampled kappa of the state (evaluated on
     ``factor`` when given, see ``estimate_kappa``).
 
-    Each trace is an elementwise sum, Tr[A B] = sum(A * B.T), so only R_k rho,
-    R_k rho R_k and R_k^2 are formed."""
-    quads = _quadrature_matrices(rho.space.n_modes, rho.space.cutoff)
-    rmat = rho.matrix
-    dim = 2 * rho.space.n_modes
-    d = np.array([np.sum(rmat * q.T).real for q in quads])
-    gamma = np.empty((dim, dim))
-    prods = [q @ rmat for q in quads]
-    for k in range(dim):
-        for l in range(k, dim):
-            skl = np.sum(quads[l] * prods[k].T)   # Tr[rho R_l R_k]
-            gamma[k, l] = gamma[l, k] = 2.0 * skl.real - 2.0 * d[k] * d[l]
-    fourth = np.array([np.sum((prods[k] @ q) * (q @ q).T).real
-                       for k, q in enumerate(quads)])
+    Every product R_k R_l touches at most two modes, so d, the one-mode
+    blocks of Gamma and the fourth moments are read from the one-mode
+    reductions of rho, and the cross-mode blocks of Gamma from its two-mode
+    reductions (``mode_pair_moments``).  Each trace is an elementwise sum,
+    Tr[A B] = sum(A * B.T)."""
+    space = rho.space
+    quads = _mode_quadratures(space.cutoff)
+    dim = 2 * space.n_modes
+    d = np.empty(dim)
+    second = np.empty((dim, dim))   # Re Tr[rho R_l R_k], read for k <= l
+    fourth = np.empty(dim)
+    for mode in range(space.n_modes):
+        red = _reduce(rho.matrix, space, (mode,))
+        prods = [q @ red for q in quads]
+        blk = slice(2 * mode, 2 * mode + 2)
+        d[blk] = [np.sum(red * q.T).real for q in quads]
+        second[blk, blk] = [[np.sum(quads[l] * prods[k].T).real
+                             for l in range(2)] for k in range(2)]
+        fourth[blk] = [np.sum((p @ q) * (q @ q).T).real
+                       for p, q in zip(prods, quads)]
+    for i in range(space.n_modes):
+        for j in range(i + 1, space.n_modes):
+            second[2 * i:2 * i + 2, 2 * j:2 * j + 2] = \
+                mode_pair_moments(rho.matrix, space, i, j).real
+    second = np.triu(second) + np.triu(second, 1).T
+    gamma = 2.0 * second - 2.0 * np.outer(d, d)
     if with_kappa:
         kappa, pair, n_eval = estimate_kappa(rho, seed=seed, cfg=cfg,
                                              factor=factor)

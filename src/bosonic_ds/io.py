@@ -103,15 +103,6 @@ def load_matrix(path) -> np.ndarray:
 # CSV tables
 
 
-def write_csv(path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(v) if isinstance(v, float) else v
-                             for v in row])
-
-
 def csv_text(header: list, rows) -> str:
     import io as _io
 

@@ -1,4 +1,4 @@
-"""Characteristic-function and Wigner-function numerics.
+"""Characteristic-function numerics.
 
 Grids are uniform and symmetric with an odd point count, so the origin is a
 node.  The twisted-kernel positivity test is a falsifier only: sampled point
@@ -129,32 +129,7 @@ def _boundary_max(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Wigner transform and Parseval distance
-
-
-def wigner_from_char(grid: CharGrid) -> np.ndarray:
-    """Discrete symplectic Fourier transform of a one-mode chi grid.
-
-    W(eta) = (2 pi)^-2 Integral exp(i eta . sigma xi) chi(xi) d xi, returned
-    on the same axes; normalized so the trapezoid sum of W is ~1.
-    """
-    if grid.n_modes != 1:
-        raise DimensionError("the Wigner transform is implemented for one mode")
-    ax = grid.axis()
-    w = _trapezoid_weights(grid.points, grid.step)
-    # eta . sigma xi = eta_1 xi_2 - eta_2 xi_1 for one mode
-    kplus = np.exp(1j * np.outer(ax, ax)) * w          # [eta_1, xi_2]
-    kminus = np.exp(-1j * np.outer(ax, ax)) * w        # [eta_2, xi_1]
-    wig = np.einsum("aj,bi,ij->ab", kplus, kminus, grid.values) / (2 * np.pi) ** 2
-    imag_residue = float(np.max(np.abs(wig.imag)))
-    if imag_residue > 1e-6:
-        raise ValidationError(f"Wigner imaginary residue {imag_residue:.3e}")
-    return wig.real
-
-
-def wigner_normalization(grid: CharGrid, wig: np.ndarray) -> float:
-    w = _trapezoid_weights(grid.points, grid.step)
-    return float(np.einsum("i,j,ij->", w, w, wig))
+# Parseval distance
 
 
 def parseval_distance(grid1: CharGrid, grid2: CharGrid) -> float:
@@ -293,18 +268,7 @@ def _sigma_positivity_on_grid(grid: CharGrid, *, seed, set_sizes, n_sets, box,
 
 
 # ---------------------------------------------------------------------------
-# Marginals and derivative moments
-
-
-def classical_marginal(source, direction, ts) -> np.ndarray:
-    """Samples of t -> chi(t * direction) along a unit direction."""
-    direction = np.asarray(direction, dtype=float).ravel()
-    norm = float(np.linalg.norm(direction))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValidationError(f"direction norm {norm} is not 1")
-    ts = np.asarray(ts, dtype=float).ravel()
-    chi = char_callable(source)
-    return chi(ts[:, None] * direction[None, :])
+# Derivative moments
 
 
 def _finite_diff_moments(chi, dim: int, h: float) -> tuple:
@@ -421,36 +385,3 @@ def ds_residual(state1, state2, theta: float, grid: GridSpec,
     if mask is not None:
         mag = np.where(mask, 0.0, mag)
     return ResidualResult(float(np.max(mag)), g, nodes, excluded)
-
-
-# ---------------------------------------------------------------------------
-# Grid serialization (metadata JSON + CSV of nodes)
-
-
-def write_char_grid(grid: CharGrid, json_path, csv_path) -> None:
-    from .io import write_csv, write_json
-
-    write_json({
-        "n": grid.n_modes,
-        "extent": grid.extent,
-        "points": grid.points,
-        "source": grid.source,
-        "flags": list(grid.flags),
-        "csv": str(csv_path),
-    }, json_path)
-    nodes = grid.nodes()
-    flat = grid.values.ravel()
-    header = [f"xi{i + 1}" for i in range(2 * grid.n_modes)] + ["re", "im"]
-    rows = (list(map(float, nodes[i])) + [float(flat[i].real), float(flat[i].imag)]
-            for i in range(nodes.shape[0]))
-    write_csv(csv_path, header, rows)
-
-
-def write_wigner_csv(grid: CharGrid, wig: np.ndarray, path) -> None:
-    from .io import write_csv
-
-    ax = grid.axis()
-    header = ["q", "p", "w"]
-    rows = ([float(ax[i]), float(ax[j]), float(wig[i, j])]
-            for i in range(grid.points) for j in range(grid.points))
-    write_csv(path, header, rows)

@@ -23,10 +23,10 @@ import numpy as np
 from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
 from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, ValidationError)
-from .fock import (FockOperator, FockSpace, beam_splitter_unitary, evolve,
-                   gaussian_to_fock, gaussify, hs_norm, leak_population,
-                   moments, partial_trace, support, tensor, trace_norm,
-                   validate_density, _quadrature_matrices)
+from .fock import (FockOperator, FockSpace, apply_splitter,
+                   beam_splitter_unitary, gaussian_to_fock, gaussify, hs_norm,
+                   leak_population, mode_pair_moments, moments, partial_trace,
+                   support, validate_density)
 from .symplectic import is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
@@ -132,8 +132,9 @@ def _cross_cov_matrix(g_mat: np.ndarray, space: FockSpace,
 
     Satisfies Gamma_1 - Gamma_2 = (2 / cos^2 theta) V exactly for centered
     product inputs; its Frobenius norm matches any orthogonally conjugated
-    variant of the same object.  Contracted per arm: with g indexed
-    [(a, b), (c, e)], Tr[g (R_1k x R_2l)] = sum g_abce R_1k[c, a] R_2l[e, b].
+    variant of the same object.  Each entry touches arm-1 mode i and arm-2
+    mode j only, so each (2, 2) block is read from the two-mode reduction of
+    g on those modes, as the cross-mode blocks of Gamma are.
     """
     n2 = space.n_modes
     if n2 % 2:
@@ -141,10 +142,9 @@ def _cross_cov_matrix(g_mat: np.ndarray, space: FockSpace,
     t = math.tan(theta)
     if t == 0:
         raise TrivialSplitterError("cross covariance undefined at theta = m pi")
-    arm = _quadrature_matrices(n2 // 2, space.cutoff)
-    d = arm.shape[1]
-    return np.einsum("abce,kca,leb->kl", g_mat.reshape(d, d, d, d), arm, arm,
-                     optimize=True) / t
+    n = n2 // 2
+    return np.block([[mode_pair_moments(g_mat, space, i, n + j)
+                      for j in range(n)] for i in range(n)]) / t
 
 
 def _cross_covariance(g_mat: np.ndarray, pair_space: FockSpace, theta: float,
@@ -165,8 +165,13 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
                        epsilon: float | None = None) -> CrossCovariance:
     g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
     if epsilon is None:
-        epsilon = trace_norm(g)
+        epsilon = _hermitian_trace_norm(g)
     return _cross_covariance(g, rho_ab.space, theta, kappa, epsilon)
+
+
+def _hermitian_trace_norm(g: np.ndarray) -> float:
+    """|g|_1 of a Hermitian g: the sum of its absolute eigenvalues."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +180,8 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
 
 @dataclass(frozen=True)
 class PairOutput:
-    """The splitter U, rho_ab = U (rho1 x rho2) U*, its reductions, g and
-    epsilon = |g|_1."""
+    """rho_ab = U (rho1 x rho2) U*, its reductions, g and epsilon = |g|_1."""
 
-    u: FockOperator
     rho_ab: FockOperator
     rho_a: FockOperator
     rho_b: FockOperator
@@ -186,16 +189,23 @@ class PairOutput:
     epsilon: float
 
 
+# Complex dim x dim matrices alive at once in the chain: rho1 x rho2 or
+# rho_ab with the splitter's temporaries, then rho_ab, g and the copy of g
+# that eigvalsh factors.  Peak RSS above the interpreter's measures 4.0 of
+# them at dims 1296 and 4096; one more is headroom.
+_DENSE_MATRICES = 5
+
+
 def _check_fits_memory(pair_space: FockSpace) -> None:
-    """Refuse a pair space whose dense working set, 2 n_pair + 10 complex
-    dim x dim matrices (the quadratures, U, rho_ab, g and the kappa
-    temporaries), exceeds physical memory; skipped where that is unknown."""
+    """Refuse a pair space whose dense working set, ``_DENSE_MATRICES``
+    complex dim x dim matrices, exceeds physical memory; skipped where that
+    is unknown."""
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
     dim = pair_space.dim
-    need = (2 * pair_space.n_modes + 10) * dim ** 2 * 16
+    need = _DENSE_MATRICES * dim ** 2 * 16
     if 0 < physical < need:
         raise ValidationError(
             f"pair dim {dim} ({pair_space.n_modes // 2} modes per arm, cutoff "
@@ -219,18 +229,29 @@ def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
     return pair_space
 
 
+def _splitter_pair(pair_space: FockSpace, theta: float) -> np.ndarray:
+    """The splitter on one mode pair, (cutoff^2, cutoff^2)."""
+    return beam_splitter_unitary(FockSpace(2, pair_space.cutoff), theta).matrix
+
+
 def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
-    """Send rho1 x rho2 through the splitter; reduce and measure epsilon."""
+    """Send rho1 x rho2 through the splitter; reduce and measure epsilon.
+
+    The splitter acts on the rows of the product state, then on the
+    columns: rho_ab = (U (U rho)*)* = U rho U*, each conjugation in place
+    so it copies nothing."""
     pair_space = _check_pair(rho1, rho2, theta, tol)
-    # U first, so the product state is not alive while U is built and
-    # calibrated: that would raise the peak memory.
-    u = beam_splitter_unitary(pair_space, theta)
-    rho_ab = evolve(tensor(rho1, rho2), u)
+    u_pair = _splitter_pair(pair_space, theta)
+    half = apply_splitter(u_pair, np.kron(rho1.matrix, rho2.matrix), pair_space)
+    half = apply_splitter(u_pair, np.conj(half, out=half).T, pair_space)
+    rho_ab = FockOperator(pair_space, np.conj(half, out=half).T, "density",
+                          tuple(dict.fromkeys(rho1.flags + rho2.flags)))
     rho_a = partial_trace(rho_ab, "first")
     rho_b = partial_trace(rho_ab, "second")
-    g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
-    return PairOutput(u, rho_ab, rho_a, rho_b, g, trace_norm(g))
+    g = np.kron(rho_a.matrix, rho_b.matrix)
+    np.subtract(rho_ab.matrix, g, out=g)
+    return PairOutput(rho_ab, rho_a, rho_b, g, _hermitian_trace_norm(g))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +368,11 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     # rho_ab = w diag(p) w* with w = U (v1 x v2), p = p1 x p2: kappa is
     # searched on this exact factor of rank rank(rho1) rank(rho2).
     (v1, p1), (v2, p2) = support(rho1), support(rho2)
+    pair_space = out.rho_ab.space
+    w = apply_splitter(_splitter_pair(pair_space, theta), np.kron(v1, v2),
+                       pair_space)
     mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg,
-                  factor=(out.u.matrix @ np.kron(v1, v2), np.kron(p1, p2)))
+                  factor=(w, np.kron(p1, p2)))
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
     kappa = mab.kappa
     trace_gamma_out = float(np.trace(mab.gamma))
@@ -435,18 +459,6 @@ def _enforce_invariants(report: StabilityReport,
             f"|V| = {report.v_norm:.6e} exceeds its bound {report.v_bound:.6e}",
             report=report,
         )
-
-
-def reports_to_rows(reports) -> tuple:
-    """Header and rows for a CSV of experiment sweeps: angle, epsilon, both
-    bounds and the measured distances."""
-    header = ["theta", "epsilon", "bound1", "bound2",
-              "dist_hs_1", "dist_hs_2", "cm_gap"]
-    rows = [[r.theta, r.epsilon,
-             math.nan if r.bound1 is None else r.bound1,
-             math.nan if r.bound2 is None else r.bound2,
-             r.dist_hs_1, r.dist_hs_2, r.cm_gap] for r in reports]
-    return header, rows
 
 
 def nongaussianity_witness(rho: FockOperator, theta: float,

@@ -7,10 +7,10 @@ from scipy.linalg import expm
 from bosonic_ds.config import KappaConfig
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
-from bosonic_ds.fock import (FockOperator, FockSpace, _beam_splitter_cached,
-                             _calibrate_beam_splitter, _calibrated_states,
-                             _kappa_value, _quadrature_matrices,
-                             beam_splitter_unitary, certified_levels,
+from bosonic_ds.fock import (FockOperator, FockSpace, _calibrate_beam_splitter,
+                             _calibrated_states, _kappa_value, _pair_unitary,
+                             apply_splitter, beam_splitter_unitary,
+                             certified_levels,
                              char_batch, density, estimate_kappa, evolve,
                              gaussian_to_fock, gaussify, hs_norm,
                              leak_population, lowering, moments, partial_trace,
@@ -157,10 +157,37 @@ def test_calibration_covers_every_intact_state(modes, cutoff):
 
 def test_calibration_rejects_reversed_angle():
     # the certified-block comparison still catches a sign flip of theta
-    space = FockSpace(2, 8)
-    u = _beam_splitter_cached(1, 8, -0.4)
+    u = _pair_unitary(8, -0.4)
     with pytest.raises(CalibrationError):
-        _calibrate_beam_splitter(space, u, 0.4, 1)
+        _calibrate_beam_splitter(u, 0.4, 8)
+
+
+def test_pair_unitary_is_cached_read_only():
+    first = beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix
+    assert beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix is first
+    assert not first.flags.writeable
+    assert first.dtype == complex
+
+
+def test_per_pair_splitter_matches_full_generator():
+    # two modes per arm, cutoff 5: expm of the Kronecker-built generator
+    # sum_l (a2l* a1l - a1l* a2l) on the full pair space
+    n, d, theta = 2, 5, 0.6
+    space = FockSpace(2 * n, d)
+    a = lowering(d)
+
+    def embed(op, mode):
+        return np.kron(np.kron(np.eye(d ** mode), op),
+                       np.eye(d ** (2 * n - mode - 1)))
+
+    gen = sum(embed(a.T, n + l) @ embed(a, l) - embed(a.T, l) @ embed(a, n + l)
+              for l in range(n))
+    dense = expm(theta * gen)
+    u = beam_splitter_unitary(space, theta).matrix
+    assert np.max(np.abs(u - dense)) <= 1e-13
+    x = np.random.default_rng(3).normal(size=(space.dim, 3))
+    np.testing.assert_allclose(apply_splitter(_pair_unitary(d, theta), x, space),
+                               dense @ x, rtol=0, atol=1e-13)
 
 
 def test_odd_mode_count_rejected():
@@ -283,7 +310,7 @@ def test_moments_match_full_product_traces():
     a = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
     rho = density(space, a @ a.conj().T / np.trace(a @ a.conj().T).real)
     table = moments(rho, with_kappa=False)
-    quads = _quadrature_matrices(2, 4)
+    quads = [q.matrix for q in quadratures(space)]
     m = rho.matrix
     d = np.array([np.trace(m @ q).real for q in quads])
     gamma = np.array([[2 * np.trace(m @ qk @ ql).real - 2 * d[k] * d[l]
@@ -344,13 +371,14 @@ def test_kappa_factor_matches_dense(make, rank, n_dirs):
     rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
     assert len(p) == rank
     left = p[:, None] * w.conj().T
-    quads = _quadrature_matrices(rho_ab.space.n_modes, rho_ab.space.cutoff)
+    quads = np.array([q.matrix for q in quadratures(rho_ab.space)])
     rng = np.random.default_rng(2)
     for _ in range(n_dirs):
         u, v = rng.normal(size=(2, 2 * rho_ab.space.n_modes))
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-        dense = _kappa_value(rho_ab.matrix, quads, u, v)
-        assert _kappa_value(left, quads, u, v) == pytest.approx(dense, rel=1e-12)
+        ru, rv = np.tensordot(u, quads, 1), np.tensordot(v, quads, 1)
+        dense = trace_norm(rho_ab.matrix @ ru @ ru @ rv @ rv)
+        assert _kappa_value(left, rho_ab.space, u, v) == pytest.approx(dense, rel=1e-12)
 
 
 def test_support_drops_roundoff_and_keeps_weights():

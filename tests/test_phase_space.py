@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from bosonic_ds.config import GridSpec
-from bosonic_ds.errors import DimensionError, ValidationError
+from bosonic_ds.errors import DimensionError
 from bosonic_ds.fock import FockSpace, gaussian_to_fock, hs_norm, moments
-from bosonic_ds.phase_space import (char_function,
-                                    char_grid, classical_marginal,
+from bosonic_ds.phase_space import (char_callable, char_function, char_grid,
                                     derivative_moments, ds_residual,
-                                    parseval_distance, sigma_positivity_test,
-                                    wigner_from_char, wigner_normalization,
-                                    write_char_grid, write_wigner_csv)
+                                    parseval_distance, sigma_positivity_test)
 from bosonic_ds.states import (displaced_vacuum, fock_state, thermal_state,
                                vacuum)
 from bosonic_ds.symplectic import GaussianState
@@ -73,45 +70,6 @@ def test_grid_boundary_flag(space14):
     assert any(f.startswith("chi:boundary") for f in g.flags)
     g = char_grid(vacuum(space14), 8.0, 33)
     assert not any(f.startswith("chi:boundary") for f in g.flags)
-
-
-# --- wigner ----------------------------------------------------------------
-
-
-def test_wigner_vacuum_peak(space14):
-    g = char_grid(vacuum(space14), 6.0, 97)
-    w = wigner_from_char(g)
-    i0 = g.origin_index()
-    assert w[i0, i0] == pytest.approx(1 / np.pi, abs=1e-4)
-    assert wigner_normalization(g, w) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_wigner_fock1_negative_peak(space14):
-    # covariance of |1> is 3I, so the extent scales by sqrt(3)
-    g = char_grid(fock_state(space14, 1), 10.5, 169)
-    w = wigner_from_char(g)
-    i0 = g.origin_index()
-    assert w[i0, i0] == pytest.approx(-1 / np.pi, abs=1e-4)
-    assert wigner_normalization(g, w) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_wigner_gaussian_peak_oracle():
-    # closed-form Gaussian integral: W(0) = 1 / (pi sqrt(det Gamma))
-    gamma = 2 * np.eye(2)
-    gs = GaussianState(np.zeros(2), gamma)
-    g = char_grid(gs, 6.0, 97)
-    w = wigner_from_char(g)
-    i0 = g.origin_index()
-    assert w[i0, i0] == pytest.approx(1 / (np.pi * np.sqrt(np.linalg.det(gamma))),
-                                      abs=1e-4)
-
-
-def test_wigner_real_and_normalized_on_fixtures(fixture_states):
-    for name, rho in fixture_states.items():
-        extent = 6.0 if name != "fock2" else 8.0
-        g = char_grid(rho, extent, 97)
-        w = wigner_from_char(g)   # raises if imaginary residue > 1e-6
-        assert wigner_normalization(g, w) == pytest.approx(1.0, abs=1e-4), name
 
 
 # --- parseval --------------------------------------------------------------
@@ -204,6 +162,13 @@ def test_positivity_from_sampled_grid(space14):
 # --- marginals -------------------------------------------------------------
 
 
+def classical_marginal(source, direction, ts):
+    """chi(t u) along a unit direction u: the characteristic function of the
+    classical marginal distribution of u . R."""
+    return char_callable(source)(np.asarray(ts, dtype=float)[:, None]
+                                 * np.asarray(direction, dtype=float)[None, :])
+
+
 def test_marginal_vacuum_any_direction(space14):
     rng = np.random.default_rng(6)
     ts = np.linspace(-3, 3, 31)
@@ -237,11 +202,6 @@ def test_marginal_bounded_on_fixtures(fixture_states):
             vals = classical_marginal(rho, u, ts)
             assert np.max(np.abs(vals)) <= 1 + 1e-9
             np.testing.assert_allclose(vals, np.conj(vals[::-1]), atol=1e-9)
-
-
-def test_marginal_requires_unit_direction(space14):
-    with pytest.raises(ValidationError):
-        classical_marginal(vacuum(space14), np.array([2.0, 0.0]), [0.0, 1.0])
 
 
 # --- derivative moments ----------------------------------------------------
@@ -311,27 +271,3 @@ def test_residual_gaussian_closed_form_inputs():
     g2 = GaussianState(np.array([-0.2, 0.4]), 1.5 * np.eye(2))
     res = ds_residual(g1, g2, np.pi / 3, GridSpec(extent=3.0, points=9), n_modes=1)
     assert res.max_abs <= 1e-12
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def test_grid_csv_round_trip(tmp_path, space14):
-    import csv
-    import json
-
-    g = char_grid(vacuum(space14), 3.0, 9)
-    write_char_grid(g, tmp_path / "grid.json", tmp_path / "grid.csv")
-    meta = json.loads((tmp_path / "grid.json").read_text())
-    assert meta["points"] == 9 and meta["extent"] == 3.0
-    with open(tmp_path / "grid.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["xi1", "xi2", "re", "im"]
-    assert len(rows) == 1 + 81
-
-    w = wigner_from_char(g)
-    write_wigner_csv(g, w, tmp_path / "wig.csv")
-    with open(tmp_path / "wig.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["q", "p", "w"]
-    assert len(rows) == 1 + 81

@@ -329,22 +329,6 @@ def test_correlated_two_mode_synthesis_matches_expm():
     np.testing.assert_allclose(table.d, 0.0, atol=1e-8)
 
 
-def test_sweep_rows_format():
-    from bosonic_ds.io import csv_text
-    from bosonic_ds.stability import reports_to_rows
-
-    space = FockSpace(1, 8)
-    reports = [run_experiment(vacuum(space), vacuum(space), t, seed=0,
-                              kappa_cfg=CHEAP_KAPPA)
-               for t in (np.pi / 6, np.pi / 4)]
-    header, rows = reports_to_rows(reports)
-    assert header[:2] == ["theta", "epsilon"]
-    text = csv_text(header, rows)
-    lines = text.strip().splitlines()
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[0]) == pytest.approx(np.pi / 6)
-
-
 # --- the single splitter-output core ---------------------------------------
 
 
