@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -114,8 +113,6 @@ def _run_inputs(args, cfg: dict) -> tuple:
 
     try:
         theta = float(args.theta if args.theta is not None else cfg["theta"])
-        if not math.isfinite(theta):
-            raise ValidationError(f"theta must be finite, got {theta}")
         cutoff = int(args.cutoff if args.cutoff is not None else cfg["cutoff"])
         seed = int(args.seed if args.seed is not None else cfg["seed"])
         modes = int(cfg.get("modes_per_arm", 1))

@@ -66,8 +66,11 @@ class FockOperator:
 
 def validate_density(op: FockOperator,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
-    """Check Hermiticity, unit trace and positivity of a density operator."""
+    """Check finiteness, Hermiticity, unit trace and positivity of a density
+    operator."""
     m = op.matrix
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("density has non-finite entries")
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > tol.density_hermiticity:
         raise ValidationError(f"density not Hermitian: defect {herm:.3e}")
@@ -274,8 +277,8 @@ def _pair_unitary(cutoff: int, theta: float) -> np.ndarray:
     """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff):
     a read-only complex array, calibrated once at construction."""
     a = lowering(cutoff)
-    a1, a2 = np.kron(a, np.eye(cutoff)), np.kron(np.eye(cutoff), a)
-    u = expm(theta * (a2.T @ a1 - a1.T @ a2)).astype(complex)
+    # a1 = a x 1 and a2 = 1 x a, so a2* a1 = a x a* and a1* a2 = a* x a
+    u = expm(theta * (np.kron(a, a.T) - np.kron(a.T, a))).astype(complex)
     _calibrate_beam_splitter(u, theta, cutoff)
     u.flags.writeable = False   # one cached array serves every caller
     return u
@@ -303,7 +306,7 @@ def _calibrate_beam_splitter(u: np.ndarray, theta: float, cutoff: int,
         lhs = apply_quadratures(uk.conj().T, e, space) @ uk
         rhs = apply_quadratures(rows, s[k], space)[:, keep]
         defect = float(np.max(np.abs(lhs - rhs)))
-        if defect > tol:
+        if not defect <= tol:   # a NaN defect fails too
             raise CalibrationError(
                 f"beam-splitter transport defect {defect:.3e} on component {k}; "
                 "sign or phase convention broke"

@@ -29,6 +29,17 @@ def char_callable(source):
     raise ValidationError(f"cannot evaluate a characteristic function of {type(source)}")
 
 
+def _mode_count(source, n_modes: int | None) -> int:
+    """``n_modes``, or the mode count of a FockOperator or GaussianState."""
+    if n_modes is not None:
+        return n_modes
+    if isinstance(source, FockOperator):
+        return source.space.n_modes
+    if isinstance(source, GaussianState):
+        return source.n
+    raise ValidationError("n_modes is required for a bare callable")
+
+
 def char_function(rho: FockOperator, xi) -> complex:
     """chi(xi) = Tr[W_xi rho] at a single point."""
     xs = np.asarray(xi, dtype=float).reshape(1, -1)
@@ -65,11 +76,6 @@ class CharGrid:
     def origin_index(self) -> int:
         return (self.points - 1) // 2
 
-    def nodes(self) -> np.ndarray:
-        ax = self.axis()
-        mesh = np.meshgrid(*([ax] * (2 * self.n_modes)), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
 
 def _trapezoid_weights(points: int, step: float) -> np.ndarray:
     w = np.full(points, step)
@@ -86,10 +92,7 @@ def char_grid(source, extent: float, points: int, n_modes: int | None = None,
     Flags the result when |chi| at the boundary exceeds the boundary
     tolerance, signaling that the extent is too small for the state.
     """
-    if n_modes is None:
-        if not isinstance(source, (FockOperator, GaussianState)):
-            raise ValidationError("n_modes is required for a bare callable")
-        n_modes = source.space.n_modes if isinstance(source, FockOperator) else source.n
+    n_modes = _mode_count(source, n_modes)
     spec = GridSpec(extent=extent, points=points)
     if points ** (2 * n_modes) > 2_000_000:
         raise DimensionError("grid too large; reduce points or mode count")
@@ -181,90 +184,56 @@ def sigma_positivity_test(source, n_modes: int | None = None, *, seed: int,
     source too: points then snap to grid nodes so that differences stay on
     the lattice.  Absence of a violation is not a proof of validity.
     """
-    if isinstance(source, CharGrid):
-        return _sigma_positivity_on_grid(source, seed=seed, set_sizes=set_sizes,
-                                         n_sets=n_sets, box=box, search=search,
-                                         max_trials=max_trials,
-                                         stop_below=stop_below, tol=tol)
-    if n_modes is None:
-        if isinstance(source, FockOperator):
-            n_modes = source.space.n_modes
-        elif isinstance(source, GaussianState):
-            n_modes = source.n
-        else:
-            raise ValidationError("n_modes is required for a bare callable")
-    chi = char_callable(source)
-    sigma = symplectic_form(n_modes)
     rng = np.random.default_rng(seed)
+    if isinstance(source, CharGrid):
+        # Integer lattice offsets within min(box, extent/2) of the origin;
+        # differences of such nodes are nodes, so chi is read off the grid.
+        grid, n_modes, step = source, source.n_modes, source.step
+        origin = grid.origin_index()
+        reach = min(int(min(box, grid.extent / 2) / step), origin // 2)
+        if reach < 1:
+            raise ValidationError("grid too coarse for lattice positivity sampling")
+
+        def chi(xs):
+            return grid.values[tuple((np.rint(xs / step).astype(int) + origin).T)]
+
+        def draw(m):
+            return rng.integers(-reach, reach + 1, size=(m, 2 * n_modes)) * step
+
+        def perturb(pts, scale):   # a fixed jitter; scale is for the steps below
+            jitter = rng.integers(-2, 3, size=pts.shape)
+            return np.clip(np.rint(pts / step) + jitter, -reach, reach) * step
+    else:
+        n_modes = _mode_count(source, n_modes)
+        chi = char_callable(source)
+
+        def draw(m):
+            return rng.uniform(-box, box, size=(m, 2 * n_modes))
+
+        def perturb(pts, scale):
+            return pts + rng.normal(scale=scale, size=pts.shape)
+    sigma = symplectic_form(n_modes)
     worst = np.inf
     worst_set = np.zeros((1, 2 * n_modes))
     trials = 0
     for _ in range(n_sets):
-        m = int(rng.choice(set_sizes))
-        pts = rng.uniform(-box, box, size=(m, 2 * n_modes))
+        pts = draw(int(rng.choice(set_sizes)))
         val = _kernel_min_eig(chi, pts, sigma)
         trials += 1
         if val < worst:
             worst, worst_set = val, pts
         if search and worst < stop_below:
             break
-    if search:
-        scale = 0.3 * box
-        while trials < max_trials and worst >= stop_below:
-            pts = worst_set + rng.normal(scale=scale, size=worst_set.shape)
-            val = _kernel_min_eig(chi, pts, sigma)
-            trials += 1
-            if val < worst:
-                worst, worst_set = val, pts
-            else:
-                scale = max(0.02 * box, scale * 0.97)
-    return SigmaPositivityReport(worst_set, worst, worst >= -tol.kernel_psd, trials)
-
-
-def _sigma_positivity_on_grid(grid: CharGrid, *, seed, set_sizes, n_sets, box,
-                              search, max_trials, stop_below,
-                              tol) -> SigmaPositivityReport:
-    # Sample integer lattice offsets within min(box, extent/2) of the origin;
-    # differences of such nodes are nodes, so chi lookups are interpolation-free.
-    dim = 2 * grid.n_modes
-    origin = grid.origin_index()
-    max_step = min(int(min(box, grid.extent / 2) / grid.step), origin // 2)
-    if max_step < 1:
-        raise ValidationError("grid too coarse for lattice positivity sampling")
-    sigma = symplectic_form(grid.n_modes)
-    rng = np.random.default_rng(seed)
-
-    def min_eig(idx):
-        pts = idx * grid.step
-        diffs = idx[:, None, :] - idx[None, :, :] + origin
-        flat = diffs.reshape(-1, dim)
-        chi_vals = grid.values[tuple(flat[:, a] for a in range(dim))]
-        chi_vals = chi_vals.reshape(idx.shape[0], idx.shape[0])
-        phases = np.exp(0.5j * np.einsum("ki,ij,lj->kl", pts, sigma, pts))
-        kern = chi_vals * phases
-        return float(np.linalg.eigvalsh((kern + kern.conj().T) / 2)[0]), pts
-
-    worst = np.inf
-    worst_idx = np.zeros((1, dim), dtype=int)
-    worst_pts = worst_idx * grid.step
-    trials = 0
-    for _ in range(n_sets):
-        m = int(rng.choice(set_sizes))
-        idx = rng.integers(-max_step, max_step + 1, size=(m, dim))
-        val, pts = min_eig(idx)
-        trials += 1
-        if val < worst:
-            worst, worst_idx, worst_pts = val, idx, pts
-        if search and worst < stop_below:
-            break
+    scale = 0.3 * box
     while search and trials < max_trials and worst >= stop_below:
-        jitter = rng.integers(-2, 3, size=worst_idx.shape)
-        idx = np.clip(worst_idx + jitter, -max_step, max_step)
-        val, pts = min_eig(idx)
+        pts = perturb(worst_set, scale)
+        val = _kernel_min_eig(chi, pts, sigma)
         trials += 1
         if val < worst:
-            worst, worst_idx, worst_pts = val, idx, pts
-    return SigmaPositivityReport(worst_pts, worst, worst >= -tol.kernel_psd, trials)
+            worst, worst_set = val, pts
+        else:
+            scale = max(0.02 * box, scale * 0.97)
+    return SigmaPositivityReport(worst_set, worst, worst >= -tol.kernel_psd, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +276,7 @@ def derivative_moments(source, n_modes: int | None = None,
     Uses grad chi(0) = i sigma d and Hess chi(0) = -sigma (Gamma/2 + d d^T)
     sigma^T, Richardson-extrapolated over the given step pair.
     """
-    if n_modes is None:
-        if isinstance(source, FockOperator):
-            n_modes = source.space.n_modes
-        elif isinstance(source, GaussianState):
-            n_modes = source.n
-        else:
-            raise ValidationError("n_modes is required for a bare callable")
+    n_modes = _mode_count(source, n_modes)
     chi = char_callable(source)
     dim = 2 * n_modes
     h1, h2 = steps

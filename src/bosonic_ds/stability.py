@@ -100,6 +100,10 @@ def constants_sweep(theta_min: float, theta_max: float, steps: int,
         raise ValidationError("steps must be >= 1")
     if not (0.0 < theta_min <= theta_max < math.pi / 2):
         raise ValidationError("theta range must lie inside (0, pi/2)")
+    if n < 1:
+        raise ValidationError(f"modes must be >= 1, got {n}")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValidationError(f"kappa must be finite and >= 0, got {kappa}")
     thetas = np.linspace(theta_min, theta_max, steps) if steps > 1 \
         else np.array([theta_min])
     rows = []
@@ -180,20 +184,25 @@ def _hermitian_trace_norm(g: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PairOutput:
-    """rho_ab = U (rho1 x rho2) U*, its reductions, g and epsilon = |g|_1."""
+    """rho_ab = W diag(p) W*, its reductions, g and epsilon = |g|_1, with the
+    factor (W, p): W = U (V1 x V2) and p = p1 x p2 from the inputs' support."""
 
     rho_ab: FockOperator
     rho_a: FockOperator
     rho_b: FockOperator
     g: np.ndarray
     epsilon: float
+    factor: tuple
 
 
-# Complex dim x dim matrices alive at once in the chain: rho1 x rho2 or
-# rho_ab with the splitter's temporaries, then rho_ab, g and the copy of g
-# that eigvalsh factors.  Peak RSS above the interpreter's measures 4.0 of
-# them at dims 1296 and 4096; one more is headroom.
-_DENSE_MATRICES = 5
+# Complex dim x dim matrices alive at once in the chain.  Two full-rank
+# inputs (r = dim) are the worst case: rho_ab, g and the factor W stay alive
+# while the kappa search holds diag(p) W*, the product it builds, the
+# quadrature primitive's output and temporary, and the SVD's copy.  Peak RSS
+# above the interpreter's measures 8.1 of them at dim 1296 and 6.9 at dim
+# 4096 for two full-rank Gaussians (3.2 and 3.0 for a rank-2 pair); the
+# rest is headroom.
+_DENSE_MATRICES = 9
 
 
 def _check_fits_memory(pair_space: FockSpace) -> None:
@@ -216,8 +225,10 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
 
 def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
                 tol: Tolerances) -> FockSpace:
-    """The pair space, once the angle mixes the arms, both inputs are
-    densities on one space and the pair fits in memory."""
+    """The pair space, once the angle is finite and mixes the arms, both
+    inputs are densities on one space and the pair fits in memory."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
     if is_trivial_angle(theta):
         raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
     validate_density(rho1, tol)
@@ -229,29 +240,25 @@ def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
     return pair_space
 
 
-def _splitter_pair(pair_space: FockSpace, theta: float) -> np.ndarray:
-    """The splitter on one mode pair, (cutoff^2, cutoff^2)."""
-    return beam_splitter_unitary(FockSpace(2, pair_space.cutoff), theta).matrix
-
-
 def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
     """Send rho1 x rho2 through the splitter; reduce and measure epsilon.
 
-    The splitter acts on the rows of the product state, then on the
-    columns: rho_ab = (U (U rho)*)* = U rho U*, each conjugation in place
-    so it copies nothing."""
+    The splitter is passive, so with rho_j = V_j diag(p_j) V_j* the output
+    is rho_ab = W diag(p) W*, W = U (V1 x V2), p = p1 x p2: U acts once, on
+    the rank(rho1) rank(rho2) columns of V1 x V2."""
     pair_space = _check_pair(rho1, rho2, theta, tol)
-    u_pair = _splitter_pair(pair_space, theta)
-    half = apply_splitter(u_pair, np.kron(rho1.matrix, rho2.matrix), pair_space)
-    half = apply_splitter(u_pair, np.conj(half, out=half).T, pair_space)
-    rho_ab = FockOperator(pair_space, np.conj(half, out=half).T, "density",
+    u_pair = beam_splitter_unitary(FockSpace(2, pair_space.cutoff), theta).matrix
+    (v1, p1), (v2, p2) = support(rho1), support(rho2)
+    w = apply_splitter(u_pair, np.kron(v1, v2), pair_space)
+    p = np.kron(p1, p2)
+    rho_ab = FockOperator(pair_space, (w * p) @ w.conj().T, "density",
                           tuple(dict.fromkeys(rho1.flags + rho2.flags)))
     rho_a = partial_trace(rho_ab, "first")
     rho_b = partial_trace(rho_ab, "second")
     g = np.kron(rho_a.matrix, rho_b.matrix)
     np.subtract(rho_ab.matrix, g, out=g)
-    return PairOutput(rho_ab, rho_a, rho_b, g, _hermitian_trace_norm(g))
+    return PairOutput(rho_ab, rho_a, rho_b, g, _hermitian_trace_norm(g), (w, p))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +372,8 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     if leak_out > tol.leak_budget:
         flags.append(f"truncation:output:leak={leak_out:.3e}")
 
-    # rho_ab = w diag(p) w* with w = U (v1 x v2), p = p1 x p2: kappa is
-    # searched on this exact factor of rank rank(rho1) rank(rho2).
-    (v1, p1), (v2, p2) = support(rho1), support(rho2)
-    pair_space = out.rho_ab.space
-    w = apply_splitter(_splitter_pair(pair_space, theta), np.kron(v1, v2),
-                       pair_space)
-    mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg,
-                  factor=(w, np.kron(p1, p2)))
+    # kappa is searched on the output's factor, of rank rank(rho1) rank(rho2)
+    mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg, factor=out.factor)
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
     kappa = mab.kappa
     trace_gamma_out = float(np.trace(mab.gamma))

@@ -158,6 +158,21 @@ def test_constants_zero_steps(capsys):
                  "--steps", "0"]) == 1
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--modes", "0", "modes"),
+    ("--kappa", "-1", "kappa"),
+    ("--kappa", "nan", "kappa"),
+], ids=["zero-modes", "negative-kappa", "nan-kappa"])
+def test_constants_rejects_meaningless_input(capsys, option, value, field):
+    assert main(["constants", "--theta-min", "0.3", "--theta-max", "0.5",
+                 "--steps", "2", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error:") and field in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_constants_json_notes(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["constants", "--theta-min", "0.3", "--theta-max", "0.5",
@@ -226,6 +241,28 @@ def test_ds_run_cutoff_or_size_failure_is_one_line(tmp_path, capsys, overrides,
     assert len(err.strip().splitlines()) == 1
 
 
+def test_ds_run_preflight_counts_full_rank_working_set(tmp_path, capsys,
+                                                       monkeypatch):
+    # two full-rank Gaussians at 2 modes/arm, cutoff 6 (dim 1296) peak at
+    # 8.1 dense complex matrices above the interpreter; with physical memory
+    # at 8 of them the run must be refused up front
+    import os
+
+    dim, page = 6 ** 4, 4096
+    pages = 8 * dim ** 2 * 16 // page
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page}[name])
+    cfg = write_config(tmp_path, modes_per_arm=2, cutoff=6,
+                       state1={"kind": "gaussian", "d": [0.0] * 4,
+                               "gamma": np.diag([1.3, 1.3, 1.2, 1.2]).tolist()},
+                       state2={"kind": "gaussian", "d": [0.0] * 4,
+                               "gamma": np.diag([1.6, 1.6, 1.5, 1.5]).tolist()})
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 1296") and "GiB" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_witness_lines(capsys):
     assert main(["witness", "--state", "fock:1", "--theta", str(np.pi / 4),
                  "--cutoff", "8"]) == 0
@@ -233,6 +270,18 @@ def test_witness_lines(capsys):
     assert main(["witness", "--state", "thermal:0.5", "--theta", str(np.pi / 4),
                  "--cutoff", "12"]) == 0
     assert capsys.readouterr().out.startswith("gaussian")
+
+
+@pytest.mark.parametrize("state, theta, named", [
+    ("vacuum", "nan", "theta"),
+    ("thermal:inf", "0.6", "density"),
+], ids=["nan-theta", "infinite-thermal"])
+def test_witness_rejects_non_finite_input(capsys, state, theta, named):
+    assert main(["witness", "--state", state, "--theta", theta,
+                 "--cutoff", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_witness_trivial_angle(capsys):

@@ -162,6 +162,12 @@ def test_calibration_rejects_reversed_angle():
         _calibrate_beam_splitter(u, 0.4, 8)
 
 
+def test_calibration_rejects_nan_matrix():
+    # a NaN defect must not compare as within tolerance
+    with pytest.raises(CalibrationError):
+        _calibrate_beam_splitter(np.full((36, 36), np.nan, dtype=complex), 0.6, 6)
+
+
 def test_pair_unitary_is_cached_read_only():
     first = beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix
     assert beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix is first

@@ -12,8 +12,8 @@ from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, evolve,
 from bosonic_ds.stability import (C1_QUOTED_50_50, c1_constant, c1_direct_50_50,
                                   c2_constant, c2_shape, c3_constant,
                                   constants_sweep, cross_covariance_V, f_bound,
-                                  nongaussianity_witness, region_radius,
-                                  run_experiment, theta_curve,
+                                  nongaussianity_witness, pair_output,
+                                  region_radius, run_experiment, theta_curve,
                                   _enforce_invariants)
 from bosonic_ds.states import fock_state, mixture, thermal_state, vacuum
 from bosonic_ds.symplectic import GaussianState
@@ -357,6 +357,39 @@ def test_cross_cov_matrix_matches_dense_reference(n, cutoff):
     assert np.max(np.abs(v - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+def _mixture_spec(*components):
+    return {"kind": "mixture", "components": [
+        {"weight": w, "state": name} for w, name in components]}
+
+
+@pytest.mark.parametrize("spec1, spec2, modes, cutoff, rank", [
+    ("thermal:0.3", "thermal:0.2", 1, 10, 100),
+    ("squeezed:0.3", "squeezed:0.3", 1, 16, 1),
+    (_mixture_spec((0.9, "vacuum"), (0.1, "fock:1,0")),
+     _mixture_spec((0.6, "vacuum"), (0.2, "fock:0,1"), (0.2, "fock:1,1")),
+     2, 4, 6),
+], ids=["full-rank-thermals", "rank-1-squeezed-witness", "two-modes-per-arm"])
+def test_pair_output_matches_dense_reference(spec1, spec2, modes, cutoff, rank):
+    # rho_ab = W diag(p) W* from the inputs' eigenpairs agrees with the dense
+    # U (rho1 x rho2) U*
+    from bosonic_ds.states import parse_state_spec
+
+    space = FockSpace(modes, cutoff)
+    r1, r2 = parse_state_spec(spec1, space), parse_state_spec(spec2, space)
+    theta = 0.6
+    out = pair_output(r1, r2, theta)
+    ref = evolve(tensor(r1, r2),
+                 beam_splitter_unitary(FockSpace(2 * modes, cutoff), theta))
+    g = ref.matrix - np.kron(partial_trace(ref, "first").matrix,
+                             partial_trace(ref, "second").matrix)
+    eps = float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    assert np.max(np.abs(out.rho_ab.matrix - ref.matrix)) <= 1e-14
+    assert out.epsilon == pytest.approx(eps, rel=1e-13)
+    w, p = out.factor
+    assert w.shape == (space.dim ** 2, rank)
+    assert np.max(np.abs((w * p) @ w.conj().T - out.rho_ab.matrix)) <= 1e-14
+
+
 def test_report_v_matches_cross_covariance_V():
     space = FockSpace(1, 8)
     r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 2))])
@@ -364,7 +397,7 @@ def test_report_v_matches_cross_covariance_V():
     theta = 0.7
     rep = run_experiment(r1, r2, theta, seed=2, kappa_cfg=CHEAP_KAPPA,
                          strict=False)
-    rho_ab = evolve(tensor(r1, r2), beam_splitter_unitary(FockSpace(2, 8), theta))
+    rho_ab = pair_output(r1, r2, theta).rho_ab
     res = cross_covariance_V(rho_ab, partial_trace(rho_ab, "first"),
                              partial_trace(rho_ab, "second"), theta,
                              kappa=rep.kappa, epsilon=rep.epsilon)
