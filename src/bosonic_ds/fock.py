@@ -272,43 +272,111 @@ def char_batch(rho: FockOperator, xs: np.ndarray, chunk: int = 4096) -> np.ndarr
 # Beam-splitter unitary
 
 
+def _sector_grid(cutoff: int) -> tuple:
+    """The photon-number sectors of a mode pair, each padded to ``cutoff``
+    slots: row N holds the states |n1, N - n1> inside the cutoff in ascending
+    n1, for N = 0 .. 2 cutoff - 2.  Returns the slots' n1 and pair-space
+    indices, both (2 cutoff - 1, cutoff), and the mask of slots that hold a
+    state (the index of an empty slot is 0)."""
+    total = np.arange(2 * cutoff - 1)[:, None]
+    n1 = np.maximum(0, total - cutoff + 1) + np.arange(cutoff)
+    inside = n1 <= np.minimum(total, cutoff - 1)
+    return n1, np.where(inside, n1 * cutoff + total - n1, 0), inside
+
+
+def _sector_exponential(hop: np.ndarray) -> np.ndarray:
+    """exp(A) for the real antisymmetric tridiagonal A with A[j, j + 1] =
+    hop[j] = -A[j + 1, j], batched over the leading axes of ``hop``, in
+    closed form.  With D = diag(i^j), D A D* = -i T for the real symmetric
+    tridiagonal T with off-diagonal ``hop``, so from T = V diag(lam) V^T,
+    exp(A)[j, k] = i^(k - j) (V exp(-i lam) V^T)[j, k]."""
+    j = np.arange(hop.shape[-1] + 1)
+    t = np.zeros(hop.shape[:-1] + (len(j), len(j)))
+    t[..., j[:-1], j[1:]] = hop
+    t[..., j[1:], j[:-1]] = hop
+    lam, v = np.linalg.eigh(t)
+    phase = np.array([1, 1j, -1, -1j])[(j[None, :] - j[:, None]) % 4]
+    return (phase * ((v * np.exp(-1j * lam)[..., None, :])
+                     @ np.swapaxes(v, -1, -2))).real
+
+
 @functools.lru_cache(maxsize=8)
 def _pair_unitary(cutoff: int, theta: float) -> np.ndarray:
     """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff):
-    a read-only complex array, calibrated once at construction."""
-    a = lowering(cutoff)
-    # a1 = a x 1 and a2 = 1 x a, so a2* a1 = a x a* and a1* a2 = a* x a
-    u = expm(theta * (np.kron(a, a.T) - np.kron(a.T, a))).astype(complex)
+    a read-only complex array, calibrated once at construction.
+
+    The generator conserves n1 + n2, and so does its truncation, so U is the
+    direct sum over totals N of the exponential of the generator on the
+    states |n1, N - n1> inside the cutoff (``_sector_grid``).  There it is
+    real tridiagonal: a2* a1 takes |n1, n2> to |n1 - 1, n2 + 1> with weight
+    sqrt(n1 (n2 + 1)), and a1* a2 is its transpose."""
+    n1, idx, inside = _sector_grid(cutoff)
+    n2 = np.arange(2 * cutoff - 1)[:, None] - n1
+    # the weight into slot j from slot j + 1; 0 where slot j + 1 is empty
+    hop = theta * np.sqrt(np.where(inside[:, 1:], n1[:, 1:] * (n2[:, 1:] + 1.0), 0.0))
+    sector, j, k = np.nonzero(inside[:, :, None] & inside[:, None, :])
+    u = np.zeros((cutoff ** 2,) * 2, dtype=complex)
+    u[idx[sector, j], idx[sector, k]] = _sector_exponential(hop)[sector, j, k]
     _calibrate_beam_splitter(u, theta, cutoff)
     u.flags.writeable = False   # one cached array serves every caller
     return u
 
 
+def _total_quanta(space: FockSpace) -> np.ndarray:
+    """Total photon number of each number state, on integer labels."""
+    return np.indices((space.cutoff,) * space.n_modes).sum(axis=0).ravel()
+
+
 def _calibrated_states(space: FockSpace) -> np.ndarray:
     """Mask of the number states whose quadrature transport the truncation
     leaves intact: total quanta <= cutoff - 2, counted on integer labels."""
-    quanta = np.indices((space.cutoff,) * space.n_modes).sum(axis=0).ravel()
-    return quanta <= space.cutoff - 2
+    return _total_quanta(space) <= space.cutoff - 2
+
+
+def _sector_quadratures(sectors: int, cutoff: int,
+                        coeffs: np.ndarray) -> np.ndarray:
+    """Blocks <N| sum_k c_k R_k |N + 1> on a mode pair for the full sectors
+    N = 0 .. ``sectors`` - 1, in the slots of ``_sector_grid`` (slot n1 of a
+    full sector is |n1, N - n1>), one per row of the (m, 4) ``coeffs``:
+    shape (m, sectors, cutoff, cutoff).  From the ladder entries
+    <n|c_Q Q + c_P P|n + 1> = (c_Q - i c_P) sqrt(n + 1)/sqrt2: mode 1 takes
+    |n1 + 1, n2> to |n1, n2>, mode 2 takes |n1, n2 + 1> to it."""
+    c = coeffs[:, 0::2] - 1j * coeffs[:, 1::2]
+    total, n1 = np.nonzero(np.tri(sectors, cutoff - 1, dtype=bool))
+    out = np.zeros((len(coeffs), sectors, cutoff, cutoff), dtype=complex)
+    out[:, total, n1, n1 + 1] = c[:, :1] * (np.sqrt(n1 + 1.0) / SQRT2)
+    out[:, total, n1, n1] = c[:, 1:] * (np.sqrt(total - n1 + 1.0) / SQRT2)
+    return out
 
 
 def _calibrate_beam_splitter(u: np.ndarray, theta: float, cutoff: int,
                              tol: float = 1e-9) -> None:
-    # Heisenberg transport of the pair unitary must match the block rotation
-    # on every sector the truncation leaves intact; only U's columns on those
-    # states enter.  The splitter on n mode pairs is a product of commuting
-    # pair unitaries, so its transport follows from this one.
+    # The truncated generator conserves n1 + n2, so every entry of U between
+    # two photon-number sectors must be exactly zero.  Then U's Heisenberg
+    # transport U* R_k U, which moves one quantum, lives on adjacent sectors
+    # (N, N + 1), and it must match the block rotation sum_m S_km R_m there
+    # on every sector the truncation leaves intact (``_calibrated_states``:
+    # N + 1 <= cutoff - 2).  The splitter on n mode pairs is a product of
+    # commuting pair unitaries, so its transport follows from this one.
     space = FockSpace(2, cutoff)
-    s = beam_splitter(theta, 1)
-    keep = np.flatnonzero(_calibrated_states(space))
-    uk = u[:, keep]
-    rows = np.eye(space.dim)[keep]
-    for k, e in enumerate(np.eye(4)):
-        lhs = apply_quadratures(uk.conj().T, e, space) @ uk
-        rhs = apply_quadratures(rows, s[k], space)[:, keep]
-        defect = float(np.max(np.abs(lhs - rhs)))
-        if not defect <= tol:   # a NaN defect fails too
+    _, idx, inside = _sector_grid(cutoff)
+    blocks = np.where(inside[:, :, None] & inside[:, None, :],
+                      u[idx[:, :, None], idx[:, None, :]], 0)
+    outside = np.count_nonzero(u) - np.count_nonzero(blocks)
+    if outside:   # NaN counts as nonzero
+        raise CalibrationError(
+            f"beam-splitter unitary has {outside} nonzero entries between "
+            "photon-number sectors; it must conserve the total photon number"
+        )
+    top = int(_total_quanta(space)[_calibrated_states(space)].max())
+    lhs = (np.swapaxes(blocks[:top].conj(), -1, -2)
+           @ _sector_quadratures(top, cutoff, np.eye(4)) @ blocks[1:top + 1])
+    rhs = _sector_quadratures(top, cutoff, beam_splitter(theta, 1))
+    defect = np.max(np.abs(lhs - rhs), axis=(1, 2, 3), initial=0.0)
+    for k in range(4):
+        if not defect[k] <= tol:   # a NaN defect fails too
             raise CalibrationError(
-                f"beam-splitter transport defect {defect:.3e} on component {k}; "
+                f"beam-splitter transport defect {defect[k]:.3e} on component {k}; "
                 "sign or phase convention broke"
             )
 

@@ -46,8 +46,9 @@ def thermal_state(space: FockSpace, nbar: float,
     """Geometric-population thermal state, renormalized on the truncation."""
     if space.n_modes != 1:
         raise ValidationError("thermal fixture is single mode")
-    if nbar < 0:
-        raise ValidationError("mean occupation must be >= 0")
+    if not (np.isfinite(nbar) and nbar >= 0):
+        raise ValidationError(
+            f"thermal density needs a finite mean occupation >= 0, got {nbar}")
     if nbar == 0:
         return vacuum(space)
     m = np.arange(space.cutoff)

@@ -168,6 +168,47 @@ def test_calibration_rejects_nan_matrix():
         _calibrate_beam_splitter(np.full((36, 36), np.nan, dtype=complex), 0.6, 6)
 
 
+@pytest.mark.parametrize("theta", [0.3, -0.6, 1.2])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 32])
+def test_sector_pair_unitary_matches_dense_expm(cutoff, theta):
+    # built sector by sector, U equals the exponential of the dense
+    # Kronecker generator and never couples two total-photon sectors
+    u = _pair_unitary(cutoff, theta)
+    a = lowering(cutoff)
+    dense = expm(theta * (np.kron(a, a.T) - np.kron(a.T, a)))
+    assert np.max(np.abs(u - dense)) <= 1e-12
+    total = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel()
+    assert np.all(u[total[:, None] != total[None, :]] == 0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff ** 2))) <= 1e-11
+
+
+@pytest.mark.parametrize("total", [1, 3, 6])
+def test_calibration_rejects_one_reversed_sector(total):
+    # every certified sector (total quanta <= cutoff - 2 = 6) is checked:
+    # one block taken from the reversed angle is caught
+    u = _pair_unitary(8, 0.4).copy()
+    states = np.arange(total + 1) * 8 + total - np.arange(total + 1)
+    block = np.ix_(states, states)
+    u[block] = _pair_unitary(8, -0.4)[block]
+    with pytest.raises(CalibrationError):
+        _calibrate_beam_splitter(u, 0.4, 8)
+
+
+def test_calibration_rejects_weight_between_sectors():
+    # U must conserve the total photon number: weight 1e-6 from |0, 0>
+    # into |1, 0> breaks it, although every sector block is intact
+    u = _pair_unitary(8, 0.4).copy()
+    u[1 * 8 + 0, 0] = 1e-6
+    with pytest.raises(CalibrationError, match="between photon-number sectors"):
+        _calibrate_beam_splitter(u, 0.4, 8)
+
+
+def test_calibration_rejects_wrong_angle():
+    # a correct splitter at another angle fails the transport check
+    with pytest.raises(CalibrationError, match="transport defect"):
+        _calibrate_beam_splitter(_pair_unitary(8, 0.41), 0.4, 8)
+
+
 def test_pair_unitary_is_cached_read_only():
     first = beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix
     assert beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix is first

@@ -28,6 +28,12 @@ def test_thermal_matches_geometric_law(space14):
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("nbar", ["inf", "nan", "-0.1"])
+def test_thermal_rejects_non_finite_or_negative_occupation(space14, nbar):
+    with pytest.raises(ValidationError, match=f"mean occupation >= 0, got {nbar}$"):
+        parse_state_spec(f"thermal:{nbar}", space14)
+
+
 def test_mixture_weight_normalization(space14):
     mix = mixture([(2.0, vacuum(space14)), (2.0, fock_state(space14, 2))])
     gs = gaussify(mix)
