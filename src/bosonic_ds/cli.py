@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -102,6 +103,15 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a fractional or non-finite number or a boolean
+    names ``key`` instead of being truncated or read as 0 or 1."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _run_inputs(args, cfg: dict) -> tuple:
     """(rho1, rho2, theta, seed, tol, echo) from the config and its overrides;
     a missing key or a mistyped value is a ValidationError."""
@@ -113,9 +123,10 @@ def _run_inputs(args, cfg: dict) -> tuple:
 
     try:
         theta = float(args.theta if args.theta is not None else cfg["theta"])
-        cutoff = int(args.cutoff if args.cutoff is not None else cfg["cutoff"])
-        seed = int(args.seed if args.seed is not None else cfg["seed"])
-        modes = int(cfg.get("modes_per_arm", 1))
+        cutoff = _integer("cutoff", args.cutoff if args.cutoff is not None
+                          else cfg["cutoff"])
+        seed = _integer("seed", args.seed if args.seed is not None else cfg["seed"])
+        modes = _integer("modes_per_arm", cfg.get("modes_per_arm", 1))
         tolerances = cfg.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ValidationError("tolerances must be a JSON object")
@@ -214,6 +225,9 @@ def _cmd_witness(args) -> int:
     from .states import parse_state_spec
     from .stability import nongaussianity_witness
 
+    if not (math.isfinite(args.witness_tol) and args.witness_tol >= 0):
+        raise ValidationError(
+            f"--witness-tol must be finite and >= 0, got {args.witness_tol}")
     rho = parse_state_spec(args.state, FockSpace(1, args.cutoff))
     eps = nongaussianity_witness(rho, args.theta)
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"

@@ -24,9 +24,9 @@ from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
 from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, ValidationError)
 from .fock import (FockOperator, FockSpace, apply_splitter,
-                   beam_splitter_unitary, gaussian_to_fock, gaussify, hs_norm,
-                   leak_population, mode_pair_moments, moments, partial_trace,
-                   support, validate_density)
+                   beam_splitter_unitary, block_groups, gaussian_to_fock,
+                   gaussify, hs_norm, leak_population, mode_pair_moments,
+                   moments, partial_trace, support, validate_density)
 from .symplectic import is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
@@ -174,8 +174,15 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
 
 
 def _hermitian_trace_norm(g: np.ndarray) -> float:
-    """|g|_1 of a Hermitian g: the sum of its absolute eigenvalues."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    """|g|_1 of a Hermitian g: the sum of its absolute eigenvalues, taken
+    block by block on the exact zeros of g and summed in ascending order.
+    With the diagonal in the pattern, row i and column i share a component,
+    so every block of ``block_groups`` is a principal block."""
+    pattern = g != 0
+    np.fill_diagonal(pattern, True)
+    eigs = np.concatenate([np.linalg.eigvalsh(g[idx])
+                           for idx in block_groups(pattern)])
+    return float(np.sum(np.abs(np.sort(eigs))))
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +205,12 @@ class PairOutput:
 # Complex dim x dim matrices alive at once in the chain.  Two full-rank
 # inputs (r = dim) are the worst case: rho_ab, g and the factor W stay alive
 # while the kappa search holds diag(p) W*, the product it builds, the
-# quadrature primitive's output and temporary, and the SVD's copy.  Peak RSS
-# above the interpreter's measures 8.1 of them at dim 1296 and 6.9 at dim
-# 4096 for two full-rank Gaussians (3.2 and 3.0 for a rank-2 pair); the
-# rest is headroom.
+# quadrature primitive's output and temporary, and the SVD's copy of one
+# zero block of the product (a quarter of it for number-diagonal inputs).
+# Peak RSS above the interpreter's and the inputs' measures 7.05 of them at
+# dim 1296 for two full-rank Gaussians (8.04 with the whole product's copy);
+# with that copy, dim 4096 measured 6.9 and a rank-2 pair 3.2.  The rest is
+# headroom.
 _DENSE_MATRICES = 9
 
 

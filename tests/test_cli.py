@@ -130,6 +130,17 @@ def test_ds_run_names_unknown_tolerance(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cutoff", 8.7), ("seed", 0.9), ("modes_per_arm", 1.5), ("seed", True),
+])
+def test_ds_run_rejects_fractional_integer(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and repr(value) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_constants_single_row(capsys):
     assert main(["constants", "--theta-min", str(np.pi / 4),
                  "--theta-max", str(np.pi / 4), "--steps", "1"]) == 0
@@ -282,6 +293,17 @@ def test_witness_rejects_non_finite_input(capsys, state, theta, named):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_witness_rejects_meaningless_tolerance(capsys, tol):
+    # vacuum has epsilon 0, which no NaN or negative tolerance can classify
+    assert main(["witness", "--state", "vacuum", "--theta", "0.6",
+                 "--cutoff", "6", "--witness-tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--witness-tol" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_witness_trivial_angle(capsys):

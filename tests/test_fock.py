@@ -8,16 +8,17 @@ from bosonic_ds.config import KappaConfig
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (FockOperator, FockSpace, _calibrate_beam_splitter,
-                             _calibrated_states, _kappa_value, _pair_unitary,
-                             apply_splitter, beam_splitter_unitary,
+                             _calibrated_states, _kappa_blocks, _kappa_value,
+                             _pair_unitary, apply_splitter,
+                             beam_splitter_unitary, block_groups,
                              certified_levels,
                              char_batch, density, estimate_kappa, evolve,
                              gaussian_to_fock, gaussify, hs_norm,
                              leak_population, lowering, moments, partial_trace,
                              quadratures, safe_extent, support, tensor,
                              trace_norm, validate_density, weyl_operator)
-from bosonic_ds.states import (fock_state, mixture, squeezed_surrogate,
-                               thermal_state, vacuum)
+from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
+                               squeezed_surrogate, thermal_state, vacuum)
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
 
@@ -450,6 +451,79 @@ def test_kappa_search_ties_resolve_alike_on_factor_and_dense():
     assert low == pytest.approx(dense, rel=1e-12)
     for a, b in zip(low_pair, dense_pair):
         np.testing.assert_array_equal(a, b)
+
+
+def test_block_groups_recover_permuted_hermitian_blocks():
+    rng = np.random.default_rng(4)
+    sizes = [1, 3, 2, 5, 4]
+    parts = [rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in sizes]
+    m = np.zeros((sum(sizes),) * 2, dtype=complex)
+    start = np.cumsum([0] + sizes)
+    for lo, a in zip(start, parts):
+        m[lo:lo + len(a), lo:lo + len(a)] = a + a.conj().T
+    perm = rng.permutation(len(m))
+    h = m[np.ix_(perm, perm)]
+    groups = block_groups(h != 0)
+    found = []
+    for rows, cols in groups:
+        np.testing.assert_array_equal(rows.ravel(), cols.ravel())
+        found.append(tuple(sorted(perm[rows.ravel()])))
+    assert sorted(found) == [tuple(range(lo, lo + k)) for lo, k in zip(start, sizes)]
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(h[idx]) for idx in groups]))
+    np.testing.assert_allclose(eigs, np.linalg.eigvalsh(h), atol=1e-12)
+
+
+def test_block_groups_rectangular_and_empty_lines():
+    # row 1 and column 3 are empty: they carry only zero singular values
+    pattern = np.array([[1, 0, 0, 0],
+                        [0, 0, 0, 0],
+                        [0, 1, 1, 0],
+                        [0, 0, 1, 0]], dtype=bool)
+    groups = [(r.ravel().tolist(), c.ravel().tolist())
+              for r, c in block_groups(pattern)]
+    assert groups == [([0], [0]), ([2, 3], [1, 2])]
+
+
+def test_block_groups_single_block_is_the_matrix_itself():
+    m = np.arange(1.0, 13.0).reshape(3, 4)
+    m[0, 1] = 0.0
+    [idx] = block_groups(m != 0)
+    assert m[idx].shape == m.shape
+    assert np.shares_memory(m[idx], m)
+
+
+def _number_diagonal_pair():
+    space = FockSpace(1, 10)
+    return thermal_state(space, 0.3), thermal_state(space, 0.2)
+
+
+def _displaced_pair():
+    space = FockSpace(1, 10)
+    return displaced_vacuum(space, np.array([0.5, -0.3])), vacuum(space)
+
+
+@pytest.mark.parametrize("make, n_blocks", [
+    (_number_diagonal_pair, 2),   # total photon number parity
+    (_displaced_pair, 1),
+], ids=["number-diagonal", "displaced"])
+def test_kappa_blocks_follow_photon_parity(make, n_blocks):
+    # each quadrature moves one quantum, so every product X = R_u^2 R_v^2
+    # keeps the total photon number's parity; the block trace norm is the
+    # trace norm of the whole product
+    rho1, rho2 = make()
+    rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
+    left = p[:, None] * w.conj().T
+    blocks = _kappa_blocks(left, rho_ab.space)
+    assert len(blocks) == n_blocks
+    quads = np.array([q.matrix for q in quadratures(rho_ab.space)])
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        u, v = rng.normal(size=(2, 2 * rho_ab.space.n_modes))
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        ru, rv = np.tensordot(u, quads, 1), np.tensordot(v, quads, 1)
+        dense = trace_norm(left @ ru @ ru @ rv @ rv)
+        assert _kappa_value(left, rho_ab.space, u, v, blocks) == \
+            pytest.approx(dense, rel=1e-12)
 
 
 def test_gaussify_round_trip():

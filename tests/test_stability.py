@@ -7,15 +7,16 @@ from bosonic_ds.config import KappaConfig, Tolerances
 from bosonic_ds.errors import (BoundViolationError, CalibrationError,
                                TrivialSplitterError, UncertaintyViolationError,
                                ValidationError)
-from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, evolve,
-                             gaussian_to_fock, partial_trace, tensor)
+from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, block_groups,
+                             evolve, gaussian_to_fock, partial_trace, tensor)
 from bosonic_ds.stability import (C1_QUOTED_50_50, c1_constant, c1_direct_50_50,
                                   c2_constant, c2_shape, c3_constant,
                                   constants_sweep, cross_covariance_V, f_bound,
                                   nongaussianity_witness, pair_output,
                                   region_radius, run_experiment, theta_curve,
-                                  _enforce_invariants)
-from bosonic_ds.states import fock_state, mixture, thermal_state, vacuum
+                                  _enforce_invariants, _hermitian_trace_norm)
+from bosonic_ds.states import (fock_state, mixture, parse_state_spec,
+                               thermal_state, vacuum)
 from bosonic_ds.symplectic import GaussianState
 
 from conftest import random_low_energy_density
@@ -421,3 +422,53 @@ def test_gaussify_fails_before_the_splitter(monkeypatch):
     rho1 = gaussian_to_fock(GaussianState(np.zeros(4), tms @ tms.T), space)
     with pytest.raises(UncertaintyViolationError):
         run_experiment(rho1, vacuum(space), np.pi / 4, seed=0)
+
+
+# --- epsilon on the exact zero blocks of g -----------------------------------
+
+
+@pytest.mark.parametrize("g, expected", [
+    ([[0, 1j], [-1j, 0]], 2.0),                   # zero diagonal
+    ([[1, 0.5, 0], [0, 2, 0], [0, 0, -3]], 6.0),  # upper entry, no lower mirror
+    ([[1, 0, 0], [0.5, 2, 0], [0, 0, -3]], None),
+], ids=["zero-diagonal", "upper-only", "lower-only"])
+def test_block_epsilon_on_small_patterns(g, expected):
+    # blocks are principal (off-diagonal 1 x 1 blocks would read 0 for the
+    # first case), and eigvalsh reads the same stored lower triangle of
+    # each block as of the whole matrix
+    g = np.array(g, dtype=complex)
+    dense = float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    assert _hermitian_trace_norm(g) == pytest.approx(dense, rel=1e-15)
+    if expected is not None:
+        assert dense == pytest.approx(expected, rel=1e-15)
+
+
+def _one_mode_pair(spec, cutoff):
+    space = FockSpace(1, cutoff)
+    return (parse_state_spec(spec, space),
+            mixture([(0.7, vacuum(space)), (0.3, fock_state(space, 1))]))
+
+
+def _two_mode_mixture_pair():
+    space = FockSpace(2, 4)
+    return (mixture([(0.6, fock_state(space, (0, 0))),
+                     (0.4, fock_state(space, (1, 2)))]),
+            mixture([(0.5, fock_state(space, (0, 1))),
+                     (0.5, fock_state(space, (2, 0)))]))
+
+
+@pytest.mark.parametrize("make, several", [
+    (lambda: _one_mode_pair("fock:2", 12), True),
+    (lambda: _one_mode_pair("thermal:0.5", 12), True),
+    (lambda: _one_mode_pair("squeezed:0.3", 16), True),
+    (lambda: _one_mode_pair("displaced:0.6,-0.4", 14), False),
+    (_two_mode_mixture_pair, True),
+], ids=["fock", "thermal", "squeezed", "displaced", "two-modes-per-arm"])
+def test_block_epsilon_matches_dense_eigenvalues(make, several):
+    rho1, rho2 = make()
+    out = pair_output(rho1, rho2, 0.6)
+    dense = float(np.sum(np.abs(np.linalg.eigvalsh(out.g))))
+    assert out.epsilon == pytest.approx(dense, rel=1e-13)
+    pattern = out.g != 0
+    np.fill_diagonal(pattern, True)
+    assert (len(block_groups(pattern)) > 1) == several
