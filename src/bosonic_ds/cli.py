@@ -136,8 +136,9 @@ def _run_inputs(args, cfg: dict) -> tuple:
                 raise ValidationError(f"unknown tolerance {name!r}")
         tol = Tolerances(**tolerances)
         for name, value in asdict(tol).items():
-            if value <= 0:
-                raise ValidationError(f"tolerance {name} must be positive")
+            if not (math.isfinite(value) and value > 0):   # NaN fails too
+                raise ValidationError(
+                    f"tolerance {name} must be finite and positive, got {value}")
         space = FockSpace(modes, cutoff)
         rho1 = parse_state_spec(cfg["state1"], space, tol)
         rho2 = parse_state_spec(cfg["state2"], space, tol)
@@ -289,7 +290,7 @@ def _cmd_selftest(args) -> int:
 
     def fock1_moments():
         space = FockSpace(1, 10)
-        table = moments(states.fock_state(space, 1), with_kappa=False)
+        table = moments(states.fock_state(space, 1))
         assert np.allclose(table.gamma, 3 * np.eye(2), atol=1e-10)
 
     def synthesis_round_trip():
@@ -342,7 +343,7 @@ def _cmd_selftest(args) -> int:
                           "fock3": 7.0, "thermal_nbar05": 2.0}
         for name, diag in expected_gamma.items():
             rho = validate_density(states.load_golden(name))
-            table = moments(rho, with_kappa=False)
+            table = moments(rho)
             assert np.max(np.abs(table.gamma - diag * np.eye(2))) < 1e-3, name
         validate_density(states.load_golden("squeezed_z025"))
 

@@ -58,7 +58,6 @@ class KappaConfig:
     random_pairs: int = 64
     refine_steps: int = 20
     refine_scale: float = 0.15
-    include_canonical: bool = True   # sweep all axis pairs ((2n)^2 evaluations)
 
 
 DEFAULT_TOLERANCES = Tolerances()

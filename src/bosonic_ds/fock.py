@@ -547,14 +547,11 @@ def flag_if_leaking(rho: FockOperator, label: str,
 
 @dataclass(frozen=True)
 class MomentTable:
-    """First, second and fourth moments plus the sampled kappa estimate."""
+    """First, second and per-axis fourth moments of a state."""
 
     d: np.ndarray
     gamma: np.ndarray
     fourth: np.ndarray
-    kappa: float
-    kappa_pair: tuple | None = None
-    kappa_samples: int = 0
 
 
 def support(rho: FockOperator) -> tuple:
@@ -594,54 +591,49 @@ def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
     return float(np.sum(np.sort(sv)[::-1]))
 
 
-def estimate_kappa(rho: FockOperator, seed: int = 0,
-                   cfg: KappaConfig = DEFAULT_KAPPA,
-                   factor: tuple | None = None) -> tuple:
-    """Sampled maximum of the trace norm of rho R_u^2 R_v^2 over unit u, v.
+def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
+                   cfg: KappaConfig = DEFAULT_KAPPA) -> tuple:
+    """Sampled maximum of the trace norm of rho R_u^2 R_v^2 over unit u, v,
+    as (kappa, (u, v), evaluations), for rho = w diag(p) w* on ``space``.
 
     Directions are taken in quadrature space; the target supremum ranges
     over xi . sigma R, but sigma is orthogonal so both direction sets
-    coincide.  Canonical axes, random pairs, then greedy local refinement.
+    coincide.  All canonical axis pairs, random pairs, then greedy local
+    refinement.
 
-    ``factor = (w, p)`` with rho = w diag(p) w* and orthonormal columns w
-    gives the same singular values from the r x dim matrix diag(p) w* X.
+    ``factor = (w, p)`` with orthonormal columns w gives the same singular
+    values from the r x dim matrix diag(p) w* X.
     The exact zero blocks that every product shares are found once per
     search (``_kappa_blocks``), and each evaluation takes its singular values
     block by block.
     A candidate must beat the best by more than dim roundoff units, so
     pairs that tie exactly (by symmetry) keep the first one whichever
-    path evaluates them.
+    factor of the state evaluates them.
     """
-    if factor is None:
-        left = rho.matrix
-    else:
-        w, p = factor
-        left = p[:, None] * w.conj().T
-    blocks = _kappa_blocks(left, rho.space)
-    margin = 1.0 + rho.space.dim * np.finfo(float).eps
-    dim = 2 * rho.space.n_modes
+    w, p = factor
+    left = p[:, None] * w.conj().T
+    blocks = _kappa_blocks(left, space)
+    margin = 1.0 + space.dim * np.finfo(float).eps
+    dim = 2 * space.n_modes
     rng = np.random.default_rng(seed)
     best, best_pair = -np.inf, None
     n_eval = 0
 
     def consider(u, v):
         nonlocal best, best_pair, n_eval
-        val = _kappa_value(left, rho.space, u, v, blocks)
+        val = _kappa_value(left, space, u, v, blocks)
         n_eval += 1
         if val > best * margin:
             best, best_pair = val, (u.copy(), v.copy())
 
     eye = np.eye(dim)
-    if cfg.include_canonical:
-        for i in range(dim):
-            for j in range(dim):
-                consider(eye[i], eye[j])
+    for i in range(dim):
+        for j in range(dim):
+            consider(eye[i], eye[j])
     for _ in range(cfg.random_pairs):
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
         consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    if best_pair is None:
-        consider(eye[0], eye[0])
     for _ in range(cfg.refine_steps):
         u0, v0 = best_pair
         u = u0 + cfg.refine_scale * rng.normal(size=dim)
@@ -650,13 +642,9 @@ def estimate_kappa(rho: FockOperator, seed: int = 0,
     return best, best_pair, n_eval
 
 
-def moments(rho: FockOperator, *, seed: int = 0,
-            cfg: KappaConfig = DEFAULT_KAPPA,
-            with_kappa: bool = True,
-            factor: tuple | None = None) -> MomentTable:
-    """Displacement, covariance (anticommutator convention), per-axis fourth
-    moments Tr[rho R_k^4], and the sampled kappa of the state (evaluated on
-    ``factor`` when given, see ``estimate_kappa``).
+def moments(rho: FockOperator) -> MomentTable:
+    """Displacement, covariance (anticommutator convention) and per-axis
+    fourth moments Tr[rho R_k^4].
 
     Every product R_k R_l touches at most two modes, so d, the one-mode
     blocks of Gamma and the fourth moments are read from the one-mode
@@ -684,13 +672,7 @@ def moments(rho: FockOperator, *, seed: int = 0,
                 mode_pair_moments(rho.matrix, space, i, j).real
     second = np.triu(second) + np.triu(second, 1).T
     gamma = 2.0 * second - 2.0 * np.outer(d, d)
-    if with_kappa:
-        kappa, pair, n_eval = estimate_kappa(rho, seed=seed, cfg=cfg,
-                                             factor=factor)
-        kappa = max(kappa, float(np.max(fourth)))
-    else:
-        kappa, pair, n_eval = float(np.max(fourth)), None, 0
-    return MomentTable(d, gamma, fourth, kappa, pair, n_eval)
+    return MomentTable(d, gamma, fourth)
 
 
 def gaussify(rho: FockOperator,
@@ -700,7 +682,7 @@ def gaussify(rho: FockOperator,
     Raises when the measured covariance violates the uncertainty relation
     beyond tolerance, which signals an unphysical truncation.
     """
-    table = moments(rho, with_kappa=False)
+    table = moments(rho)
     gs = GaussianState(table.d, (table.gamma + table.gamma.T) / 2)
     from .symplectic import check_uncertainty
 
@@ -783,12 +765,16 @@ def gaussian_to_fock(gs: GaussianState, space: FockSpace,
     a = np.block([[zero, eye], [eye, zero]]) @ (np.eye(2 * n) - q_inv)
     alpha = (gs.d[0::2] + 1j * gs.d[1::2]) / SQRT2
     beta = np.concatenate([alpha, alpha.conj()])
-    g0 = np.exp(-0.5 * beta.conj() @ q_inv @ beta) / np.sqrt(np.linalg.det(q))
+    with np.errstate(over="ignore"):   # a far displacement gives g0 = 0
+        g0 = np.exp(-0.5 * beta.conj() @ q_inv @ beta) / np.sqrt(np.linalg.det(q))
     grid = _hermite_grid(a, beta.conj() - a @ beta, g0, space.cutoff)
     rho = grid.reshape(space.dim, space.dim).T
     rho = (rho + rho.conj().T) / 2.0
 
     trace = float(np.trace(rho).real)
+    if not trace > 0:   # NaN fails too
+        raise ValidationError(f"Gaussian state has no weight below cutoff "
+                              f"{space.cutoff}: synthesized trace {trace:.3e}")
     flags = ()
     if 1.0 - trace > tol.leak_budget:
         flags = (f"truncation:synthesis:mass-deficit={1.0 - trace:.3e}",)

@@ -24,9 +24,10 @@ from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
 from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, ValidationError)
 from .fock import (FockOperator, FockSpace, apply_splitter,
-                   beam_splitter_unitary, block_groups, gaussian_to_fock,
-                   gaussify, hs_norm, leak_population, mode_pair_moments,
-                   moments, partial_trace, support, validate_density)
+                   beam_splitter_unitary, block_groups, estimate_kappa,
+                   gaussian_to_fock, gaussify, hs_norm, leak_population,
+                   mode_pair_moments, moments, partial_trace, support,
+                   validate_density)
 from .symplectic import is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
@@ -176,12 +177,14 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
 def _hermitian_trace_norm(g: np.ndarray) -> float:
     """|g|_1 of a Hermitian g: the sum of its absolute eigenvalues, taken
     block by block on the exact zeros of g and summed in ascending order.
-    With the diagonal in the pattern, row i and column i share a component,
-    so every block of ``block_groups`` is a principal block."""
+    With the diagonal of every nonzero line in the pattern, row i and column
+    i share a component, so every block of ``block_groups`` is a principal
+    block; all-zero lines (eigenvalue 0) join no block."""
     pattern = g != 0
-    np.fill_diagonal(pattern, True)
-    eigs = np.concatenate([np.linalg.eigvalsh(g[idx])
-                           for idx in block_groups(pattern)])
+    live = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
+    pattern[live, live] = True
+    eigs = np.concatenate([np.zeros(0)] + [np.linalg.eigvalsh(g[idx])
+                                           for idx in block_groups(pattern)])
     return float(np.sum(np.abs(np.sort(eigs))))
 
 
@@ -381,11 +384,15 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     if leak_out > tol.leak_budget:
         flags.append(f"truncation:output:leak={leak_out:.3e}")
 
-    # kappa is searched on the output's factor, of rank rank(rho1) rank(rho2)
-    mab = moments(out.rho_ab, seed=seed, cfg=kappa_cfg, factor=out.factor)
+    # every axis of the output lives in one arm, so its per-axis moments are
+    # the arms'; kappa is searched on the output's factor, of rank
+    # rank(rho1) rank(rho2)
+    arms = (moments(out.rho_a), moments(out.rho_b))
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
-    kappa = mab.kappa
-    trace_gamma_out = float(np.trace(mab.gamma))
+    kappa, _, kappa_samples = estimate_kappa(out.factor, out.rho_ab.space,
+                                             seed=seed, cfg=kappa_cfg)
+    kappa = max(kappa, float(np.max([m.fourth for m in arms])))
+    trace_gamma_out = float(np.sum(np.concatenate([np.diag(m.gamma) for m in arms])))
 
     try:
         c1 = c1_constant(theta, n, kappa)
@@ -428,7 +435,7 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     report = StabilityReport(
         theta=float(theta), modes_per_arm=n,
         epsilon=epsilon, epsilon_3x=3.0 * epsilon,
-        lam=lam, kappa=kappa, kappa_samples=mab.kappa_samples,
+        lam=lam, kappa=kappa, kappa_samples=kappa_samples,
         r=r, r_floor=r_floor, c1=c1, c2=c2, c3=c3,
         trace_gamma_out=trace_gamma_out,
         dist_hs_1=dist1, dist_hs_2=dist2, cm_gap=cm_gap,

@@ -84,6 +84,8 @@ def mixture(components) -> FockOperator:
 def squeezed_surrogate(space: FockSpace, z: float,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
     """Gaussian state with covariance diag(e^{2z}, e^{-2z}), synthesized."""
+    if not abs(2.0 * z) < np.log(np.finfo(float).max):   # NaN fails too
+        raise ValidationError(f"squeezing z must keep e^(2|z|) finite, got {z}")
     gs = GaussianState(np.zeros(2), np.diag([np.exp(2 * z), np.exp(-2 * z)]))
     return gaussian_to_fock(gs, space, tol)
 

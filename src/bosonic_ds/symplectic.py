@@ -88,6 +88,8 @@ class GaussianState:
         return self.d.size // 2
 
     def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> "GaussianState":
+        if not (np.all(np.isfinite(self.d)) and np.all(np.isfinite(self.gamma))):
+            raise ValidationError("Gaussian moments d and Gamma must be finite")
         asym = float(np.max(np.abs(self.gamma - self.gamma.T)))
         if asym > tol.gamma_symmetry:
             raise ValidationError(f"covariance asymmetry {asym:.3e} above tolerance")

@@ -141,8 +141,8 @@ def test_criterion_4_cross_covariance_identity(gate):
         g = rho_ab.matrix - np.kron(partial_trace(rho_ab, "first").matrix,
                                     partial_trace(rho_ab, "second").matrix)
         v = _cross_cov_matrix(g, pair, theta)
-        gamma1 = moments(r1, with_kappa=False).gamma
-        gamma2 = moments(r2, with_kappa=False).gamma
+        gamma1 = moments(r1).gamma
+        gamma2 = moments(r2).gamma
         defect = np.max(np.abs((gamma1 - gamma2)
                                - (2 / np.cos(theta) ** 2) * v.real))
         worst = max(worst, defect / (1 + np.max(np.abs(gamma1))))
@@ -199,7 +199,7 @@ def test_criterion_8_moment_extraction(gate):
     worst = 0.0
     for rho in fixtures.values():
         d, gamma = derivative_moments(rho)
-        table = moments(rho, with_kappa=False)
+        table = moments(rho)
         worst = max(worst, np.max(np.abs(d - table.d)),
                     np.max(np.abs(gamma - table.gamma)))
     gate("criterion 8 (derivative vs trace moments)", worst <= 1e-4,

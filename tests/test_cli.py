@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,9 +118,38 @@ def test_witness_heavily_squeezed_low_cutoff(capsys):
                  "--cutoff", "8"]) == 0
 
 
+@pytest.mark.parametrize("state1", [
+    "squeezed:1000", "squeezed:inf", "squeezed:nan", "displaced:nan,0",
+    "displaced:1e200,0",
+    {"kind": "gaussian", "d": [0, 0], "gamma": [[float("nan"), 0], [0, 1]]},
+], ids=["squeezed-1000", "squeezed-inf", "squeezed-nan", "displaced-nan",
+        "displaced-1e200", "gaussian-nan-gamma"])
+def test_non_finite_or_weightless_gaussian_is_one_error_line(tmp_path, capsys,
+                                                             state1):
+    cfg = write_config(tmp_path, state1=state1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ds-run", "--config", str(cfg)]) == 1
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "uncertainty" not in err
+
+
 def test_ds_run_rejects_bad_tolerance(tmp_path, capsys):
     cfg = write_config(tmp_path, tolerances={"uncertainty": -1.0})
     assert main(["ds-run", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_ds_run_rejects_non_finite_tolerance(tmp_path, capsys, value):
+    # NaN <= 0 is False, so a NaN leak budget once switched the flags off
+    cfg = write_config(tmp_path, tolerances={"leak_budget": value})
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: tolerance leak_budget must be finite and "
+                   f"positive, got {value}\n")
 
 
 def test_ds_run_names_unknown_tolerance(tmp_path, capsys):

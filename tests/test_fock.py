@@ -17,6 +17,7 @@ from bosonic_ds.fock import (FockOperator, FockSpace, _calibrate_beam_splitter,
                              leak_population, lowering, moments, partial_trace,
                              quadratures, safe_extent, support, tensor,
                              trace_norm, validate_density, weyl_operator)
+from bosonic_ds.stability import pair_output
 from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
                                squeezed_surrogate, thermal_state, vacuum)
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
@@ -139,7 +140,7 @@ def test_moment_transport_matches_symplectic():
                                         np.diag([1.3, 0.85])), space)
     r2 = thermal_state(space, 0.2)
     out = evolve(tensor(r1, r2), beam_splitter_unitary(pair, theta))
-    table = moments(out, with_kappa=False)
+    table = moments(out)
     g1, g2 = gaussify(r1), gaussify(r2)
     big = GaussianState(np.concatenate([g1.d, g2.d]),
                         np.block([[g1.gamma, np.zeros((2, 2))],
@@ -329,26 +330,29 @@ def test_trace_norm_vs_eigenvalue_oracle():
 
 
 def test_vacuum_moments(space14):
-    table = moments(vacuum(space14), with_kappa=False)
+    table = moments(vacuum(space14))
     np.testing.assert_allclose(table.d, 0, atol=1e-12)
     np.testing.assert_allclose(table.gamma, np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_fock_covariance(space14, m):
-    table = moments(fock_state(space14, m), with_kappa=False)
+    table = moments(fock_state(space14, m))
     np.testing.assert_allclose(table.gamma, (2 * m + 1) * np.eye(2), atol=1e-10)
 
 
 def test_vacuum_fourth_moment_and_kappa():
     pair = FockSpace(2, 8)
     rho = tensor(vacuum(FockSpace(1, 8)), vacuum(FockSpace(1, 8)))
-    table = moments(rho, seed=0, cfg=KappaConfig(random_pairs=8, refine_steps=4))
+    table = moments(rho)
+    kappa, _, kappa_samples = estimate_kappa(
+        support(rho), rho.space, seed=0,
+        cfg=KappaConfig(random_pairs=8, refine_steps=4))
     # <0|Q^4|0> = 3/4 in this convention
     assert table.fourth[0] == pytest.approx(0.75, abs=1e-12)
-    assert table.kappa >= 0.75 - 1e-12
-    assert table.kappa >= np.max(table.fourth) - 1e-12
-    assert table.kappa_samples > 0
+    assert kappa >= 0.75 - 1e-12
+    assert kappa >= np.max(table.fourth) - 1e-12
+    assert kappa_samples > 0
 
 
 def test_moments_match_full_product_traces():
@@ -357,7 +361,7 @@ def test_moments_match_full_product_traces():
     space = FockSpace(2, 4)
     a = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
     rho = density(space, a @ a.conj().T / np.trace(a @ a.conj().T).real)
-    table = moments(rho, with_kappa=False)
+    table = moments(rho)
     quads = [q.matrix for q in quadratures(space)]
     m = rho.matrix
     d = np.array([np.trace(m @ q).real for q in quads])
@@ -441,16 +445,21 @@ def test_support_drops_roundoff_and_keeps_weights():
 
 def test_kappa_search_ties_resolve_alike_on_factor_and_dense():
     # (Q2, Q2) and (P2, P2) tie exactly by joint phase symmetry; roundoff
-    # must not let either path pick a different pair to refine from
+    # must not let either factor of one output, the splitter's (W, p) or the
+    # eigenpairs of the dense rho_ab, pick a different pair to refine from
+    # (without the tie margin the second input set picks (Q2, Q2) on one
+    # factor and (P2, P2) on the other)
     space = FockSpace(1, 14)
-    rho1 = mixture([(0.8924, vacuum(space)), (0.1076, fock_state(space, 1))])
-    rho_ab, factor = _output_and_factor(rho1, thermal_state(space, 0.3357),
-                                        0.638025)
-    dense, dense_pair, _ = estimate_kappa(rho_ab, seed=0)
-    low, low_pair, _ = estimate_kappa(rho_ab, seed=0, factor=factor)
-    assert low == pytest.approx(dense, rel=1e-12)
-    for a, b in zip(low_pair, dense_pair):
-        np.testing.assert_array_equal(a, b)
+    for vac, one, nbar, theta in ((0.8924, 0.1076, 0.3357, 0.638025),
+                                  (0.9372, 0.0628, 0.2247, 0.680994)):
+        rho1 = mixture([(vac, vacuum(space)), (one, fock_state(space, 1))])
+        out = pair_output(rho1, thermal_state(space, nbar), theta)
+        dense, dense_pair, _ = estimate_kappa(support(out.rho_ab),
+                                              out.rho_ab.space, seed=0)
+        low, low_pair, _ = estimate_kappa(out.factor, out.rho_ab.space, seed=0)
+        assert low == pytest.approx(dense, rel=1e-12)
+        for a, b in zip(low_pair, dense_pair):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_block_groups_recover_permuted_hermitian_blocks():
@@ -587,7 +596,7 @@ def test_synthesis_squeezed_orientation():
     space = FockSpace(1, 14)
     gamma = np.diag([np.exp(0.5), np.exp(-0.5)])
     rho = gaussian_to_fock(GaussianState(np.zeros(2), gamma), space)
-    table = moments(rho, with_kappa=False)
+    table = moments(rho)
     np.testing.assert_allclose(table.gamma, gamma, atol=1e-6)
 
 
@@ -626,7 +635,7 @@ def test_synthesis_heavily_squeezed_at_low_cutoff():
     rho = validate_density(squeezed_surrogate(FockSpace(1, 8), 1.2))
     assert any(f.startswith("truncation:synthesis:mass-deficit=") for f in rho.flags)
     # at a cutoff that holds the state, its moments come back
-    table = moments(squeezed_surrogate(FockSpace(1, 160), 1.2), with_kappa=False)
+    table = moments(squeezed_surrogate(FockSpace(1, 160), 1.2))
     np.testing.assert_allclose(table.gamma, np.diag([np.exp(2.4), np.exp(-2.4)]),
                                atol=1e-8)
     np.testing.assert_allclose(table.d, 0.0, atol=1e-8)

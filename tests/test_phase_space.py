@@ -228,7 +228,7 @@ def test_derivative_moments_fock1(space14):
 def test_derivative_moments_agree_with_traces(fixture_states):
     for name, rho in fixture_states.items():
         d, gamma = derivative_moments(rho)
-        table = moments(rho, with_kappa=False)
+        table = moments(rho)
         assert np.max(np.abs(d - table.d)) <= 1e-4, name
         assert np.max(np.abs(gamma - table.gamma)) <= 1e-4, name
 

@@ -8,7 +8,8 @@ from bosonic_ds.errors import (BoundViolationError, CalibrationError,
                                TrivialSplitterError, UncertaintyViolationError,
                                ValidationError)
 from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, block_groups,
-                             evolve, gaussian_to_fock, partial_trace, tensor)
+                             evolve, gaussian_to_fock, moments, partial_trace,
+                             tensor)
 from bosonic_ds.stability import (C1_QUOTED_50_50, c1_constant, c1_direct_50_50,
                                   c2_constant, c2_shape, c3_constant,
                                   constants_sweep, cross_covariance_V, f_bound,
@@ -159,8 +160,8 @@ def test_cross_covariance_identity_on_random_products():
             rb = partial_trace(rho_ab, "second")
             res = cross_covariance_V(rho_ab, ra, rb, theta, kappa=None)
             from bosonic_ds.fock import moments
-            gap = moments(r1, with_kappa=False).gamma \
-                - moments(r2, with_kappa=False).gamma
+            gap = moments(r1).gamma \
+                - moments(r2).gamma
             np.testing.assert_allclose((2 / np.cos(theta) ** 2) * res.v, gap,
                                        atol=1e-10)
             assert np.max(np.abs(res.v.imag)) <= 1e-8
@@ -284,8 +285,7 @@ def test_two_modes_per_arm_experiment():
                 vacuum(one))
     r2 = tensor(fock_state(one, 1), vacuum(one))
     rep = run_experiment(r1, r2, np.pi / 4, seed=3,
-                         kappa_cfg=KappaConfig(random_pairs=8, refine_steps=4,
-                                               include_canonical=False))
+                         kappa_cfg=KappaConfig(random_pairs=8, refine_steps=4))
     assert rep.modes_per_arm == 2
     ident = (2 / np.cos(np.pi / 4) ** 2) * rep.v_norm
     assert rep.cm_gap == pytest.approx(ident, abs=1e-10)
@@ -325,7 +325,7 @@ def test_correlated_two_mode_synthesis_matches_expm():
     # correlated vacuum: moments return once the top-level defect of the
     # truncated quadratures is negligible
     vac = GaussianState(np.zeros(4), s @ s.T)
-    table = moments(gaussian_to_fock(vac, FockSpace(2, 10)), with_kappa=False)
+    table = moments(gaussian_to_fock(vac, FockSpace(2, 10)))
     np.testing.assert_allclose(table.gamma, vac.gamma, atol=1e-8)
     np.testing.assert_allclose(table.d, 0.0, atol=1e-8)
 
@@ -472,3 +472,50 @@ def test_block_epsilon_matches_dense_eigenvalues(make, several):
     pattern = out.g != 0
     np.fill_diagonal(pattern, True)
     assert (len(block_groups(pattern)) > 1) == several
+
+
+def test_block_epsilon_skips_zero_lines(monkeypatch):
+    # random Hermitian blocks on scattered lines, every other line all zero:
+    # one eigvalsh call per block, none for the zero lines
+    rng = np.random.default_rng(8)
+    n = 40
+    lines = rng.permutation(n)
+    g = np.zeros((n, n), dtype=complex)
+    blocks = [lines[0:3], lines[3:4], lines[4:9]]
+    for idx in blocks:
+        a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        g[np.ix_(idx, idx)] = a + a.conj().T
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    eps = _hermitian_trace_norm(g)
+    monkeypatch.undo()
+    dense = float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    assert eps == pytest.approx(dense, rel=1e-14)
+    assert sorted(calls) == sorted((len(idx),) * 2 for idx in blocks)
+
+
+def test_block_epsilon_of_zero_g_is_zero():
+    assert _hermitian_trace_norm(np.zeros((9, 9), dtype=complex)) == 0.0
+    out = pair_output(vacuum(FockSpace(1, 8)), vacuum(FockSpace(1, 8)), 0.6)
+    assert not np.any(out.g) and out.epsilon == 0.0
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 10), (2, 4)])
+def test_output_moments_from_the_arms(modes, cutoff):
+    # every axis of the output lives in one arm: the report's trace of
+    # Gamma_out and its kappa floor match the moments of the whole output
+    space = FockSpace(modes, cutoff)
+    first = (1,) if modes == 1 else (1, 0)
+    rho1 = mixture([(0.8, vacuum(space)), (0.2, fock_state(space, first))])
+    rho2 = mixture([(0.6, vacuum(space)), (0.4, fock_state(space, first[::-1]))])
+    rep = run_experiment(rho1, rho2, 0.6, seed=0, kappa_cfg=CHEAP_KAPPA,
+                         strict=False)
+    whole = moments(pair_output(rho1, rho2, 0.6).rho_ab)
+    assert rep.trace_gamma_out == pytest.approx(np.trace(whole.gamma), rel=1e-14)
+    assert rep.kappa >= np.max(whole.fourth)

@@ -52,13 +52,13 @@ def test_mixture_weight_normalization(space14):
 ])
 def test_parse_string_specs(space14, spec, check):
     rho = parse_state_spec(spec, space14)
-    assert check(moments(rho, with_kappa=False))
+    assert check(moments(rho))
 
 
 def test_parse_object_specs(space14, tmp_path):
     rho = parse_state_spec({"kind": "gaussian", "d": [0.0, 0.0],
                             "gamma": [[1.5, 0.0], [0.0, 1.0]]}, space14)
-    table = moments(rho, with_kappa=False)
+    table = moments(rho)
     assert table.gamma[0, 0] == pytest.approx(1.5, abs=1e-6)
 
     rho = parse_state_spec({"kind": "mixture", "components": [
