@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help='state spec, e.g. vacuum, fock:1, thermal:0.5')
     wit.add_argument("--theta", type=float, required=True)
     wit.add_argument("--cutoff", type=int, default=14)
-    wit.add_argument("--seed", type=int, default=0)
     wit.add_argument("--witness-tol", type=float, default=1e-3,
                      help="epsilon below which the state counts as Gaussian "
                           "(keep above the truncation floor of the cutoff)")
@@ -233,6 +232,8 @@ def _cmd_witness(args) -> int:
     eps = nongaussianity_witness(rho, args.theta)
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"
     print(f"{verdict} (epsilon={eps:.6e})")
+    for flag in rho.flags:
+        print(f"warning: {flag}", file=sys.stderr)
     return 0
 
 

@@ -12,16 +12,16 @@ that downstream reports propagate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
 from .errors import (CalibrationError, DimensionError,
                      UncertaintyViolationError, ValidationError)
-from .symplectic import GaussianState, beam_splitter, symplectic_form
+from .symplectic import (GaussianState, beam_splitter, check_uncertainty,
+                         symplectic_form)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -188,7 +188,7 @@ def displacement_elements(alpha: np.ndarray, cutoff: int) -> np.ndarray:
                 lag[n + 1][k] = ((2 * n + k + 1 - x) * lag[n][k]
                                  - (n + k) * lag[n - 1][k]) / (n + 1)
 
-    lg = gammaln(np.arange(1, d + 1))
+    lg = [math.lgamma(m + 1) for m in range(d)]   # log m!
     out = np.empty(alpha.shape + (d, d), dtype=complex)
     for m in range(d):
         for n in range(m, d):
@@ -220,7 +220,9 @@ def certified_levels(space: FockSpace) -> int:
 
 
 def weyl_operator(space: FockSpace, xi: np.ndarray) -> FockOperator:
-    """Unitary exp(i xi . sigma R) on the truncated space (dense expm)."""
+    """Unitary exp(i xi . sigma R) on the truncated space, from the
+    eigendecomposition of the Hermitian generator H = xi . sigma R:
+    W = V diag(exp(i lam)) V* for H = V diag(lam) V*."""
     xi = np.asarray(xi, dtype=float).ravel()
     if xi.size != 2 * space.n_modes:
         raise DimensionError(f"xi has size {xi.size}, expected {2 * space.n_modes}")
@@ -228,7 +230,8 @@ def weyl_operator(space: FockSpace, xi: np.ndarray) -> FockOperator:
         raise ValidationError("xi must be finite")
     sigma = symplectic_form(space.n_modes)
     coeff = sigma.T @ xi   # xi . sigma R = sum_k (sigma^T xi)_k R_k
-    w = expm(1j * apply_quadratures(np.eye(space.dim), coeff, space))
+    lam, v = np.linalg.eigh(apply_quadratures(np.eye(space.dim), coeff, space))
+    w = (v * np.exp(1j * lam)) @ v.conj().T
     flags = ()
     if float(np.linalg.norm(xi)) > safe_extent(space):
         flags = ("weyl:beyond-safe-extent",)
@@ -684,8 +687,6 @@ def gaussify(rho: FockOperator,
     """
     table = moments(rho)
     gs = GaussianState(table.d, (table.gamma + table.gamma.T) / 2)
-    from .symplectic import check_uncertainty
-
     mineig = check_uncertainty(gs.gamma, tol)
     if mineig < -tol.uncertainty:
         raise UncertaintyViolationError(
@@ -761,7 +762,13 @@ def gaussian_to_fock(gs: GaussianState, space: FockSpace,
     eye, zero = np.eye(n), np.zeros((n, n))
     w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / SQRT2
     q = w @ gs.gamma[np.ix_(xxpp, xxpp)] @ w.conj().T / 2.0 + np.eye(2 * n) / 2.0
-    q_inv = np.linalg.inv(q)
+    try:
+        q_inv = np.linalg.inv(q)
+    except np.linalg.LinAlgError as exc:   # q >= I/2, so only rounding does this
+        raise ValidationError(
+            "Gaussian state's Husimi matrix (Gamma + I)/2 is singular in double "
+            "precision: Gamma's smallest eigenvalue is "
+            f"{np.linalg.eigvalsh(gs.gamma)[0]:.3e}") from exc
     a = np.block([[zero, eye], [eye, zero]]) @ (np.eye(2 * n) - q_inv)
     alpha = (gs.d[0::2] + 1j * gs.d[1::2]) / SQRT2
     beta = np.concatenate([alpha, alpha.conj()])

@@ -341,6 +341,64 @@ def test_witness_trivial_angle(capsys):
     assert "trivial splitter" in capsys.readouterr().err
 
 
+def test_witness_warns_on_input_truncation_flags(capsys):
+    # squeezed:3 has most of its mass above cutoff 8: one warning per flag
+    assert main(["witness", "--state", "squeezed:3", "--theta", "0.6",
+                 "--cutoff", "8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "non-gaussian (epsilon=1.385868e+00)\n"
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("warning: truncation:") for line in lines)
+    assert any(line.startswith("warning: truncation:synthesis:mass-deficit=")
+               for line in lines)
+    assert main(["witness", "--state", "fock:1", "--theta", "0.6",
+                 "--cutoff", "8"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_witness_singular_husimi_matrix_is_one_error_line(capsys):
+    assert main(["witness", "--state", "squeezed:20", "--theta", "0.6",
+                 "--cutoff", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Husimi" in captured.err
+    assert "singular in double precision" in captured.err
+    assert "smallest eigenvalue is 4.248e-18" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert main(["witness", "--state", "squeezed:19", "--theta", "0.6",
+                 "--cutoff", "8"]) == 0
+
+
+def test_witness_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--state", "fock:1", "--theta", "0.6", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: every command, selftest included,
+    # runs without importing scipy
+    cfg = write_config(tmp_path, state2="fock:1", cutoff=6)
+    matrix = tmp_path / "s.json"
+    save_matrix(beam_splitter(0.3, 1), matrix)
+    script = f"""
+import sys
+from bosonic_ds.cli import main
+for argv in (["witness", "--state", "fock:1", "--theta", "0.6", "--cutoff", "8"],
+             ["ds-run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r.json")!r}],
+             ["constants", "--theta-min", "0.2", "--theta-max", "1.2", "--steps", "3"],
+             ["classify", "--matrix", {str(matrix)!r}],
+             ["selftest"]):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "bosonic_ds.cli", "--help"],
                           capture_output=True, text=True)

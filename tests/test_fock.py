@@ -103,6 +103,23 @@ def test_weyl_unitary_and_extent_flag():
     assert safe_extent(space) < 10.0
 
 
+@pytest.mark.parametrize("n, d", [(1, 20), (2, 6)])
+def test_weyl_matches_expm(n, d):
+    # the eigendecomposition against expm of the Kronecker-built generator
+    # xi . sigma R, with Q = (a + a*)/sqrt2 and P = -i (a - a*)/sqrt2
+    space = FockSpace(n, d)
+    a = lowering(d)
+    one_mode = [(a + a.T) / np.sqrt(2), -1j * (a - a.T) / np.sqrt(2)]
+    quads = [np.kron(np.kron(np.eye(d ** mode), op), np.eye(d ** (n - mode - 1)))
+             for mode in range(n) for op in one_mode]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        xi = rng.uniform(-1.5, 1.5, 2 * n)
+        gen = sum(c * r for c, r in zip(symplectic_form(n).T @ xi, quads))
+        np.testing.assert_allclose(weyl_operator(space, xi).matrix,
+                                   expm(1j * gen), rtol=0, atol=1e-12)
+
+
 def test_char_batch_matches_expm_path():
     # closed-form matrix elements vs exponential of the truncated generator
     space = FockSpace(1, 20)
