@@ -118,6 +118,7 @@ def _run_inputs(args, cfg: dict) -> tuple:
 
     from .config import Tolerances
     from .fock import FockSpace
+    from .stability import _check_fits_memory
     from .states import parse_state_spec
 
     try:
@@ -139,6 +140,7 @@ def _run_inputs(args, cfg: dict) -> tuple:
                 raise ValidationError(
                     f"tolerance {name} must be finite and positive, got {value}")
         space = FockSpace(modes, cutoff)
+        _check_fits_memory(FockSpace(2 * modes, cutoff))   # before any input is built
         rho1 = parse_state_spec(cfg["state1"], space, tol)
         rho2 = parse_state_spec(cfg["state2"], space, tol)
     except KeyError as exc:
@@ -223,11 +225,12 @@ def _cmd_classify(args) -> int:
 def _cmd_witness(args) -> int:
     from .fock import FockSpace
     from .states import parse_state_spec
-    from .stability import nongaussianity_witness
+    from .stability import _check_fits_memory, nongaussianity_witness
 
     if not (math.isfinite(args.witness_tol) and args.witness_tol >= 0):
         raise ValidationError(
             f"--witness-tol must be finite and >= 0, got {args.witness_tol}")
+    _check_fits_memory(FockSpace(2, args.cutoff))   # before the input is built
     rho = parse_state_spec(args.state, FockSpace(1, args.cutoff))
     eps = nongaussianity_witness(rho, args.theta)
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"

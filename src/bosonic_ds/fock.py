@@ -163,40 +163,33 @@ def displacement_elements(alpha: np.ndarray, cutoff: int) -> np.ndarray:
     generator.  Returns an array of shape alpha.shape + (cutoff, cutoff).
     """
     alpha = np.asarray(alpha, dtype=complex)
-    x = (alpha * alpha.conj()).real
+    a = alpha.ravel()   # the batch is the last axis below: rows are contiguous
+    x = (a * a.conj()).real
     env = np.exp(-x / 2.0)
     d = cutoff
+    k = np.arange(d)[:, None]
 
-    # alpha^k and (-conj(alpha))^k for k = 0..d-1
-    pow_a = np.empty(alpha.shape + (d,), dtype=complex)
-    pow_b = np.empty_like(pow_a)
-    pow_a[..., 0] = 1.0
-    pow_b[..., 0] = 1.0
-    for k in range(1, d):
-        pow_a[..., k] = pow_a[..., k - 1] * alpha
-        pow_b[..., k] = pow_b[..., k - 1] * (-alpha.conj())
+    # alpha^k and (-conj(alpha))^k for k = 0..d-1, as repeated products
+    pow_a = np.ones((d,) + a.shape, dtype=complex)
+    pow_b = np.ones_like(pow_a)
+    pow_a[1:] = a
+    pow_b[1:] = -a.conj()
+    pow_a, pow_b = np.cumprod(pow_a, axis=0), np.cumprod(pow_b, axis=0)
 
-    # lag[n][k] = L_n^(k)(x) by the standard three-term recurrence
-    lag = [[None] * d for _ in range(d)]
-    for k in range(d):
-        lag[0][k] = np.ones_like(x)
+    # lag[n, k] = L_n^(k)(x) by the standard three-term recurrence in n
+    lag = np.ones((d, d) + a.shape)
     if d > 1:
-        for k in range(d):
-            lag[1][k] = 1.0 + k - x
+        lag[1] = 1.0 + k - x
         for n in range(1, d - 1):
-            for k in range(d):
-                lag[n + 1][k] = ((2 * n + k + 1 - x) * lag[n][k]
-                                 - (n + k) * lag[n - 1][k]) / (n + 1)
+            lag[n + 1] = ((2 * n + k + 1 - x) * lag[n] - (n + k) * lag[n - 1]) / (n + 1)
 
-    lg = [math.lgamma(m + 1) for m in range(d)]   # log m!
-    out = np.empty(alpha.shape + (d, d), dtype=complex)
-    for m in range(d):
-        for n in range(m, d):
-            k = n - m
-            base = np.exp(0.5 * (lg[m] - lg[n])) * env * lag[m][k]
-            out[..., n, m] = base * pow_a[..., k]
-            out[..., m, n] = base * pow_b[..., k]
-    return out
+    lg = np.array([math.lgamma(m + 1) for m in range(d)])   # log m!
+    out = np.empty((d * d,) + a.shape, dtype=complex)   # row m d + n holds <m|D|n>
+    for j in range(d):   # <m + j|D|m> and <m|D|m + j> for m = 0..d-j-1
+        base = np.exp(0.5 * (lg[:d - j] - lg[j:]))[:, None] * env * lag[:d - j, j]
+        out[j * d::d + 1] = base * pow_a[j]
+        out[j:(d - j) * d:d + 1] = base * pow_b[j]
+    return out.T.reshape(alpha.shape + (d, d))
 
 
 def safe_extent(space: FockSpace) -> float:
@@ -242,32 +235,33 @@ def weyl_operator(space: FockSpace, xi: np.ndarray) -> FockOperator:
 # Characteristic-function evaluation (trace against Weyl operators)
 
 
-def char_batch(rho: FockOperator, xs: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def char_batch(rho: FockOperator, xs: np.ndarray) -> np.ndarray:
     """chi(xs) = Tr[W_xs rho] for a batch of points, shape (M, 2n) -> (M,).
 
     Uses the closed-form Weyl matrix elements, which evaluate the exact
-    characteristic function of the truncated operator at any point.
+    characteristic function of the truncated operator at any point.  W_xi is
+    the product of one displacement D_l per mode, so Tr[W rho] is the sum of
+    rho[a, b] prod_l D_l[b_l, a_l], contracted one mode at a time.  Points
+    go in batches of max(1, 2**20 // cutoff**(2n)): a batch's displacement
+    elements and partial contractions then hold at most 2**20 complex
+    entries, or one point's worth where a single point needs more.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n, d = rho.space.n_modes, rho.space.cutoff
-    if n > 2:
-        raise DimensionError("characteristic evaluation supports at most 2 modes")
+    # rho[a, b] -> t[(b_1, a_1), (b_2, a_2, ..., b_n, a_n)]
+    order = [axis for mode in range(n) for axis in (n + mode, mode)]
+    t = rho.matrix.reshape((d,) * (2 * n)).transpose(order).reshape(d * d, -1)
+    batch = max(1, 2 ** 20 // d ** (2 * n))
     out = np.empty(xs.shape[0], dtype=complex)
-    if n == 1:
-        rmat = rho.matrix
-        for lo in range(0, xs.shape[0], chunk):
-            blk = xs[lo:lo + chunk]
-            t = displacement_elements(weyl_alphas(blk, 1)[:, 0], d)
-            out[lo:lo + chunk] = np.einsum("mab,ba->m", t, rmat)
-    else:
-        rr = rho.matrix.reshape(d, d, d, d)   # [b1, b2, a1, a2] after transpose
-        rr = rr.transpose(2, 3, 0, 1)         # rho[b, a] -> rr[b1, b2, a1, a2]
-        for lo in range(0, xs.shape[0], chunk):
-            blk = xs[lo:lo + chunk]
-            alphas = weyl_alphas(blk, 2)
-            t0 = displacement_elements(alphas[:, 0], d)
-            t1 = displacement_elements(alphas[:, 1], d)
-            out[lo:lo + chunk] = np.einsum("mik,mjl,klij->m", t0, t1, rr)
+    for lo in range(0, xs.shape[0], batch):
+        alphas = weyl_alphas(xs[lo:lo + batch], n)
+        m = len(alphas)
+        acc = displacement_elements(alphas[:, 0], d).reshape(m, d * d) @ t
+        for mode in range(1, n):
+            acc = np.einsum("mk,mkr->mr",
+                            displacement_elements(alphas[:, mode], d).reshape(m, d * d),
+                            acc.reshape(m, d * d, -1))
+        out[lo:lo + batch] = acc[:, 0]
     return out
 
 

@@ -58,7 +58,6 @@ class CharGrid:
     extent: float
     points: int
     values: np.ndarray
-    source: str = "fock"
     flags: tuple = ()
 
     def __post_init__(self):
@@ -85,9 +84,8 @@ def _trapezoid_weights(points: int, step: float) -> np.ndarray:
 
 
 def char_grid(source, extent: float, points: int, n_modes: int | None = None,
-              tol: Tolerances = DEFAULT_TOLERANCES,
-              is_density: bool = True) -> CharGrid:
-    """Dense chi evaluation over a uniform symmetric grid.
+              tol: Tolerances = DEFAULT_TOLERANCES) -> CharGrid:
+    """Dense chi evaluation over a uniform symmetric grid of a density.
 
     Flags the result when |chi| at the boundary exceeds the boundary
     tolerance, signaling that the extent is too small for the state.
@@ -97,8 +95,6 @@ def char_grid(source, extent: float, points: int, n_modes: int | None = None,
     if points ** (2 * n_modes) > 2_000_000:
         raise DimensionError("grid too large; reduce points or mode count")
     chi = char_callable(source)
-    grid_label = "gaussian" if isinstance(source, GaussianState) else (
-        "fock" if isinstance(source, FockOperator) else "callable")
 
     ax = spec.axis()
     mesh = np.meshgrid(*([ax] * (2 * n_modes)), indexing="ij")
@@ -107,18 +103,18 @@ def char_grid(source, extent: float, points: int, n_modes: int | None = None,
 
     flags = ()
     origin = values[(spec.points // 2,) * (2 * n_modes)]
-    if is_density and abs(origin - 1.0) > 1e-8:
+    if abs(origin - 1.0) > 1e-8:
         raise ValidationError(f"chi(0) = {origin} deviates from 1")
     sym_defect = float(np.max(np.abs(values - np.conj(values[(slice(None, None, -1),)
                                                              * (2 * n_modes)]))))
-    if is_density and sym_defect > 1e-8:
+    if sym_defect > 1e-8:
         raise ValidationError(f"chi(-xi) != conj(chi(xi)): defect {sym_defect:.3e}")
     boundary = _boundary_max(values)
     if boundary > tol.boundary:
         flags += (f"chi:boundary={boundary:.3e}",)
     if isinstance(source, FockOperator):
         flags += source.flags
-    return CharGrid(n_modes, float(extent), int(points), values, grid_label, flags)
+    return CharGrid(n_modes, float(extent), int(points), values, flags)
 
 
 def _boundary_max(values: np.ndarray) -> float:
@@ -170,27 +166,31 @@ def _kernel_min_eig(chi, pts: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(kern)[0])
 
 
+_BOX = 2.0            # random points are drawn in [-_BOX, _BOX]^(2n)
+_STOP_BELOW = -0.01   # a search stops at a minimum eigenvalue below this
+
+
 def sigma_positivity_test(source, n_modes: int | None = None, *, seed: int,
                           set_sizes=(2, 4, 8), n_sets: int = 200,
-                          box: float = 2.0, search: bool = False,
-                          max_trials: int = 1000, stop_below: float = -0.01,
+                          search: bool = False, max_trials: int = 1000,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> SigmaPositivityReport:
     """Hunt for point sets violating twisted-kernel positivity.
 
     Builds M_kl = chi(xi_k - xi_l) exp(i xi_k . sigma xi_l / 2) for random
     point sets and reports the worst minimum eigenvalue.  With ``search``
-    the worst set is refined by local perturbation until ``stop_below`` is
-    reached or the trial budget runs out.  A sampled grid works as the chi
-    source too: points then snap to grid nodes so that differences stay on
-    the lattice.  Absence of a violation is not a proof of validity.
+    the worst set is refined by local perturbation until the minimum
+    eigenvalue is below ``_STOP_BELOW`` or the trial budget runs out.  A
+    sampled grid works as the chi source too: points then snap to grid nodes
+    so that differences stay on the lattice.  Absence of a violation is not a
+    proof of validity.
     """
     rng = np.random.default_rng(seed)
     if isinstance(source, CharGrid):
-        # Integer lattice offsets within min(box, extent/2) of the origin;
+        # Integer lattice offsets within min(_BOX, extent/2) of the origin;
         # differences of such nodes are nodes, so chi is read off the grid.
         grid, n_modes, step = source, source.n_modes, source.step
         origin = grid.origin_index()
-        reach = min(int(min(box, grid.extent / 2) / step), origin // 2)
+        reach = min(int(min(_BOX, grid.extent / 2) / step), origin // 2)
         if reach < 1:
             raise ValidationError("grid too coarse for lattice positivity sampling")
 
@@ -208,7 +208,7 @@ def sigma_positivity_test(source, n_modes: int | None = None, *, seed: int,
         chi = char_callable(source)
 
         def draw(m):
-            return rng.uniform(-box, box, size=(m, 2 * n_modes))
+            return rng.uniform(-_BOX, _BOX, size=(m, 2 * n_modes))
 
         def perturb(pts, scale):
             return pts + rng.normal(scale=scale, size=pts.shape)
@@ -222,17 +222,17 @@ def sigma_positivity_test(source, n_modes: int | None = None, *, seed: int,
         trials += 1
         if val < worst:
             worst, worst_set = val, pts
-        if search and worst < stop_below:
+        if search and worst < _STOP_BELOW:
             break
-    scale = 0.3 * box
-    while search and trials < max_trials and worst >= stop_below:
+    scale = 0.3 * _BOX
+    while search and trials < max_trials and worst >= _STOP_BELOW:
         pts = perturb(worst_set, scale)
         val = _kernel_min_eig(chi, pts, sigma)
         trials += 1
         if val < worst:
             worst, worst_set = val, pts
         else:
-            scale = max(0.02 * box, scale * 0.97)
+            scale = max(0.02 * _BOX, scale * 0.97)
     return SigmaPositivityReport(worst_set, worst, worst >= -tol.kernel_psd, trials)
 
 
@@ -269,17 +269,16 @@ def _finite_diff_moments(chi, dim: int, h: float) -> tuple:
     return grad, hess
 
 
-def derivative_moments(source, n_modes: int | None = None,
-                       steps=(1e-2, 1e-3)) -> tuple:
+def derivative_moments(source, n_modes: int | None = None) -> tuple:
     """Recover (d, Gamma) from central differences of chi at the origin.
 
     Uses grad chi(0) = i sigma d and Hess chi(0) = -sigma (Gamma/2 + d d^T)
-    sigma^T, Richardson-extrapolated over the given step pair.
+    sigma^T, Richardson-extrapolated over the steps 1e-2 and 1e-3.
     """
     n_modes = _mode_count(source, n_modes)
     chi = char_callable(source)
     dim = 2 * n_modes
-    h1, h2 = steps
+    h1, h2 = 1e-2, 1e-3
     g1, hh1 = _finite_diff_moments(chi, dim, h1)
     g2, hh2 = _finite_diff_moments(chi, dim, h2)
     ratio = (h1 / h2) ** 2
@@ -314,8 +313,7 @@ def ds_residual(state1, state2, theta: float, grid: GridSpec,
     interpolation) on all pairs of grid nodes.  Pairs whose rotated
     arguments exceed ``max_arg_norm`` are excluded from the sup and counted.
     """
-    if n_modes is None:
-        n_modes = state1.space.n_modes if isinstance(state1, FockOperator) else state1.n
+    n_modes = _mode_count(state1, n_modes)
     chi1 = char_callable(state1)
     chi2 = char_callable(state2)
     ax = grid.axis()

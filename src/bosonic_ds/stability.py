@@ -94,6 +94,9 @@ def region_radius(lam: float, epsilon: float) -> tuple:
     return r, 12.0 * epsilon ** (1.0 / 12.0)
 
 
+_MAX_MODES = 620   # the largest n with pi ** n finite, as c1 and c2 need
+
+
 def constants_sweep(theta_min: float, theta_max: float, steps: int,
                     n: int, kappa: float) -> list:
     """Per-theta table of the shape curve and the three constants."""
@@ -103,6 +106,8 @@ def constants_sweep(theta_min: float, theta_max: float, steps: int,
         raise ValidationError("theta range must lie inside (0, pi/2)")
     if n < 1:
         raise ValidationError(f"modes must be >= 1, got {n}")
+    if n > _MAX_MODES:
+        raise ValidationError(f"modes must be <= {_MAX_MODES}, got {n}")
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValidationError(f"kappa must be finite and >= 0, got {kappa}")
     thetas = np.linspace(theta_min, theta_max, steps) if steps > 1 \
@@ -228,9 +233,10 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
     dim = pair_space.dim
     need = _DENSE_MATRICES * dim ** 2 * 16
     if 0 < physical < need:
+        gib = need / 2 ** 30 if need < 2 ** 1000 else math.inf   # no float overflow
         raise ValidationError(
             f"pair dim {dim} ({pair_space.n_modes // 2} modes per arm, cutoff "
-            f"{pair_space.cutoff}) needs about {need / 2 ** 30:.1f} GiB of dense "
+            f"{pair_space.cutoff}) needs about {gib:.1f} GiB of dense "
             f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
         )
 

@@ -99,6 +99,15 @@ def displaced_vacuum(space: FockSpace, d,
 _ALIASES = {"fock1": "fock:1", "fock2": "fock:2", "fock3": "fock:3"}
 
 
+def _spec_number(spec: str, text: str, kind):
+    """``kind(text)``, one argument of a string spec; a malformed one names
+    the spec."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValidationError(f"state spec {spec!r}: {exc}") from exc
+
+
 def parse_state_spec(spec, space: FockSpace,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
     """Build a density operator from a CLI state spec (string or JSON object)."""
@@ -108,14 +117,15 @@ def parse_state_spec(spec, space: FockSpace,
         if head == "vacuum":
             return vacuum(space)
         if head == "fock":
-            levels = tuple(int(x) for x in arg.split(",")) if arg else (1,)
+            levels = tuple(_spec_number(spec, x, int) for x in arg.split(",")) \
+                if arg else (1,)
             return fock_state(space, levels if len(levels) > 1 else levels[0])
         if head == "thermal":
-            return thermal_state(space, float(arg), tol)
+            return thermal_state(space, _spec_number(spec, arg, float), tol)
         if head == "squeezed":
-            return squeezed_surrogate(space, float(arg), tol)
+            return squeezed_surrogate(space, _spec_number(spec, arg, float), tol)
         if head == "displaced":
-            d = np.array([float(x) for x in arg.split(",")])
+            d = np.array([_spec_number(spec, x, float) for x in arg.split(",")])
             return displaced_vacuum(space, d, tol)
         if head == "file":
             return load_density(arg, expected_space=space, tol=tol)

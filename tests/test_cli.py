@@ -224,6 +224,17 @@ def test_constants_json_notes(tmp_path):
                                                                        abs=1e-3)
 
 
+def test_constants_rejects_modes_whose_pi_power_overflows(capsys):
+    # c1 and c2 divide by pi ** modes, which is finite up to 620 modes
+    args = ["constants", "--theta-min", "0.3", "--theta-max", "0.5", "--steps", "2"]
+    assert main(args + ["--modes", "620"]) == 0
+    capsys.readouterr()
+    assert main(args + ["--modes", "621"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: modes must be <= 620, got 621\n"
+
+
 def test_classify_identity(tmp_path, capsys):
     path = tmp_path / "eye.json"
     save_matrix(np.eye(4), path)
@@ -425,3 +436,47 @@ def test_selftest_catches_corrupted_fixture(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(states, "golden_dir", lambda: tmp_path / "fixtures")
     assert main(["selftest"]) == 1
     assert "[FAIL] golden fixture integrity" in capsys.readouterr().out
+
+
+def _size_check_must_come_first(monkeypatch):
+    def build_input(*args, **kwargs):
+        raise AssertionError("an input state was built before the size check")
+
+    monkeypatch.setattr("bosonic_ds.states.parse_state_spec", build_input)
+
+
+def test_ds_run_size_check_precedes_the_inputs(tmp_path, capsys, monkeypatch):
+    _size_check_must_come_first(monkeypatch)
+    cfg = write_config(tmp_path, cutoff=100000)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 10000000000 ") and "physical memory" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_witness_size_check_precedes_the_input(capsys, monkeypatch):
+    _size_check_must_come_first(monkeypatch)
+    assert main(["witness", "--state", "vacuum", "--theta", "0.6",
+                 "--cutoff", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 10000000000 ") and "physical memory" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_size_check_of_an_astronomical_pair_is_one_line(tmp_path, capsys):
+    # the bytes needed overflow a float; the message must still be one line
+    cfg = write_config(tmp_path, modes_per_arm=300, cutoff=2)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim ") and "inf GiB" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
+    assert main(["witness", "--state", "fock:a", "--theta", "0.6"]) == 1
+    assert capsys.readouterr().err == (
+        "error: state spec 'fock:a': invalid literal for int() with base 10: 'a'\n")
+    cfg = write_config(tmp_path, state2="thermal:abc")
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: state spec 'thermal:abc': could not convert string to float: 'abc'\n")

@@ -12,11 +12,13 @@ from bosonic_ds.fock import (FockOperator, FockSpace, _calibrate_beam_splitter,
                              _pair_unitary, apply_splitter,
                              beam_splitter_unitary, block_groups,
                              certified_levels,
-                             char_batch, density, estimate_kappa, evolve,
+                             char_batch, density, displacement_elements,
+                             estimate_kappa, evolve,
                              gaussian_to_fock, gaussify, hs_norm,
                              leak_population, lowering, moments, partial_trace,
                              quadratures, safe_extent, support, tensor,
-                             trace_norm, validate_density, weyl_operator)
+                             trace_norm, validate_density, weyl_alphas,
+                             weyl_operator)
 from bosonic_ds.stability import pair_output
 from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
                                squeezed_surrogate, thermal_state, vacuum)
@@ -129,6 +131,54 @@ def test_char_batch_matches_expm_path():
     slow = np.array([np.trace(weyl_operator(space, x).matrix @ rho.matrix)
                      for x in xs])
     np.testing.assert_allclose(fast, slow, atol=5e-6)
+
+
+def test_char_batch_three_modes_matches_dense_kronecker():
+    # Tr[(D_1 (x) D_2 (x) D_3) rho] with the Weyl operator built densely
+    space = FockSpace(3, 3)
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
+    rho = density(space, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    xs = rng.uniform(-1.5, 1.5, size=(5, 6))
+    dense = []
+    for alphas in weyl_alphas(xs, 3):
+        d1, d2, d3 = displacement_elements(alphas, 3)
+        dense.append(np.trace(np.kron(np.kron(d1, d2), d3) @ rho.matrix))
+    np.testing.assert_allclose(char_batch(rho, xs), dense, rtol=0, atol=1e-12)
+
+
+def test_char_batch_factorizes_on_product_states():
+    one = FockSpace(1, 4)
+    rng = np.random.default_rng(13)
+    parts = [random_low_energy_density(rng, one, top=3) for _ in range(3)]
+    rho = tensor(tensor(parts[0], parts[1]), parts[2])
+    xs = rng.uniform(-1.5, 1.5, size=(7, 6))
+    product = np.prod([char_batch(part, xs[:, 2 * l:2 * l + 2])
+                       for l, part in enumerate(parts)], axis=0)
+    np.testing.assert_allclose(char_batch(rho, xs), product, rtol=0, atol=1e-12)
+
+
+def test_displacement_elements_match_mpmath_at_cutoff_40():
+    # normal order, independent of the Laguerre form: D = e^(-|a|^2/2) L U with
+    # L[m, j] = sqrt(m!/j!) a^(m-j)/(m-j)! and U[j, n] = sqrt(n!/j!) (-a*)^(n-j)/(n-j)!
+    import mpmath as mp
+
+    d = 40
+    alphas = np.array([1.5 + 1.5j, -1.5 + 0.4j, 0.7 - 1.5j, -0.3 - 0.9j])
+    got = displacement_elements(alphas, d)
+    with mp.workdps(50):
+        fact = [mp.factorial(k) for k in range(d)]
+        for alpha, block in zip(alphas, got):
+            a = mp.mpc(alpha.real, alpha.imag)
+            env = mp.exp(-abs(a) ** 2 / 2)
+            low = [[mp.sqrt(fact[m] / fact[j]) * a ** (m - j) / fact[m - j]
+                    for j in range(m + 1)] for m in range(d)]
+            up = [[mp.sqrt(fact[n] / fact[j]) * (-mp.conj(a)) ** (n - j) / fact[n - j]
+                   for j in range(n + 1)] for n in range(d)]
+            ref = np.array([[complex(env * mp.fdot(low[m][:min(m, n) + 1],
+                                                   up[n][:min(m, n) + 1]))
+                             for n in range(d)] for m in range(d)])
+            np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13)
 
 
 # --- beam splitter ---------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosonic_ds.config import GridSpec
-from bosonic_ds.errors import DimensionError
+from bosonic_ds.errors import DimensionError, ValidationError
 from bosonic_ds.fock import FockSpace, gaussian_to_fock, hs_norm, moments
 from bosonic_ds.phase_space import (char_callable, char_function, char_grid,
                                     derivative_moments, ds_residual,
@@ -271,3 +271,8 @@ def test_residual_gaussian_closed_form_inputs():
     g2 = GaussianState(np.array([-0.2, 0.4]), 1.5 * np.eye(2))
     res = ds_residual(g1, g2, np.pi / 3, GridSpec(extent=3.0, points=9), n_modes=1)
     assert res.max_abs <= 1e-12
+
+
+def test_residual_of_bare_callables_needs_n_modes():
+    with pytest.raises(ValidationError, match="n_modes"):
+        ds_residual(fock1_char, fock1_char, 0.6, GridSpec(extent=2.0, points=3))
