@@ -92,32 +92,52 @@ def density(space: FockSpace, matrix: np.ndarray, flags: tuple = (),
 # Ladder and quadrature operators
 
 
-def lowering(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+@functools.lru_cache(maxsize=16)
+def _shift_weights(n_modes: int, cutoff: int) -> tuple:
+    """The stride cutoff^(n-1-l) of each mode l on the flat index j, and the
+    read-only (n, dim) weights up[l, j] = sqrt(k+1)/sqrt2 and down[l, j] =
+    sqrt(k)/sqrt2 of a shift from j to mode l's level k + 1 and k - 1, k
+    being its level at j.  up is 0 on the top level and down on level 0, so
+    no shift by a stride reaches into the next block of that mode's levels."""
+    strides = cutoff ** np.arange(n_modes - 1, -1, -1)
+    k = np.arange(cutoff ** n_modes) // strides[:, None] % cutoff
+    up = np.where(k < cutoff - 1, np.sqrt(k + 1.0) / SQRT2, 0.0)
+    down = np.sqrt(k.astype(float)) / SQRT2
+    up.flags.writeable = down.flags.writeable = False
+    return tuple(strides.tolist()), up, down
 
 
 def apply_quadratures(x: np.ndarray, coeffs, space: FockSpace) -> np.ndarray:
-    """x @ sum_k c_k R_k for x of shape (r, dim), with R = (Q1, P1, ..., Qn, Pn).
+    """x @ sum_k c_k R_k on the last axis of x, R = (Q1, P1, ..., Qn, Pn).
 
-    Each R_k acts on one mode, so the sum is contracted into axis l of x
-    reshaped to (r,) + (cutoff,) * n, one mode at a time.  The one-mode
-    M = c_Q Q + c_P P is tridiagonal, M[k, k+1] = (c_Q - i c_P) sqrt(k+1)/sqrt2
-    and M[k+1, k] = (c_Q + i c_P) sqrt(k+1)/sqrt2, so the contraction is two
-    shifted products.
+    ``coeffs`` is one vector (2n,) or a batch (b, 2n); for a batch, x has
+    shape (b or 1, ..., dim) and entry i of the result uses row i.  The
+    one-mode M = c_Q Q + c_P P is tridiagonal, M[k, k+1] = (c_Q - i c_P)
+    sqrt(k+1)/sqrt2 and M[k+1, k] = (c_Q + i c_P) sqrt(k+1)/sqrt2, so mode l
+    is two products by ``_shift_weights``, each added to the result shifted
+    by the mode's stride on the flat index of the whole array (a shift past
+    the end of a row carries a zero weight).  A mode is skipped when every
+    row's coefficients on it are zero.
     """
-    d = space.cutoff
-    t = x.reshape((-1,) + (d,) * space.n_modes)
-    out = np.zeros(t.shape, dtype=complex)
-    root = np.sqrt(np.arange(1.0, d)) / SQRT2
-    for mode in range(space.n_modes):
-        cq, cp = coeffs[2 * mode], coeffs[2 * mode + 1]
-        if cq == 0 and cp == 0:
-            continue
-        src = np.moveaxis(t, mode + 1, -1)
-        dst = np.moveaxis(out, mode + 1, -1)
-        dst[..., 1:] += src[..., :-1] * ((cq - 1j * cp) * root)
-        dst[..., :-1] += src[..., 1:] * ((cq + 1j * cp) * root)
-    return out.reshape(x.shape)
+    coeffs = np.asarray(coeffs)
+    strides, up, down = _shift_weights(space.n_modes, space.cutoff)
+    cq, cp = coeffs[..., 0::2, None], coeffs[..., 1::2, None]
+    c_up, c_down = cq - 1j * cp, cq + 1j * cp
+    active = np.any(coeffs.reshape(-1, len(strides), 2), axis=(0, 2))
+    lead = coeffs.shape[:-1] + (1,) * (x.ndim - coeffs.ndim)
+    out = np.zeros(np.broadcast_shapes(x.shape, lead + x.shape[-1:]),
+                   dtype=complex)
+    term = np.empty_like(out)
+    flat_out, flat_term = out.reshape(-1), term.reshape(-1)
+    for mode, s in enumerate(strides):
+        if active[mode]:
+            w = c_up[..., mode, :] * up[mode]
+            np.multiply(x, w.reshape(lead + (-1,)), out=term)
+            flat_out[s:] += flat_term[:-s]
+            w = c_down[..., mode, :] * down[mode]
+            np.multiply(x, w.reshape(lead + (-1,)), out=term)
+            flat_out[:-s] += flat_term[s:]
+    return out
 
 
 def quadratures(space: FockSpace) -> list:
@@ -572,20 +592,38 @@ def _kappa_blocks(left: np.ndarray, space: FockSpace) -> list:
     return block_groups(reach != 0)
 
 
+def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
+                  vs: np.ndarray, blocks: list) -> list:
+    """Trace norms of left R_u R_u R_v R_v for each row pair (u, v) of the
+    (b, 2n) arrays ``us`` and ``vs``, applied left to right by the quadrature
+    primitive on the whole batch at once, so a factor with few rows keeps
+    every product small.  The singular values are taken per block of
+    ``blocks``, the product's exact zero blocks (``_kappa_blocks``), one
+    stacked SVD per block; each pair's are summed largest first."""
+    prod = left[None]
+    for c in (us, us, vs, vs):
+        prod = apply_quadratures(prod, c, space)
+    svs = [np.linalg.svd(prod[(slice(None),) + idx], compute_uv=False)
+           for idx in blocks]
+    return [float(np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1]))
+            for k in range(len(prod))]
+
+
 def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
                  v: np.ndarray, blocks: list | None = None) -> float:
-    """Trace norm of left R_u R_u R_v R_v, applied left to right by the
-    quadrature primitive, so a factor with few rows keeps every product small.
-    The singular values are taken per block of ``blocks``, the product's exact
-    zero blocks (``_kappa_blocks``, found here when not given)."""
+    """``_kappa_values`` for one pair; the blocks are found here when not
+    given."""
     if blocks is None:
         blocks = _kappa_blocks(left, space)
-    prod = left
-    for c in (u, u, v, v):
-        prod = apply_quadratures(prod, c, space)
-    sv = np.concatenate([np.linalg.svd(prod[idx], compute_uv=False)
-                         for idx in blocks])
-    return float(np.sum(np.sort(sv)[::-1]))
+    return _kappa_values(left, space, u[None], v[None], blocks)[0]
+
+
+# The kappa search evaluates its fixed pairs in batches whose b x r x dim
+# products hold at most this many complex entries (256 KiB per array): enough
+# pairs to spread numpy's per-call cost when r x dim is small, few enough to
+# stay in cache and add little to peak memory.  A factor whose r x dim
+# exceeds it goes one pair at a time.
+_KAPPA_BATCH_ENTRIES = 2 ** 14
 
 
 def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
@@ -603,6 +641,9 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
     The exact zero blocks that every product shares are found once per
     search (``_kappa_blocks``), and each evaluation takes its singular values
     block by block.
+    The canonical and random pairs are fixed before the search, so they are
+    evaluated in batches whose products hold at most ``_KAPPA_BATCH_ENTRIES``
+    entries each; the refine steps, each from the current best, go one by one.
     A candidate must beat the best by more than dim roundoff units, so
     pairs that tie exactly (by symmetry) keep the first one whichever
     factor of the state evaluates them.
@@ -614,29 +655,32 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
     dim = 2 * space.n_modes
     rng = np.random.default_rng(seed)
     best, best_pair = -np.inf, None
-    n_eval = 0
 
-    def consider(u, v):
-        nonlocal best, best_pair, n_eval
-        val = _kappa_value(left, space, u, v, blocks)
-        n_eval += 1
+    def consider(u, v, val):
+        nonlocal best, best_pair
         if val > best * margin:
             best, best_pair = val, (u.copy(), v.copy())
 
     eye = np.eye(dim)
-    for i in range(dim):
-        for j in range(dim):
-            consider(eye[i], eye[j])
+    pairs = [(eye[i], eye[j]) for i in range(dim) for j in range(dim)]
     for _ in range(cfg.random_pairs):
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
-        consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
+    us, vs = np.array(pairs).transpose(1, 0, 2)
+    batch = max(1, _KAPPA_BATCH_ENTRIES // left.size)
+    for lo in range(0, len(pairs), batch):
+        hi = lo + batch
+        vals = _kappa_values(left, space, us[lo:hi], vs[lo:hi], blocks)
+        for k, val in enumerate(vals, lo):
+            consider(us[k], vs[k], val)
     for _ in range(cfg.refine_steps):
         u0, v0 = best_pair
         u = u0 + cfg.refine_scale * rng.normal(size=dim)
         v = v0 + cfg.refine_scale * rng.normal(size=dim)
-        consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    return best, best_pair, n_eval
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        consider(u, v, _kappa_value(left, space, u, v, blocks))
+    return best, best_pair, len(pairs) + cfg.refine_steps
 
 
 def moments(rho: FockOperator) -> MomentTable:

@@ -218,7 +218,9 @@ class PairOutput:
 # Peak RSS above the interpreter's and the inputs' measures 7.05 of them at
 # dim 1296 for two full-rank Gaussians (8.04 with the whole product's copy);
 # with that copy, dim 4096 measured 6.9 and a rank-2 pair 3.2.  The rest is
-# headroom.
+# headroom.  A batch of kappa pairs adds at most four arrays of 2**14
+# complex entries (256 KiB each), and a factor too large for a batch of two
+# goes one pair at a time, so batching leaves the count unchanged.
 _DENSE_MATRICES = 9
 
 
@@ -234,8 +236,10 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
     need = _DENSE_MATRICES * dim ** 2 * 16
     if 0 < physical < need:
         gib = need / 2 ** 30 if need < 2 ** 1000 else math.inf   # no float overflow
+        # past 20 digits the power says more, and str() fails past 4300
+        shown = dim if dim < 10 ** 20 else f"{pair_space.cutoff}^{pair_space.n_modes}"
         raise ValidationError(
-            f"pair dim {dim} ({pair_space.n_modes // 2} modes per arm, cutoff "
+            f"pair dim {shown} ({pair_space.n_modes // 2} modes per arm, cutoff "
             f"{pair_space.cutoff}) needs about {gib:.1f} GiB of dense "
             f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
         )

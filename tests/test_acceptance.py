@@ -177,8 +177,8 @@ def test_criterion_6_parseval_isometry(gate):
 def test_criterion_7_constant_against_high_precision_oracle(gate):
     import mpmath as mp
 
-    mp.mp.dps = 50
-    oracle = float(32 * mp.sqrt(mp.mpf(8) / mp.pi))
+    with mp.workdps(50):
+        oracle = float(32 * mp.sqrt(mp.mpf(8) / mp.pi))
     mine = c1_constant(np.pi / 4, 1, 1.0)
     rel = abs(mine - oracle) / oracle
     quoted_gap = abs(mine - C1_QUOTED_50_50) / C1_QUOTED_50_50

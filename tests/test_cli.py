@@ -472,6 +472,15 @@ def test_size_check_of_an_astronomical_pair_is_one_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_size_check_names_a_pair_dim_too_long_to_print(tmp_path, capsys):
+    # 2^16000 has more digits than Python converts to a string by default
+    cfg = write_config(tmp_path, modes_per_arm=8000, cutoff=2)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 2^16000 (8000 modes per arm, cutoff 2)")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
     assert main(["witness", "--state", "fock:a", "--theta", "0.6"]) == 1
     assert capsys.readouterr().err == (

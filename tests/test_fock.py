@@ -7,15 +7,16 @@ from scipy.linalg import expm
 from bosonic_ds.config import KappaConfig
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
-from bosonic_ds.fock import (FockOperator, FockSpace, _calibrate_beam_splitter,
-                             _calibrated_states, _kappa_blocks, _kappa_value,
-                             _pair_unitary, apply_splitter,
+from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
+                             _calibrate_beam_splitter, _calibrated_states,
+                             _kappa_blocks, _kappa_value, _kappa_values,
+                             _pair_unitary, apply_quadratures, apply_splitter,
                              beam_splitter_unitary, block_groups,
                              certified_levels,
                              char_batch, density, displacement_elements,
                              estimate_kappa, evolve,
                              gaussian_to_fock, gaussify, hs_norm,
-                             leak_population, lowering, moments, partial_trace,
+                             leak_population, moments, partial_trace,
                              quadratures, safe_extent, support, tensor,
                              trace_norm, validate_density, weyl_alphas,
                              weyl_operator)
@@ -26,6 +27,10 @@ from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
 
 from conftest import random_low_energy_density
+
+
+def lowering(d):
+    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
 
 
 # --- quadratures -----------------------------------------------------------
@@ -55,6 +60,44 @@ def test_commutator_below_truncation():
     q, p = quadratures(space)
     comm = q.matrix @ p.matrix - p.matrix @ q.matrix
     np.testing.assert_allclose(comm[:-1, :-1], 1j * np.eye(9), atol=1e-14)
+
+
+def _dense_quadratures(n, d):
+    """(Q1, P1, ..., Qn, Pn) as Kronecker products of the local lowering."""
+    a = lowering(d)
+    one_mode = [(a + a.T) / np.sqrt(2), -1j * (a - a.T) / np.sqrt(2)]
+    return [np.kron(np.kron(np.eye(d ** mode), op), np.eye(d ** (n - mode - 1)))
+            for mode in range(n) for op in one_mode]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_quadratures_matches_dense_kronecker(n, d):
+    # each mode is a shift by its stride on the flat index; the top level
+    # and the step from one block of a mode's levels into the next are where
+    # a shift could reach the wrong state
+    space = FockSpace(n, d)
+    quads = _dense_quadratures(n, d)
+    rng = np.random.default_rng(10 * n + d)
+    x = rng.normal(size=(3, d ** n)) + 1j * rng.normal(size=(3, d ** n))
+    for c in [*np.eye(2 * n), rng.normal(size=2 * n)]:
+        dense = x @ sum(ck * r for ck, r in zip(c, quads))
+        np.testing.assert_allclose(apply_quadratures(x, c, space), dense,
+                                   rtol=0, atol=1e-14)
+
+
+def test_apply_quadratures_batch_equals_single_calls():
+    space = FockSpace(3, 3)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4, 27)) + 1j * rng.normal(size=(4, 27))
+    cs = rng.normal(size=(5, 6))
+    cs[1, :2] = 0.0   # one row skips a mode the others use
+    cs[:, 4:] = 0.0   # every row skips the last mode
+    singles = np.array([apply_quadratures(x, c, space) for c in cs])
+    assert np.array_equal(apply_quadratures(x[None], cs, space), singles)
+    xs = rng.normal(size=(5, 4, 27)) + 1j * rng.normal(size=(5, 4, 27))
+    singles = np.array([apply_quadratures(xk, c, space) for xk, c in zip(xs, cs)])
+    assert np.array_equal(apply_quadratures(xs, cs, space), singles)
 
 
 # --- Weyl operators --------------------------------------------------------
@@ -600,6 +643,73 @@ def test_kappa_blocks_follow_photon_parity(make, n_blocks):
         dense = trace_norm(left @ ru @ ru @ rv @ rv)
         assert _kappa_value(left, rho_ab.space, u, v, blocks) == \
             pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [_number_diagonal_pair, _displaced_pair],
+                         ids=["number-diagonal", "displaced"])
+def test_kappa_values_batch_equals_single_pairs(make):
+    rho1, rho2 = make()
+    rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
+    left = p[:, None] * w.conj().T
+    blocks = _kappa_blocks(left, rho_ab.space)
+    rng = np.random.default_rng(6)
+    us, vs = rng.normal(size=(2, 7, 2 * rho_ab.space.n_modes))
+    us[:2], vs[:2] = np.eye(4)[:2], np.eye(4)[2:]   # canonical pairs too
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    assert _kappa_values(left, rho_ab.space, us, vs, blocks) == \
+        [_kappa_value(left, rho_ab.space, u, v, blocks) for u, v in zip(us, vs)]
+
+
+def _sequential_kappa(factor, space, seed, cfg):
+    """The kappa search one pair at a time: every canonical pair, the random
+    pairs, then the refine steps, each kept when it beats the best by more
+    than dim roundoff units."""
+    w, p = factor
+    left = p[:, None] * w.conj().T
+    blocks = _kappa_blocks(left, space)
+    margin = 1.0 + space.dim * np.finfo(float).eps
+    dim = 2 * space.n_modes
+    rng = np.random.default_rng(seed)
+    best, best_pair, n_eval = -np.inf, None, 0
+
+    def consider(u, v):
+        nonlocal best, best_pair, n_eval
+        val = _kappa_value(left, space, u, v, blocks)
+        n_eval += 1
+        if val > best * margin:
+            best, best_pair = val, (u.copy(), v.copy())
+
+    eye = np.eye(dim)
+    for i in range(dim):
+        for j in range(dim):
+            consider(eye[i], eye[j])
+    for _ in range(cfg.random_pairs):
+        u = rng.normal(size=dim)
+        v = rng.normal(size=dim)
+        consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    for _ in range(cfg.refine_steps):
+        u0, v0 = best_pair
+        u = u0 + cfg.refine_scale * rng.normal(size=dim)
+        v = v0 + cfg.refine_scale * rng.normal(size=dim)
+        consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    return best, best_pair, n_eval
+
+
+@pytest.mark.parametrize("make", [_thermal_and_mixture, _two_mode_mixtures],
+                         ids=["thermal-mixture", "two-modes-per-arm"])
+def test_batched_kappa_search_matches_sequential_search(make):
+    rho1, rho2 = make()
+    out = pair_output(rho1, rho2, 0.6)
+    space = out.rho_ab.space
+    assert _KAPPA_BATCH_ENTRIES // out.factor[0].size > 1   # batches, not pairs
+    for seed in (0, 3):
+        kappa, pair, n_eval = estimate_kappa(out.factor, space, seed=seed)
+        ref, ref_pair, ref_n = _sequential_kappa(out.factor, space, seed,
+                                                 KappaConfig())
+        assert kappa == ref and n_eval == ref_n
+        for a, b in zip(pair, ref_pair):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_gaussify_round_trip():

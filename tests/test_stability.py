@@ -25,6 +25,10 @@ from conftest import random_low_energy_density
 CHEAP_KAPPA = KappaConfig(random_pairs=8, refine_steps=4)
 
 
+def lowering(d):
+    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+
+
 # --- constants -------------------------------------------------------------
 
 
@@ -299,7 +303,7 @@ def test_two_modes_per_arm_experiment():
 def test_correlated_two_mode_synthesis_matches_expm():
     from scipy.linalg import expm
 
-    from bosonic_ds.fock import lowering, moments, validate_density
+    from bosonic_ds.fock import moments, validate_density
     from bosonic_ds.symplectic import two_mode_squeezer
 
     # exp(r (a1+ a2+ - a1 a2)) realizes two_mode_squeezer(r); displaced
