@@ -779,6 +779,12 @@ def _hermite_grid(a: np.ndarray, y: np.ndarray, g0: complex,
     return out
 
 
+def _singular_husimi(gamma: np.ndarray) -> ValidationError:
+    return ValidationError(
+        "Gaussian state's Husimi matrix (Gamma + I)/2 is singular in double "
+        f"precision: Gamma's smallest eigenvalue is {np.linalg.eigvalsh(gamma)[0]:.3e}")
+
+
 def gaussian_to_fock(gs: GaussianState, space: FockSpace,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
     """Density matrix of an n-mode Gaussian state on a truncated space.
@@ -800,13 +806,14 @@ def gaussian_to_fock(gs: GaussianState, space: FockSpace,
     eye, zero = np.eye(n), np.zeros((n, n))
     w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / SQRT2
     q = w @ gs.gamma[np.ix_(xxpp, xxpp)] @ w.conj().T / 2.0 + np.eye(2 * n) / 2.0
+    # q >= I/2 exactly; once its rounding, eps |q|, reaches that floor, its
+    # inverse is rounding noise whether or not ``inv`` raises
+    if np.finfo(float).eps * np.linalg.norm(q, 2) >= 0.5:
+        raise _singular_husimi(gs.gamma)
     try:
         q_inv = np.linalg.inv(q)
-    except np.linalg.LinAlgError as exc:   # q >= I/2, so only rounding does this
-        raise ValidationError(
-            "Gaussian state's Husimi matrix (Gamma + I)/2 is singular in double "
-            "precision: Gamma's smallest eigenvalue is "
-            f"{np.linalg.eigvalsh(gs.gamma)[0]:.3e}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise _singular_husimi(gs.gamma) from exc
     a = np.block([[zero, eye], [eye, zero]]) @ (np.eye(2 * n) - q_inv)
     alpha = (gs.d[0::2] + 1j * gs.d[1::2]) / SQRT2
     beta = np.concatenate([alpha, alpha.conj()])

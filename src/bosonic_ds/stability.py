@@ -193,6 +193,26 @@ def _hermitian_trace_norm(g: np.ndarray) -> float:
     return float(np.sum(np.abs(np.sort(eigs))))
 
 
+def _schmidt_trace_norm(psi: np.ndarray) -> float:
+    """|g|_1 for a pure rho_ab = |psi><psi|, from psi as a matrix whose rows
+    are arm 1 and columns arm 2, by its Schmidt coefficients s = sigma(psi)^2.
+    In the Schmidt basis rho_a x rho_b = diag(s_j s_k), and rho_ab lives on
+    span{|a_k b_k>} as sqrt(s) sqrt(s)^T, so g's eigenvalues are -s_j s_k for
+    j != k and those of sqrt(s) sqrt(s)^T - diag(s^2): one SVD and one
+    ``eigvalsh`` of psi's size instead of one on the pair space.  Each s_j
+    multiplies the sum of the other s_k, from sums before and after it, so no
+    sum cancels; the absolute eigenvalues are summed in ascending order."""
+    s = np.linalg.svd(psi, compute_uv=False) ** 2
+    before = np.concatenate([[0.0], np.cumsum(s[:-1])])
+    after = np.concatenate([np.cumsum(s[:0:-1])[::-1], [0.0]])
+    root = np.sqrt(s)
+    inner = np.outer(root, root)
+    inner[np.diag_indices_from(inner)] -= s * s
+    eigs = np.concatenate([s * (before + after),
+                           np.abs(np.linalg.eigvalsh(inner))])
+    return float(np.sum(np.sort(eigs)))
+
+
 # ---------------------------------------------------------------------------
 # The splitter output
 
@@ -240,7 +260,7 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
         shown = dim if dim < 10 ** 20 else f"{pair_space.cutoff}^{pair_space.n_modes}"
         raise ValidationError(
             f"pair dim {shown} ({pair_space.n_modes // 2} modes per arm, cutoff "
-            f"{pair_space.cutoff}) needs about {gib:.1f} GiB of dense "
+            f"{pair_space.cutoff}) needs about {gib:.3g} GiB of dense "
             f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
         )
 
@@ -268,7 +288,9 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
 
     The splitter is passive, so with rho_j = V_j diag(p_j) V_j* the output
     is rho_ab = W diag(p) W*, W = U (V1 x V2), p = p1 x p2: U acts once, on
-    the rank(rho1) rank(rho2) columns of V1 x V2."""
+    the rank(rho1) rank(rho2) columns of V1 x V2.  When both inputs are pure
+    (one column), epsilon comes from that column's Schmidt coefficients;
+    otherwise from the zero blocks of g."""
     pair_space = _check_pair(rho1, rho2, theta, tol)
     u_pair = beam_splitter_unitary(FockSpace(2, pair_space.cutoff), theta).matrix
     (v1, p1), (v2, p2) = support(rho1), support(rho2)
@@ -280,7 +302,12 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
     rho_b = partial_trace(rho_ab, "second")
     g = np.kron(rho_a.matrix, rho_b.matrix)
     np.subtract(rho_ab.matrix, g, out=g)
-    return PairOutput(rho_ab, rho_a, rho_b, g, _hermitian_trace_norm(g), (w, p))
+    if len(p) == 1:
+        psi = math.sqrt(p[0]) * w[:, 0].reshape(rho1.space.dim, -1)
+        epsilon = _schmidt_trace_norm(psi)
+    else:
+        epsilon = _hermitian_trace_norm(g)
+    return PairOutput(rho_ab, rho_a, rho_b, g, epsilon, (w, p))
 
 
 # ---------------------------------------------------------------------------

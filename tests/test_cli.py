@@ -376,8 +376,26 @@ def test_witness_singular_husimi_matrix_is_one_error_line(capsys):
     assert "singular in double precision" in captured.err
     assert "smallest eigenvalue is 4.248e-18" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
-    assert main(["witness", "--state", "squeezed:19", "--theta", "0.6",
+    assert main(["witness", "--state", "squeezed:18", "--theta", "0.6",
                  "--cutoff", "8"]) == 0
+
+
+def test_witness_squeezing_past_double_precision_is_rejected_monotonically(capsys):
+    # q's I/2 floor is lost to rounding once eps |q| reaches it (z just
+    # above 18): from there on every z exits 1, not only those where inv raises
+    codes = {}
+    for z in range(15, 41):
+        codes[z] = main(["witness", "--state", f"squeezed:{z}", "--theta", "0.6",
+                         "--cutoff", "8"])
+        captured = capsys.readouterr()
+        if codes[z] == 1:
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: Gaussian state's Husimi matrix")
+            assert "smallest eigenvalue is" in captured.err
+    first = min(z for z, code in codes.items() if code == 1)
+    assert all(codes[z] == (0 if z < first else 1) for z in codes)
+    assert codes[19] == codes[24] == codes[30] == 1
 
 
 def test_witness_has_no_seed_option(capsys):
@@ -470,6 +488,15 @@ def test_size_check_of_an_astronomical_pair_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: pair dim ") and "inf GiB" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_size_check_of_a_huge_pair_prints_a_short_need(tmp_path, capsys):
+    # 2^807 bytes still fit a float; the GiB figure must not print in full
+    cfg = write_config(tmp_path, modes_per_arm=200, cutoff=2)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 2^400 ") and "e+233 GiB" in err
+    assert len(err.strip().splitlines()) == 1 and len(err) < 200
 
 
 def test_size_check_names_a_pair_dim_too_long_to_print(tmp_path, capsys):

@@ -15,10 +15,11 @@ from bosonic_ds.stability import (C1_QUOTED_50_50, c1_constant, c1_direct_50_50,
                                   constants_sweep, cross_covariance_V, f_bound,
                                   nongaussianity_witness, pair_output,
                                   region_radius, run_experiment, theta_curve,
-                                  _enforce_invariants, _hermitian_trace_norm)
+                                  _enforce_invariants, _hermitian_trace_norm,
+                                  _schmidt_trace_norm)
 from bosonic_ds.states import (fock_state, mixture, parse_state_spec,
                                thermal_state, vacuum)
-from bosonic_ds.symplectic import GaussianState
+from bosonic_ds.symplectic import GaussianState, two_mode_squeezer
 
 from conftest import random_low_energy_density
 
@@ -523,3 +524,68 @@ def test_output_moments_from_the_arms(modes, cutoff):
     whole = moments(pair_output(rho1, rho2, 0.6).rho_ab)
     assert rep.trace_gamma_out == pytest.approx(np.trace(whole.gamma), rel=1e-14)
     assert rep.kappa >= np.max(whole.fourth)
+
+
+# --- epsilon of a pure output from its Schmidt coefficients ----------------
+
+
+@pytest.mark.parametrize("schmidt_rank", [1, 2, 5])
+def test_schmidt_epsilon_of_a_maximally_entangled_state(schmidt_rank):
+    # psi = I / sqrt(D): rho_a x rho_b = I / D^2 and |g|_1 = 2 - 2 / D^2
+    psi = np.eye(schmidt_rank) / math.sqrt(schmidt_rank)
+    vec = psi.reshape(-1)
+    g = np.outer(vec, vec) - np.eye(schmidt_rank ** 2) / schmidt_rank ** 2
+    dense = float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    eps = _schmidt_trace_norm(psi)
+    assert eps == pytest.approx(2.0 - 2.0 / schmidt_rank ** 2, rel=1e-14, abs=1e-15)
+    assert eps == pytest.approx(dense, rel=1e-14, abs=1e-15)
+
+
+_TMS = two_mode_squeezer(0.2)
+
+
+@pytest.mark.parametrize("spec1, spec2, modes, cutoff", [
+    ("vacuum", "vacuum", 1, 8),
+    ("fock:1", "vacuum", 1, 8),
+    ("fock:2", "fock:2", 1, 24),
+    ("squeezed:0.29", "squeezed:0.29", 1, 32),
+    ("displaced:0.6,-0.5", "displaced:0.6,-0.5", 1, 28),
+    ("fock:1,0", "vacuum", 2, 6),
+    ({"kind": "gaussian", "d": [0.3, 0.0, 0.0, -0.2],
+      "gamma": (_TMS @ _TMS.T).tolist()}, "vacuum", 2, 6),
+], ids=["vacuum", "fock-1-vacuum", "fock-2", "squeezed", "displaced",
+        "two-modes-fock", "two-modes-gaussian"])
+def test_pure_pair_epsilon_from_schmidt_coefficients(monkeypatch, spec1, spec2,
+                                                     modes, cutoff):
+    # both inputs pure (r = 1): no eigensolve on the pair space, and the
+    # closed form agrees with the block eigenvalues of g
+    from bosonic_ds import stability
+
+    space = FockSpace(modes, cutoff)
+    rho1, rho2 = parse_state_spec(spec1, space), parse_state_spec(spec2, space)
+
+    def no_dense(g):
+        raise AssertionError("pure pair took the dense eigensolve")
+
+    monkeypatch.setattr(stability, "_hermitian_trace_norm", no_dense)
+    out = pair_output(rho1, rho2, 0.6)
+    monkeypatch.undo()
+    assert out.factor[0].shape[1] == 1
+    dense = _hermitian_trace_norm(out.g)
+    if spec1 == "vacuum":
+        assert out.epsilon == dense == 0.0
+    assert abs(out.epsilon - dense) <= max(1e-12 * dense, 1e-14)
+
+
+def test_rank_two_pair_epsilon_takes_the_block_path(monkeypatch):
+    from bosonic_ds import stability
+
+    def no_schmidt(psi):
+        raise AssertionError("mixed pair took the Schmidt closed form")
+
+    monkeypatch.setattr(stability, "_schmidt_trace_norm", no_schmidt)
+    space = FockSpace(1, 10)
+    rho1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 1))])
+    out = pair_output(rho1, vacuum(space), 0.6)
+    assert out.factor[0].shape[1] == 2
+    assert out.epsilon == _hermitian_trace_norm(out.g)
