@@ -160,6 +160,24 @@ def _mode_quadratures(cutoff: int) -> np.ndarray:
     return quads
 
 
+@functools.lru_cache(maxsize=16)
+def _mode_quadrature_norm(cutoff: int) -> float:
+    """||Q||_op of one truncated mode: its largest |eigenvalue|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(_mode_quadratures(cutoff)[0]))))
+
+
+def _quadrature_norms(coeffs, cutoff: int) -> np.ndarray:
+    """||sum_k c_k R_k||_op for each coefficient vector on the last axis of
+    ``coeffs``, in closed form: q sum_l |(c_2l, c_2l+1)|, q = ||Q||_op.  The
+    phase rotation exp(i phi N) of mode l keeps the truncated space and maps
+    c_Q Q + c_P P onto |c| Q, whose spectrum is symmetric (Q is tridiagonal
+    with a zero diagonal); the modes commute, so the extreme eigenvalue of
+    the sum is the sum of theirs."""
+    c = np.asarray(coeffs)
+    per_mode = np.linalg.norm(c.reshape(c.shape[:-1] + (-1, 2)), axis=-1)
+    return _mode_quadrature_norm(cutoff) * per_mode.sum(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Weyl operators
 #
@@ -592,27 +610,120 @@ def _kappa_blocks(left: np.ndarray, space: FockSpace) -> list:
     return block_groups(reach != 0)
 
 
-def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
-                  vs: np.ndarray, blocks: list) -> list:
-    """Trace norms of left R_u R_u R_v R_v for each row pair (u, v) of the
-    (b, 2n) arrays ``us`` and ``vs``, applied left to right by the quadrature
-    primitive on the whole batch at once, so a factor with few rows keeps
-    every product small.  The singular values are taken per block of
-    ``blocks``, the product's exact zero blocks (``_kappa_blocks``), one
-    stacked SVD per block; each pair's are summed largest first."""
+def _kappa_products(left: np.ndarray, space: FockSpace, us: np.ndarray,
+                    vs: np.ndarray) -> np.ndarray:
+    """left R_u R_u R_v R_v for each row pair (u, v) of the (b, 2n) arrays
+    ``us`` and ``vs``, shape (b, rows, dim), applied left to right by the
+    quadrature primitive on the whole batch at once.  Row i of product k
+    depends only on row i of ``left`` and on pair k, so it holds the same
+    bits in any batch and beside any other rows."""
     prod = left[None]
     for c in (us, us, vs, vs):
         prod = apply_quadratures(prod, c, space)
+    return prod
+
+
+def _trace_norms(prod: np.ndarray) -> np.ndarray:
+    """The trace norm of each matrix of a stack, from one stacked SVD."""
+    return np.linalg.svd(prod, compute_uv=False).sum(axis=-1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Norms of the rows (last axis) of a complex array, summed from views of
+    its real and imaginary parts, with no temporary the size of ``x``."""
+    sq = np.einsum("...j,...j->...", x.real, x.real)
+    sq += np.einsum("...j,...j->...", x.imag, x.imag)
+    return np.sqrt(sq)
+
+
+def _row_order(left: np.ndarray) -> tuple:
+    """The rows of ``left`` by norm, largest first, and tail[k], the summed
+    norms of rows order[k:] (tail[r] = 0)."""
+    weight = _row_norms(left)
+    order = np.argsort(weight)[::-1]
+    return order, np.append(np.cumsum(weight[order][::-1])[::-1], 0.0)
+
+
+def _head_bounds(left: np.ndarray, space: FockSpace, us: np.ndarray,
+                 vs: np.ndarray, head: np.ndarray, tail: float) -> np.ndarray:
+    """Upper bounds on ||left X||_1, X = R_u^2 R_v^2, for each pair, from the
+    rows ``head`` of ``left`` alone: ||left[head] X||_1 + ||X||_op tail, where
+    ``tail`` is at least the summed norms of the other rows.  By the triangle
+    inequality each other row adds at most the norm of row_i X, which is at
+    most ||row_i|| ||R_u||^2 ||R_v||^2 (``_quadrature_norms``)."""
+    op = (_quadrature_norms(us, space.cutoff)
+          * _quadrature_norms(vs, space.cutoff)) ** 2
+    return _trace_norms(_kappa_products(left[head], space, us, vs)) + op * tail
+
+
+def _row_bounds(prod: np.ndarray) -> np.ndarray:
+    """Upper bounds on the trace norm of each (rows, dim) product of ``prod``:
+    the trace norm of its ``_KAPPA_TOP_ROWS`` rows of largest norm plus the
+    norms of the others (the triangle inequality, row by row)."""
+    norms = _row_norms(prod)
+    idx = np.argsort(norms, axis=1)
+    top = np.take_along_axis(prod, idx[:, -_KAPPA_TOP_ROWS:, None], axis=1)
+    rest = np.take_along_axis(norms, idx[:, :-_KAPPA_TOP_ROWS], axis=1)
+    return _trace_norms(top) + rest.sum(axis=1)
+
+
+def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
+                  vs: np.ndarray, blocks: list, floor: float = -np.inf,
+                  rows: tuple = ()) -> list:
+    """Trace norms of left R_u R_u R_v R_v for each row pair (u, v) of the
+    (b, 2n) arrays ``us`` and ``vs`` (``_kappa_products``).  The singular
+    values are taken per block of ``blocks``, the product's exact zero
+    blocks (``_kappa_blocks``), one stacked SVD per block; each pair's are
+    summed largest first.
+
+    A pair whose trace norm provably cannot exceed ``floor`` gets -inf
+    instead: it is skipped once an upper bound b on its trace norm has
+    (1 + s) b <= floor, s a roundoff allowance of at least 16 dim eps.  With
+    a floor above 0, two bounds come before the block SVDs, each on the
+    pairs the one before it kept:
+
+    - ``_head_bounds``, before the full products, on the shortest head of
+      rows by norm (``rows``, ``_row_order(left)``, which a floor needs)
+      whose tail weight t has sup ||X||_op t <= ``_KAPPA_HEAD_SHARE``
+      floor, sup ||X||_op = q^4 n^2 over unit u, v on n modes; only when
+      that head leaves out a row;
+    - ``_row_bounds`` on the full products, when ``left`` has more than
+      ``_KAPPA_TOP_ROWS`` rows.
+
+    The products that reach the block SVDs are rows of the same batch
+    product, so every value that is not skipped holds the same bits as
+    without a floor.
+    """
+    vals = np.full(len(us), -np.inf)
+    live = np.arange(len(us))
+    slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
+    if floor > 0:
+        order, tail = rows
+        sup = (_mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
+        h = int(np.searchsorted(-tail, -_KAPPA_HEAD_SHARE * floor / sup))
+        if h < len(left):
+            bounds = _head_bounds(left, space, us, vs, order[:h], tail[h])
+            live = live[slack * bounds > floor]
+    if not live.size:
+        return vals.tolist()
+    prod = _kappa_products(left, space, us[live], vs[live])
+    if floor > 0 and len(left) > _KAPPA_TOP_ROWS:
+        keep = slack * _row_bounds(prod) > floor
+        if not keep.all():
+            prod, live = prod[keep], live[keep]
+        if not live.size:
+            return vals.tolist()
     svs = [np.linalg.svd(prod[(slice(None),) + idx], compute_uv=False)
            for idx in blocks]
-    return [float(np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1]))
-            for k in range(len(prod))]
+    vals[live] = [np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1])
+                  for k in range(len(live))]
+    return vals.tolist()
 
 
 def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
                  v: np.ndarray, blocks: list | None = None) -> float:
-    """``_kappa_values`` for one pair; the blocks are found here when not
-    given."""
+    """``_kappa_values`` for one pair, with no floor; the blocks are found
+    here when not given."""
     if blocks is None:
         blocks = _kappa_blocks(left, space)
     return _kappa_values(left, space, u[None], v[None], blocks)[0]
@@ -624,6 +735,18 @@ def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
 # stay in cache and add little to peak memory.  A factor whose r x dim
 # exceeds it goes one pair at a time.
 _KAPPA_BATCH_ENTRIES = 2 ** 14
+
+# The bounds of ``_kappa_values``: the tail weight a head of rows may leave
+# out, as a share of the floor; the rows the second bound keeps exact; the
+# relative roundoff allowance on each bound.  With two full-rank thermals
+# (0.3, 0.2) at cutoff 28, a share of 0.01 keeps 44-row heads and sends 3 of
+# 100 pairs to the block SVDs, 0.03 and 0.1 keep 38 and 31 rows but send 8,
+# and the search takes 0.6-0.9, 1.1-1.2 and 1.2-1.4 s; 0.003 keeps 52 rows.
+# Two full-rank Gaussians at 2 modes/arm, cutoff 5, go the other way: 7.6,
+# 5.6 and 3.8 s.  4 and 16 top rows measured within noise of 8.
+_KAPPA_HEAD_SHARE = 0.01
+_KAPPA_TOP_ROWS = 8
+_KAPPA_SKIP_SLACK = 1e-9
 
 
 def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
@@ -646,11 +769,14 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
     entries each; the refine steps, each from the current best, go one by one.
     A candidate must beat the best by more than dim roundoff units, so
     pairs that tie exactly (by symmetry) keep the first one whichever
-    factor of the state evaluates them.
+    factor of the state evaluates them.  That threshold is each batch's
+    floor: a pair whose trace norm provably cannot pass it skips its product
+    and SVDs (``_kappa_values``), and still counts as an evaluation.
     """
     w, p = factor
     left = p[:, None] * w.conj().T
     blocks = _kappa_blocks(left, space)
+    rows = _row_order(left)
     margin = 1.0 + space.dim * np.finfo(float).eps
     dim = 2 * space.n_modes
     rng = np.random.default_rng(seed)
@@ -671,7 +797,8 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
     batch = max(1, _KAPPA_BATCH_ENTRIES // left.size)
     for lo in range(0, len(pairs), batch):
         hi = lo + batch
-        vals = _kappa_values(left, space, us[lo:hi], vs[lo:hi], blocks)
+        vals = _kappa_values(left, space, us[lo:hi], vs[lo:hi], blocks,
+                             best * margin, rows)
         for k, val in enumerate(vals, lo):
             consider(us[k], vs[k], val)
     for _ in range(cfg.refine_steps):
@@ -679,7 +806,8 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
         u = u0 + cfg.refine_scale * rng.normal(size=dim)
         v = v0 + cfg.refine_scale * rng.normal(size=dim)
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-        consider(u, v, _kappa_value(left, space, u, v, blocks))
+        consider(u, v, _kappa_values(left, space, u[None], v[None], blocks,
+                                     best * margin, rows)[0])
     return best, best_pair, len(pairs) + cfg.refine_steps
 
 

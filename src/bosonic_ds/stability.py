@@ -102,8 +102,11 @@ def constants_sweep(theta_min: float, theta_max: float, steps: int,
     """Per-theta table of the shape curve and the three constants."""
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    if not (0.0 < theta_min <= theta_max < math.pi / 2):
+    if not (0.0 < theta_min < math.pi / 2 and 0.0 < theta_max < math.pi / 2):
         raise ValidationError("theta range must lie inside (0, pi/2)")
+    if theta_min > theta_max:
+        raise ValidationError(f"theta range is inverted: theta_min {theta_min} "
+                              f"is above theta_max {theta_max}")
     if n < 1:
         raise ValidationError(f"modes must be >= 1, got {n}")
     if n > _MAX_MODES:

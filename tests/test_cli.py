@@ -214,6 +214,20 @@ def test_constants_rejects_meaningless_input(capsys, option, value, field):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("low, high, message", [
+    ("0.2", "0.1", "theta range is inverted: theta_min 0.2 is above theta_max 0.1"),
+    ("0.3", "2", "theta range must lie inside (0, pi/2)"),
+    ("0", "0.5", "theta range must lie inside (0, pi/2)"),
+    ("nan", "0.5", "theta range must lie inside (0, pi/2)"),
+], ids=["inverted", "above-pi-half", "zero", "nan"])
+def test_constants_rejects_bad_theta_range(capsys, low, high, message):
+    assert main(["constants", "--theta-min", low, "--theta-max", high,
+                 "--steps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_constants_json_notes(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["constants", "--theta-min", "0.3", "--theta-max", "0.5",

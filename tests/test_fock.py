@@ -9,8 +9,10 @@ from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              _calibrate_beam_splitter, _calibrated_states,
-                             _kappa_blocks, _kappa_value, _kappa_values,
-                             _pair_unitary, apply_quadratures, apply_splitter,
+                             _head_bounds, _kappa_blocks, _kappa_products,
+                             _kappa_value, _kappa_values, _pair_unitary,
+                             _quadrature_norms, _row_bounds, _row_order,
+                             apply_quadratures, apply_splitter,
                              beam_splitter_unitary, block_groups,
                              certified_levels,
                              char_batch, density, displacement_elements,
@@ -696,13 +698,35 @@ def _sequential_kappa(factor, space, seed, cfg):
     return best, best_pair, n_eval
 
 
-@pytest.mark.parametrize("make", [_thermal_and_mixture, _two_mode_mixtures],
-                         ids=["thermal-mixture", "two-modes-per-arm"])
-def test_batched_kappa_search_matches_sequential_search(make):
+def _full_rank_thermals():
+    space = FockSpace(1, 12)
+    return thermal_state(space, 0.3), thermal_state(space, 0.2)
+
+
+def _full_rank_gaussians_two_modes():
+    space = FockSpace(2, 3)
+    return (gaussian_to_fock(GaussianState(np.zeros(4), np.diag([1.3, 1.3, 1.2, 1.2])),
+                             space),
+            gaussian_to_fock(GaussianState(np.zeros(4), np.diag([1.6, 1.6, 1.5, 1.5])),
+                             space))
+
+
+@pytest.mark.parametrize("make, batched", [
+    (_thermal_and_mixture, True),
+    (_two_mode_mixtures, True),
+    (_full_rank_thermals, False),            # r = dim = 144: one pair at a time
+    (_full_rank_gaussians_two_modes, True),  # r = dim = 81
+], ids=["thermal-mixture", "two-modes-per-arm", "full-rank-thermals",
+        "full-rank-gaussians-two-modes"])
+def test_batched_kappa_search_matches_sequential_search(make, batched):
+    # the search skips pairs that provably cannot beat the running best; the
+    # unpruned sequential search must agree with it on kappa, pair and count
     rho1, rho2 = make()
     out = pair_output(rho1, rho2, 0.6)
     space = out.rho_ab.space
-    assert _KAPPA_BATCH_ENTRIES // out.factor[0].size > 1   # batches, not pairs
+    if make in (_full_rank_thermals, _full_rank_gaussians_two_modes):
+        assert len(out.factor[1]) == space.dim
+    assert (_KAPPA_BATCH_ENTRIES // out.factor[0].size > 1) == batched
     for seed in (0, 3):
         kappa, pair, n_eval = estimate_kappa(out.factor, space, seed=seed)
         ref, ref_pair, ref_n = _sequential_kappa(out.factor, space, seed,
@@ -710,6 +734,77 @@ def test_batched_kappa_search_matches_sequential_search(make):
         assert kappa == ref and n_eval == ref_n
         for a, b in zip(pair, ref_pair):
             np.testing.assert_array_equal(a, b)
+
+
+def _displaced_and_thermal():
+    space = FockSpace(1, 10)
+    return displaced_vacuum(space, np.array([0.5, -0.3])), thermal_state(space, 0.3)
+
+
+@pytest.mark.parametrize("make", [
+    _number_diagonal_pair, _displaced_and_thermal, _full_rank_gaussians_two_modes,
+], ids=["number-diagonal", "displaced", "two-modes-per-arm"])
+def test_kappa_bounds_hold(make):
+    # both bounds that let the kappa search skip a pair lie above the trace
+    # norm of the dense product, for any head of rows
+    rho1, rho2 = make()
+    rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
+    space = rho_ab.space
+    left = p[:, None] * w.conj().T
+    r = len(left)
+    assert r > 8
+    quads = np.array([q.matrix for q in quadratures(space)])
+    rng = np.random.default_rng(8)
+    us, vs = rng.normal(size=(2, 6, 2 * space.n_modes))
+    us[0], vs[0] = np.eye(2 * space.n_modes)[:2]   # a canonical pair too
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    dense = np.array([trace_norm(left @ ru @ ru @ rv @ rv)
+                      for ru, rv in zip(np.tensordot(us, quads, 1),
+                                        np.tensordot(vs, quads, 1))])
+    order, tail = _row_order(left)
+    for h in (1, r // 2, r - 1):
+        head = _head_bounds(left, space, us, vs, order[:h], tail[h])
+        assert np.all(head >= dense * (1 - 1e-12))
+    rows = _row_bounds(_kappa_products(left, space, us, vs))
+    assert np.all(rows >= dense * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("n_modes", [2, 4], ids=["one-mode-per-arm", "two-modes-per-arm"])
+def test_quadrature_norms_match_dense_spectrum(n_modes):
+    space = FockSpace(n_modes, 4)
+    quads = np.array([q.matrix for q in quadratures(space)])
+    rng = np.random.default_rng(9)
+    coeffs = np.vstack([np.eye(2 * n_modes), rng.normal(size=(6, 2 * n_modes))])
+    closed = _quadrature_norms(coeffs, space.cutoff)
+    for c, norm in zip(coeffs, closed):
+        dense = np.max(np.abs(np.linalg.eigvalsh(np.tensordot(c, quads, 1))))
+        assert norm == pytest.approx(dense, abs=1e-12)
+        assert _quadrature_norms(c, space.cutoff) == norm
+
+
+def test_kappa_search_skips_most_full_rank_pairs(monkeypatch):
+    # two full-rank thermals: all but a few of the 100 evaluations are
+    # proved unable to beat the running best before their block SVDs
+    space = FockSpace(1, 12)
+    out = pair_output(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
+    w, p = out.factor
+    ab = out.rho_ab.space
+    blocks = _kappa_blocks(p[:, None] * w.conj().T, ab)
+    shapes = {(np.size(rows), np.size(cols)) for rows, cols in blocks}
+    assert all(cols < ab.dim for _, cols in shapes)   # no bound's shape
+    reached = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if a.shape[-2:] in shapes:
+            reached.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    kappa, _, n_eval = estimate_kappa(out.factor, ab, seed=0)
+    assert n_eval == 100
+    assert 0 < sum(reached) <= 20 * len(blocks)
 
 
 def test_gaussify_round_trip():
