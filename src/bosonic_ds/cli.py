@@ -108,7 +108,20 @@ def _integer(key: str, value) -> int:
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key} must be an integer, got {value!r}") from exc
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float; a value that is not a number names ``key``."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{key} must be a number, got {value!r}")
 
 
 def _run_inputs(args, cfg: dict) -> tuple:
@@ -122,10 +135,12 @@ def _run_inputs(args, cfg: dict) -> tuple:
     from .states import parse_state_spec
 
     try:
-        theta = float(args.theta if args.theta is not None else cfg["theta"])
+        theta = _number("theta", args.theta if args.theta is not None else cfg["theta"])
         cutoff = _integer("cutoff", args.cutoff if args.cutoff is not None
                           else cfg["cutoff"])
         seed = _integer("seed", args.seed if args.seed is not None else cfg["seed"])
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
         modes = _integer("modes_per_arm", cfg.get("modes_per_arm", 1))
         tolerances = cfg.get("tolerances", {})
         if not isinstance(tolerances, dict):

@@ -623,11 +623,6 @@ def _kappa_products(left: np.ndarray, space: FockSpace, us: np.ndarray,
     return prod
 
 
-def _trace_norms(prod: np.ndarray) -> np.ndarray:
-    """The trace norm of each matrix of a stack, from one stacked SVD."""
-    return np.linalg.svd(prod, compute_uv=False).sum(axis=-1)
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Norms of the rows (last axis) of a complex array, summed from views of
     its real and imaginary parts, with no temporary the size of ``x``."""
@@ -644,79 +639,83 @@ def _row_order(left: np.ndarray) -> tuple:
     return order, np.append(np.cumsum(weight[order][::-1])[::-1], 0.0)
 
 
+def _block_trace_norms(prod: np.ndarray, blocks: list) -> np.ndarray:
+    """The trace norm of each matrix of a (b, rows, dim) stack that is zero
+    outside ``blocks`` (``block_groups`` indices): one stacked SVD per block,
+    each matrix's singular values summed largest first."""
+    svs = [np.linalg.svd(prod[(slice(None),) + idx], compute_uv=False)
+           for idx in blocks]
+    return np.array([np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1])
+                     for k in range(len(prod))])
+
+
+def _head_blocks(blocks: list, head: np.ndarray, r: int) -> list:
+    """``blocks`` of an r-row ``left`` restricted to the rows ``head``,
+    numbered by their position in ``head``; blocks with no head row are
+    dropped.  Rows of different blocks have disjoint column supports, so
+    ``left[head] X`` is zero outside the restricted blocks."""
+    if isinstance(blocks[0][0], slice):   # one block holds every row
+        return blocks
+    restricted = []
+    for rows, cols in blocks:
+        inside = np.zeros(r, dtype=bool)
+        inside[rows] = True
+        at = np.flatnonzero(inside[head])
+        if at.size:
+            restricted.append((at[:, None], cols))
+    return restricted
+
+
 def _head_bounds(left: np.ndarray, space: FockSpace, us: np.ndarray,
-                 vs: np.ndarray, head: np.ndarray, tail: float) -> np.ndarray:
+                 vs: np.ndarray, blocks: list, head: np.ndarray,
+                 tail: float) -> np.ndarray:
     """Upper bounds on ||left X||_1, X = R_u^2 R_v^2, for each pair, from the
     rows ``head`` of ``left`` alone: ||left[head] X||_1 + ||X||_op tail, where
     ``tail`` is at least the summed norms of the other rows.  By the triangle
     inequality each other row adds at most the norm of row_i X, which is at
-    most ||row_i|| ||R_u||^2 ||R_v||^2 (``_quadrature_norms``)."""
+    most ||row_i|| ||R_u||^2 ||R_v||^2 (``_quadrature_norms``).  The head's
+    trace norm is taken per block of ``blocks`` (``_head_blocks``)."""
     op = (_quadrature_norms(us, space.cutoff)
           * _quadrature_norms(vs, space.cutoff)) ** 2
-    return _trace_norms(_kappa_products(left[head], space, us, vs)) + op * tail
-
-
-def _row_bounds(prod: np.ndarray) -> np.ndarray:
-    """Upper bounds on the trace norm of each (rows, dim) product of ``prod``:
-    the trace norm of its ``_KAPPA_TOP_ROWS`` rows of largest norm plus the
-    norms of the others (the triangle inequality, row by row)."""
-    norms = _row_norms(prod)
-    idx = np.argsort(norms, axis=1)
-    top = np.take_along_axis(prod, idx[:, -_KAPPA_TOP_ROWS:, None], axis=1)
-    rest = np.take_along_axis(norms, idx[:, :-_KAPPA_TOP_ROWS], axis=1)
-    return _trace_norms(top) + rest.sum(axis=1)
+    prod = _kappa_products(left[head], space, us, vs)
+    head_blocks = _head_blocks(blocks, head, len(left))
+    return _block_trace_norms(prod, head_blocks) + op * tail
 
 
 def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
                   vs: np.ndarray, blocks: list, floor: float = -np.inf,
                   rows: tuple = ()) -> list:
     """Trace norms of left R_u R_u R_v R_v for each row pair (u, v) of the
-    (b, 2n) arrays ``us`` and ``vs`` (``_kappa_products``).  The singular
-    values are taken per block of ``blocks``, the product's exact zero
-    blocks (``_kappa_blocks``), one stacked SVD per block; each pair's are
-    summed largest first.
+    (b, 2n) arrays ``us`` and ``vs`` (``_kappa_products``), taken per block
+    of ``blocks``, the product's exact zero blocks (``_kappa_blocks``), by
+    ``_block_trace_norms``.
 
     A pair whose trace norm provably cannot exceed ``floor`` gets -inf
     instead: it is skipped once an upper bound b on its trace norm has
     (1 + s) b <= floor, s a roundoff allowance of at least 16 dim eps.  With
-    a floor above 0, two bounds come before the block SVDs, each on the
-    pairs the one before it kept:
+    a floor above 0 the bound is ``_head_bounds``, before the full products,
+    on the shortest head of rows by norm (``rows``, ``_row_order(left)``,
+    which a floor needs) whose tail weight t has sup ||X||_op t <=
+    ``_KAPPA_HEAD_SHARE`` floor, sup ||X||_op = q^4 n^2 over unit u, v on n
+    modes; only when that head leaves out a row.
 
-    - ``_head_bounds``, before the full products, on the shortest head of
-      rows by norm (``rows``, ``_row_order(left)``, which a floor needs)
-      whose tail weight t has sup ||X||_op t <= ``_KAPPA_HEAD_SHARE``
-      floor, sup ||X||_op = q^4 n^2 over unit u, v on n modes; only when
-      that head leaves out a row;
-    - ``_row_bounds`` on the full products, when ``left`` has more than
-      ``_KAPPA_TOP_ROWS`` rows.
-
-    The products that reach the block SVDs are rows of the same batch
+    The products of the pairs that are kept are rows of the same batch
     product, so every value that is not skipped holds the same bits as
     without a floor.
     """
     vals = np.full(len(us), -np.inf)
     live = np.arange(len(us))
-    slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
     if floor > 0:
+        slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
         order, tail = rows
         sup = (_mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
         h = int(np.searchsorted(-tail, -_KAPPA_HEAD_SHARE * floor / sup))
         if h < len(left):
-            bounds = _head_bounds(left, space, us, vs, order[:h], tail[h])
+            bounds = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
             live = live[slack * bounds > floor]
-    if not live.size:
-        return vals.tolist()
-    prod = _kappa_products(left, space, us[live], vs[live])
-    if floor > 0 and len(left) > _KAPPA_TOP_ROWS:
-        keep = slack * _row_bounds(prod) > floor
-        if not keep.all():
-            prod, live = prod[keep], live[keep]
-        if not live.size:
-            return vals.tolist()
-    svs = [np.linalg.svd(prod[(slice(None),) + idx], compute_uv=False)
-           for idx in blocks]
-    vals[live] = [np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1])
-                  for k in range(len(live))]
+    if live.size:
+        prod = _kappa_products(left, space, us[live], vs[live])
+        vals[live] = _block_trace_norms(prod, blocks)
     return vals.tolist()
 
 
@@ -736,16 +735,15 @@ def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
 # exceeds it goes one pair at a time.
 _KAPPA_BATCH_ENTRIES = 2 ** 14
 
-# The bounds of ``_kappa_values``: the tail weight a head of rows may leave
-# out, as a share of the floor; the rows the second bound keeps exact; the
-# relative roundoff allowance on each bound.  With two full-rank thermals
-# (0.3, 0.2) at cutoff 28, a share of 0.01 keeps 44-row heads and sends 3 of
-# 100 pairs to the block SVDs, 0.03 and 0.1 keep 38 and 31 rows but send 8,
-# and the search takes 0.6-0.9, 1.1-1.2 and 1.2-1.4 s; 0.003 keeps 52 rows.
-# Two full-rank Gaussians at 2 modes/arm, cutoff 5, go the other way: 7.6,
-# 5.6 and 3.8 s.  4 and 16 top rows measured within noise of 8.
+# The head bound of ``_kappa_values``: the tail weight a head of rows may
+# leave out, as a share of the floor, and the relative roundoff allowance on
+# the bound.  With two full-rank thermals (0.3, 0.2) at cutoff 28, shares of
+# 0.003, 0.01, 0.03 and 0.1 keep heads of 52, 44, 38 and 31 rows, send 3, 3,
+# 8 and 15 of 100 pairs to the full product, and the search takes 0.65-0.81,
+# 0.72-0.75, 1.21-1.23 and 1.95-2.13 s.  Two full-rank Gaussians at 2
+# modes/arm, cutoff 5 (heads of 235, 185, 142 and 100 of 625 rows) go the
+# other way: 6.7-7.1, 5.2-5.3, 3.7-3.9 and 2.9-3.0 s.
 _KAPPA_HEAD_SHARE = 0.01
-_KAPPA_TOP_ROWS = 8
 _KAPPA_SKIP_SLACK = 1e-9
 
 
@@ -762,8 +760,8 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
     ``factor = (w, p)`` with orthonormal columns w gives the same singular
     values from the r x dim matrix diag(p) w* X.
     The exact zero blocks that every product shares are found once per
-    search (``_kappa_blocks``), and each evaluation takes its singular values
-    block by block.
+    search (``_kappa_blocks``), and each evaluation and each bound takes its
+    singular values block by block (``_block_trace_norms``).
     The canonical and random pairs are fixed before the search, so they are
     evaluated in batches whose products hold at most ``_KAPPA_BATCH_ENTRIES``
     entries each; the refine steps, each from the current best, go one by one.

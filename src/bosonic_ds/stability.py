@@ -102,6 +102,12 @@ def constants_sweep(theta_min: float, theta_max: float, steps: int,
     """Per-theta table of the shape curve and the three constants."""
     if steps < 1:
         raise ValidationError("steps must be >= 1")
+    physical = _physical_memory()
+    # a row is a dict of five floats (~310 bytes); with the CLI's JSON text
+    # of the table the peak measured about 1.1 KiB a row
+    if 0 < physical < 1024 * steps:
+        raise ValidationError(f"steps {steps}: a table of that many rows does not fit "
+                              f"in {physical / 2 ** 30:.1f} GiB of physical memory")
     if not (0.0 < theta_min < math.pi / 2 and 0.0 < theta_max < math.pi / 2):
         raise ValidationError("theta range must lie inside (0, pi/2)")
     if theta_min > theta_max:
@@ -247,14 +253,19 @@ class PairOutput:
 _DENSE_MATRICES = 9
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
 def _check_fits_memory(pair_space: FockSpace) -> None:
     """Refuse a pair space whose dense working set, ``_DENSE_MATRICES``
     complex dim x dim matrices, exceeds physical memory; skipped where that
     is unknown."""
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return
+    physical = _physical_memory()
     dim = pair_space.dim
     need = _DENSE_MATRICES * dim ** 2 * 16
     if 0 < physical < need:

@@ -162,6 +162,7 @@ def test_ds_run_names_unknown_tolerance(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("cutoff", 8.7), ("seed", 0.9), ("modes_per_arm", 1.5), ("seed", True),
+    ("seed", "x"),
 ])
 def test_ds_run_rejects_fractional_integer(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, **{key: value})
@@ -169,6 +170,25 @@ def test_ds_run_rejects_fractional_integer(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and repr(value) in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("overrides, flags, message", [
+    ({"seed": -1}, [], "seed must be non-negative, got -1"),
+    ({}, ["--seed", "-3"], "seed must be non-negative, got -3"),
+    ({"theta": "abc"}, [], "theta must be a number, got 'abc'"),
+    ({"theta": None}, [], "theta must be a number, got None"),
+], ids=["negative-seed", "negative-seed-flag", "string-theta", "null-theta"])
+def test_ds_run_names_bad_seed_or_theta_before_building_inputs(
+        tmp_path, capsys, monkeypatch, overrides, flags, message):
+    import bosonic_ds.states
+
+    def no_inputs(*args):
+        raise AssertionError("inputs built before the config was checked")
+
+    monkeypatch.setattr(bosonic_ds.states, "parse_state_spec", no_inputs)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["ds-run", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_constants_single_row(capsys):
@@ -226,6 +246,26 @@ def test_constants_rejects_bad_theta_range(capsys, low, high, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_constants_refuses_steps_beyond_memory(capsys, monkeypatch):
+    # a table of 10^12 rows cannot fit in 8 GiB: refused before the theta
+    # grid is allocated
+    import os
+
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PHYS_PAGES": 2 ** 21, "SC_PAGE_SIZE": 4096}[name])
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("theta grid allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert main(["constants", "--theta-min", "0.3", "--theta-max", "0.5",
+                 "--steps", str(10 ** 12)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: steps 1000000000000: a table of that many "
+                            "rows does not fit in 8.0 GiB of physical memory\n")
 
 
 def test_constants_json_notes(tmp_path):

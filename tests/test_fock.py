@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bosonic_ds import fock
 from bosonic_ds.config import KappaConfig
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              _calibrate_beam_splitter, _calibrated_states,
-                             _head_bounds, _kappa_blocks, _kappa_products,
+                             _head_blocks, _head_bounds, _kappa_blocks,
                              _kappa_value, _kappa_values, _pair_unitary,
-                             _quadrature_norms, _row_bounds, _row_order,
+                             _quadrature_norms, _row_order,
                              apply_quadratures, apply_splitter,
                              beam_splitter_unitary, block_groups,
                              certified_levels,
@@ -745,14 +746,16 @@ def _displaced_and_thermal():
     _number_diagonal_pair, _displaced_and_thermal, _full_rank_gaussians_two_modes,
 ], ids=["number-diagonal", "displaced", "two-modes-per-arm"])
 def test_kappa_bounds_hold(make):
-    # both bounds that let the kappa search skip a pair lie above the trace
-    # norm of the dense product, for any head of rows
+    # the bound that lets the kappa search skip a pair lies above the trace
+    # norm of the dense product, for any head of rows, with the head's trace
+    # norm taken on the blocks restricted to the head rows
     rho1, rho2 = make()
     rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
     space = rho_ab.space
     left = p[:, None] * w.conj().T
     r = len(left)
-    assert r > 8
+    assert r >= 4   # three distinct heads
+    blocks = _kappa_blocks(left, space)
     quads = np.array([q.matrix for q in quadratures(space)])
     rng = np.random.default_rng(8)
     us, vs = rng.normal(size=(2, 6, 2 * space.n_modes))
@@ -763,11 +766,11 @@ def test_kappa_bounds_hold(make):
                       for ru, rv in zip(np.tensordot(us, quads, 1),
                                         np.tensordot(vs, quads, 1))])
     order, tail = _row_order(left)
+    # one head row lies in one block: any other block has no head rows
+    assert len(_head_blocks(blocks, order[:1], r)) == 1
     for h in (1, r // 2, r - 1):
-        head = _head_bounds(left, space, us, vs, order[:h], tail[h])
+        head = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
         assert np.all(head >= dense * (1 - 1e-12))
-    rows = _row_bounds(_kappa_products(left, space, us, vs))
-    assert np.all(rows >= dense * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("n_modes", [2, 4], ids=["one-mode-per-arm", "two-modes-per-arm"])
@@ -785,26 +788,45 @@ def test_quadrature_norms_match_dense_spectrum(n_modes):
 
 def test_kappa_search_skips_most_full_rank_pairs(monkeypatch):
     # two full-rank thermals: all but a few of the 100 evaluations are
-    # proved unable to beat the running best before their block SVDs
+    # proved unable to beat the running best before their full product
+    # reaches the block SVDs
+    space = FockSpace(1, 12)
+    out = pair_output(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
+    r = len(out.factor[1])
+    reached = []
+    block_trace_norms = fock._block_trace_norms
+
+    def counting(prod, blocks):
+        if prod.shape[1] == r:
+            reached.append(len(prod))
+        return block_trace_norms(prod, blocks)
+
+    monkeypatch.setattr(fock, "_block_trace_norms", counting)
+    kappa, _, n_eval = estimate_kappa(out.factor, out.rho_ab.space, seed=0)
+    assert n_eval == 100
+    assert 0 < sum(reached) <= 20
+
+
+def test_kappa_search_svds_stay_within_blocks(monkeypatch):
+    # every SVD of the kappa search, bounds included, is taken on one zero
+    # block: none is wider than the widest block of the products
     space = FockSpace(1, 12)
     out = pair_output(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
     w, p = out.factor
     ab = out.rho_ab.space
     blocks = _kappa_blocks(p[:, None] * w.conj().T, ab)
-    shapes = {(np.size(rows), np.size(cols)) for rows, cols in blocks}
-    assert all(cols < ab.dim for _, cols in shapes)   # no bound's shape
-    reached = []
+    widest = max(np.size(cols) for _, cols in blocks)
+    assert widest < ab.dim
+    columns = []
     svd = np.linalg.svd
 
-    def counting_svd(a, *args, **kwargs):
-        if a.shape[-2:] in shapes:
-            reached.append(a.shape[0])
+    def recording_svd(a, *args, **kwargs):
+        columns.append(a.shape[-1])
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    kappa, _, n_eval = estimate_kappa(out.factor, ab, seed=0)
-    assert n_eval == 100
-    assert 0 < sum(reached) <= 20 * len(blocks)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    estimate_kappa(out.factor, ab, seed=0)
+    assert columns and max(columns) <= widest
 
 
 def test_gaussify_round_trip():
