@@ -151,9 +151,10 @@ def _run_inputs(args, cfg: dict) -> tuple:
                 raise ValidationError(f"unknown tolerance {name!r}")
         tol = Tolerances(**tolerances)
         for name, value in asdict(tol).items():
-            if not (math.isfinite(value) and value > 0):   # NaN fails too
+            if not (isinstance(value, (int, float)) and math.isfinite(value)
+                    and value > 0):   # NaN fails too
                 raise ValidationError(
-                    f"tolerance {name} must be finite and positive, got {value}")
+                    f"tolerance {name} must be finite and positive, got {value!r}")
         space = FockSpace(modes, cutoff)
         _check_fits_memory(FockSpace(2 * modes, cutoff))   # before any input is built
         rho1 = parse_state_spec(cfg["state1"], space, tol)
@@ -228,6 +229,8 @@ def _cmd_classify(args) -> int:
     from .classify import decompose
     from .io import canonical_dumps, load_matrix, write_json
 
+    if args.seed < 0:   # decompose draws from the seed for some matrices only
+        raise ValidationError(f"seed must be non-negative, got {args.seed}")
     result = decompose(_read("matrix", args.matrix, load_matrix), seed=args.seed)
     payload = result.to_dict()
     if args.out:

@@ -57,7 +57,6 @@ class KappaConfig:
 
     random_pairs: int = 64
     refine_steps: int = 20
-    refine_scale: float = 0.15
 
 
 DEFAULT_TOLERANCES = Tolerances()

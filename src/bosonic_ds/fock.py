@@ -44,11 +44,10 @@ class FockSpace:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on a FockSpace with a role tag and truncation flags."""
+    """Dense operator on a FockSpace with truncation flags."""
 
     space: FockSpace
     matrix: np.ndarray
-    kind: str = "general"   # density | unitary | observable | general
     flags: tuple = ()
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class FockOperator:
 
     def with_flags(self, *new_flags: str) -> "FockOperator":
         merged = tuple(dict.fromkeys(self.flags + new_flags))
-        return FockOperator(self.space, self.matrix, self.kind, merged)
+        return FockOperator(self.space, self.matrix, merged)
 
 
 def validate_density(op: FockOperator,
@@ -85,7 +84,7 @@ def validate_density(op: FockOperator,
 
 def density(space: FockSpace, matrix: np.ndarray, flags: tuple = (),
             tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
-    return validate_density(FockOperator(space, matrix, "density", flags), tol)
+    return validate_density(FockOperator(space, matrix, flags), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,7 @@ def quadratures(space: FockSpace) -> list:
     level cutoff-1 is the unavoidable truncation artifact.
     """
     eye = np.eye(space.dim)
-    return [FockOperator(space, apply_quadratures(eye, e, space), "observable")
+    return [FockOperator(space, apply_quadratures(eye, e, space))
             for e in np.eye(2 * space.n_modes)]
 
 
@@ -266,7 +265,7 @@ def weyl_operator(space: FockSpace, xi: np.ndarray) -> FockOperator:
     flags = ()
     if float(np.linalg.norm(xi)) > safe_extent(space):
         flags = ("weyl:beyond-safe-extent",)
-    return FockOperator(space, w, "unitary", flags)
+    return FockOperator(space, w, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +443,14 @@ def beam_splitter_unitary(space: FockSpace, theta: float) -> FockOperator:
     u = _pair_unitary(space.cutoff, float(theta))
     if space.n_modes > 2:
         u = apply_splitter(u, np.eye(space.dim), space)
-    return FockOperator(space, u, "unitary")
+    return FockOperator(space, u)
 
 
 def evolve(rho: FockOperator, u: FockOperator) -> FockOperator:
     if rho.space != u.space:
         raise DimensionError("state and unitary live on different spaces")
     out = u.matrix @ rho.matrix @ u.matrix.conj().T
-    return FockOperator(rho.space, out, rho.kind,
-                        tuple(dict.fromkeys(rho.flags + u.flags)))
+    return FockOperator(rho.space, out, tuple(dict.fromkeys(rho.flags + u.flags)))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +461,7 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
     if a.space.cutoff != b.space.cutoff:
         raise DimensionError("tensor factors must share the cutoff")
     space = FockSpace(a.space.n_modes + b.space.n_modes, a.space.cutoff)
-    kind = a.kind if a.kind == b.kind else "general"
-    return FockOperator(space, np.kron(a.matrix, b.matrix), kind,
+    return FockOperator(space, np.kron(a.matrix, b.matrix),
                         tuple(dict.fromkeys(a.flags + b.flags)))
 
 
@@ -480,7 +477,7 @@ def partial_trace(op: FockOperator, keep) -> FockOperator:
     if not keep or any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
         raise DimensionError(f"invalid mode subset {keep} for {n} modes")
     return FockOperator(FockSpace(len(keep), op.space.cutoff),
-                        _reduce(op.matrix, op.space, keep), op.kind, op.flags)
+                        _reduce(op.matrix, op.space, keep), op.flags)
 
 
 def _reduce(matrix: np.ndarray, space: FockSpace, keep: tuple) -> np.ndarray:
@@ -568,12 +565,14 @@ def leak_population(rho: FockOperator) -> float:
     return float(np.max(np.sum(pops[:, rho.space.cutoff - 2:], axis=1)))
 
 
-def flag_if_leaking(rho: FockOperator, label: str,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
+def leak_flags(rho: FockOperator, label: str,
+               tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """``rho``'s truncation flag, named by ``label``, if its top-level
+    population exceeds the leak budget."""
     leak = leak_population(rho)
     if leak > tol.leak_budget:
-        return rho.with_flags(f"truncation:{label}:leak={leak:.3e}")
-    return rho
+        return (f"truncation:{label}:leak={leak:.3e}",)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +718,6 @@ def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
     return vals.tolist()
 
 
-def _kappa_value(left: np.ndarray, space: FockSpace, u: np.ndarray,
-                 v: np.ndarray, blocks: list | None = None) -> float:
-    """``_kappa_values`` for one pair, with no floor; the blocks are found
-    here when not given."""
-    if blocks is None:
-        blocks = _kappa_blocks(left, space)
-    return _kappa_values(left, space, u[None], v[None], blocks)[0]
-
-
 # The kappa search evaluates its fixed pairs in batches whose b x r x dim
 # products hold at most this many complex entries (256 KiB per array): enough
 # pairs to spread numpy's per-call cost when r x dim is small, few enough to
@@ -745,6 +735,7 @@ _KAPPA_BATCH_ENTRIES = 2 ** 14
 # other way: 6.7-7.1, 5.2-5.3, 3.7-3.9 and 2.9-3.0 s.
 _KAPPA_HEAD_SHARE = 0.01
 _KAPPA_SKIP_SLACK = 1e-9
+_KAPPA_REFINE_SCALE = 0.15   # a refine step's Gaussian spread per component
 
 
 def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
@@ -801,8 +792,8 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
             consider(us[k], vs[k], val)
     for _ in range(cfg.refine_steps):
         u0, v0 = best_pair
-        u = u0 + cfg.refine_scale * rng.normal(size=dim)
-        v = v0 + cfg.refine_scale * rng.normal(size=dim)
+        u = u0 + _KAPPA_REFINE_SCALE * rng.normal(size=dim)
+        v = v0 + _KAPPA_REFINE_SCALE * rng.normal(size=dim)
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         consider(u, v, _kappa_values(left, space, u[None], v[None], blocks,
                                      best * margin, rows)[0])
@@ -956,5 +947,5 @@ def gaussian_to_fock(gs: GaussianState, space: FockSpace,
     flags = ()
     if 1.0 - trace > tol.leak_budget:
         flags = (f"truncation:synthesis:mass-deficit={1.0 - trace:.3e}",)
-    out = FockOperator(space, rho / trace, "density", flags)
-    return flag_if_leaking(out, "synthesis", tol)
+    out = FockOperator(space, rho / trace, flags)
+    return out.with_flags(*leak_flags(out, "synthesis", tol))

@@ -25,7 +25,7 @@ from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, ValidationError)
 from .fock import (FockOperator, FockSpace, apply_splitter,
                    beam_splitter_unitary, block_groups, estimate_kappa,
-                   gaussian_to_fock, gaussify, hs_norm, leak_population,
+                   gaussian_to_fock, gaussify, hs_norm, leak_flags,
                    mode_pair_moments, moments, partial_trace, support,
                    validate_density)
 from .symplectic import is_trivial_angle
@@ -228,28 +228,29 @@ def _schmidt_trace_norm(psi: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PairOutput:
-    """rho_ab = W diag(p) W*, its reductions, g and epsilon = |g|_1, with the
-    factor (W, p): W = U (V1 x V2) and p = p1 x p2 from the inputs' support."""
+    """The reductions of rho_ab = W diag(p) W*, g (in rho_ab's buffer), epsilon
+    = |g|_1, the factor (W, p): W = U (V1 x V2) and p = p1 x p2 from the
+    inputs' support, and the output's truncation flags."""
 
-    rho_ab: FockOperator
     rho_a: FockOperator
     rho_b: FockOperator
     g: np.ndarray
     epsilon: float
     factor: tuple
+    flags: tuple
 
 
 # Complex dim x dim matrices alive at once in the chain.  Two full-rank
-# inputs (r = dim) are the worst case: rho_ab, g and the factor W stay alive
-# while the kappa search holds diag(p) W*, the product it builds, the
-# quadrature primitive's output and temporary, and the SVD's copy of one
-# zero block of the product (a quarter of it for number-diagonal inputs).
-# Peak RSS above the interpreter's and the inputs' measures 7.05 of them at
-# dim 1296 for two full-rank Gaussians (8.04 with the whole product's copy);
-# with that copy, dim 4096 measured 6.9 and a rank-2 pair 3.2.  The rest is
-# headroom.  A batch of kappa pairs adds at most four arrays of 2**14
-# complex entries (256 KiB each), and a factor too large for a batch of two
-# goes one pair at a time, so batching leaves the count unchanged.
+# inputs (r = dim) are the worst case: g, formed in rho_ab's buffer, and the
+# factor W stay alive while the kappa search holds diag(p) W*, the product it
+# builds, the quadrature primitive's output and temporary, and the SVD's copy
+# of one zero block of the product (a quarter of it for number-diagonal
+# inputs).  Peak RSS above the interpreter's and the inputs' measures 6.44 of
+# them at dim 1296 for two full-rank Gaussians and 3.72 at dim 1600 for two
+# full-rank thermals.  The rest is headroom.  A batch of kappa pairs adds at
+# most four arrays of 2**14 complex entries (256 KiB each), and a factor too
+# large for a batch of two goes one pair at a time, so batching leaves the
+# count unchanged.
 _DENSE_MATRICES = 9
 
 
@@ -285,6 +286,9 @@ def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
     inputs are densities on one space and the pair fits in memory."""
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
+    if abs(theta) > 2.0 * math.pi:   # far out, the splitter's phases lose precision
+        raise ValidationError(f"theta must lie in [-2 pi, 2 pi], got {theta}; "
+                              "the splitter is 2 pi-periodic")
     if is_trivial_angle(theta):
         raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
     validate_density(rho1, tol)
@@ -310,18 +314,18 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
     (v1, p1), (v2, p2) = support(rho1), support(rho2)
     w = apply_splitter(u_pair, np.kron(v1, v2), pair_space)
     p = np.kron(p1, p2)
-    rho_ab = FockOperator(pair_space, (w * p) @ w.conj().T, "density",
-                          tuple(dict.fromkeys(rho1.flags + rho2.flags)))
+    rho_ab = FockOperator(pair_space, (w * p) @ w.conj().T)
     rho_a = partial_trace(rho_ab, "first")
     rho_b = partial_trace(rho_ab, "second")
-    g = np.kron(rho_a.matrix, rho_b.matrix)
-    np.subtract(rho_ab.matrix, g, out=g)
+    flags = leak_flags(rho_ab, "output", tol)
+    g = rho_ab.matrix
+    g -= np.kron(rho_a.matrix, rho_b.matrix)
     if len(p) == 1:
         psi = math.sqrt(p[0]) * w[:, 0].reshape(rho1.space.dim, -1)
         epsilon = _schmidt_trace_norm(psi)
     else:
         epsilon = _hermitian_trace_norm(g)
-    return PairOutput(rho_ab, rho_a, rho_b, g, epsilon, (w, p))
+    return PairOutput(rho_a, rho_b, g, epsilon, (w, p), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +422,22 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     """
     # Gaussify before the splitter, so a cutoff too small for an input fails
     # before U is built and the pair evolved.
-    _check_pair(rho1, rho2, theta, tol)
+    pair_space = _check_pair(rho1, rho2, theta, tol)
     gs1 = gaussify(rho1, tol)
     gs2 = gaussify(rho2, tol)
     out = pair_output(rho1, rho2, theta, tol)
     n = rho1.space.n_modes
     epsilon = out.epsilon
 
-    flags = []
-    for label, op in (("input1", rho1), ("input2", rho2)):
-        leak = leak_population(op)
-        if leak > tol.leak_budget:
-            flags.append(f"truncation:{label}:leak={leak:.3e}")
-    flags.extend(rho1.flags + rho2.flags)
-    leak_out = leak_population(out.rho_ab)
-    if leak_out > tol.leak_budget:
-        flags.append(f"truncation:output:leak={leak_out:.3e}")
+    flags = [*leak_flags(rho1, "input1", tol), *leak_flags(rho2, "input2", tol),
+             *rho1.flags, *rho2.flags, *out.flags]
 
     # every axis of the output lives in one arm, so its per-axis moments are
     # the arms'; kappa is searched on the output's factor, of rank
     # rank(rho1) rank(rho2)
     arms = (moments(out.rho_a), moments(out.rho_b))
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
-    kappa, _, kappa_samples = estimate_kappa(out.factor, out.rho_ab.space,
+    kappa, _, kappa_samples = estimate_kappa(out.factor, pair_space,
                                              seed=seed, cfg=kappa_cfg)
     kappa = max(kappa, float(np.max([m.fourth for m in arms])))
     trace_gamma_out = float(np.sum(np.concatenate([np.diag(m.gamma) for m in arms])))
@@ -467,7 +464,7 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     dist2 = hs_norm(rho2.matrix - synth2.matrix)
     cm_gap = float(np.linalg.norm(gs1.gamma - gs2.gamma))
 
-    cov = _cross_covariance(out.g, out.rho_ab.space, theta, kappa, epsilon)
+    cov = _cross_covariance(out.g, pair_space, theta, kappa, epsilon)
 
     margin_state = margin_cm = None
     if bound1 is not None:

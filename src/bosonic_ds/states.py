@@ -14,14 +14,14 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .fock import FockOperator, FockSpace, density, flag_if_leaking, gaussian_to_fock
+from .fock import FockOperator, FockSpace, density, gaussian_to_fock, leak_flags
 from .symplectic import GaussianState
 
 
 def vacuum(space: FockSpace) -> FockOperator:
     m = np.zeros((space.dim, space.dim), dtype=complex)
     m[0, 0] = 1.0
-    return FockOperator(space, m, "density")
+    return FockOperator(space, m)
 
 
 def fock_state(space: FockSpace, levels) -> FockOperator:
@@ -38,7 +38,7 @@ def fock_state(space: FockSpace, levels) -> FockOperator:
         idx = idx * space.cutoff + l
     m = np.zeros((space.dim, space.dim), dtype=complex)
     m[idx, idx] = 1.0
-    return FockOperator(space, m, "density")
+    return FockOperator(space, m)
 
 
 def thermal_state(space: FockSpace, nbar: float,
@@ -54,8 +54,8 @@ def thermal_state(space: FockSpace, nbar: float,
     m = np.arange(space.cutoff)
     pops = (nbar / (1.0 + nbar)) ** m / (1.0 + nbar)
     pops = pops / pops.sum()
-    out = FockOperator(space, np.diag(pops.astype(complex)), "density")
-    return flag_if_leaking(out, "thermal", tol)
+    out = FockOperator(space, np.diag(pops.astype(complex)))
+    return out.with_flags(*leak_flags(out, "thermal", tol))
 
 
 def mixture(components) -> FockOperator:
@@ -78,7 +78,7 @@ def mixture(components) -> FockOperator:
             raise ValidationError("mixture components live on different spaces")
         m += w * op.matrix
         flags += op.flags
-    return FockOperator(space, m, "density", tuple(dict.fromkeys(flags)))
+    return FockOperator(space, m, tuple(dict.fromkeys(flags)))
 
 
 def squeezed_surrogate(space: FockSpace, z: float,
@@ -99,13 +99,17 @@ def displaced_vacuum(space: FockSpace, d,
 _ALIASES = {"fock1": "fock:1", "fock2": "fock:2", "fock3": "fock:3"}
 
 
-def _spec_number(spec: str, text: str, kind):
-    """``kind(text)``, one argument of a string spec; a malformed one names
-    the spec."""
+def _spec_number(where: str, value, kind):
+    """``kind(value)``, one argument of a state spec; a malformed one names
+    ``where``, the spec or its key."""
     try:
-        return kind(text)
-    except ValueError as exc:
-        raise ValidationError(f"state spec {spec!r}: {exc}") from exc
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def parse_state_spec(spec, space: FockSpace,
@@ -113,19 +117,23 @@ def parse_state_spec(spec, space: FockSpace,
     """Build a density operator from a CLI state spec (string or JSON object)."""
     if isinstance(spec, str):
         spec = _ALIASES.get(spec, spec)
+        where = f"state spec {spec!r}"
         head, _, arg = spec.partition(":")
         if head == "vacuum":
             return vacuum(space)
         if head == "fock":
-            levels = tuple(_spec_number(spec, x, int) for x in arg.split(",")) \
+            levels = tuple(_spec_number(where, x, int) for x in arg.split(",")) \
                 if arg else (1,)
             return fock_state(space, levels if len(levels) > 1 else levels[0])
         if head == "thermal":
-            return thermal_state(space, _spec_number(spec, arg, float), tol)
+            return thermal_state(space, _spec_number(where, arg, float), tol)
         if head == "squeezed":
-            return squeezed_surrogate(space, _spec_number(spec, arg, float), tol)
+            return squeezed_surrogate(space, _spec_number(where, arg, float), tol)
         if head == "displaced":
-            d = np.array([_spec_number(spec, x, float) for x in arg.split(",")])
+            d = np.array([_spec_number(where, x, float) for x in arg.split(",")])
+            if d.size != 2 * space.n_modes:
+                raise ValidationError(f"{where}: needs {2 * space.n_modes} "
+                                      f"components (q, p per mode), got {d.size}")
             return displaced_vacuum(space, d, tol)
         if head == "file":
             return load_density(arg, expected_space=space, tol=tol)
@@ -133,11 +141,12 @@ def parse_state_spec(spec, space: FockSpace,
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "gaussian":
-            gs = GaussianState(np.asarray(spec["d"], dtype=float),
-                               np.asarray(spec["gamma"], dtype=float))
-            return gaussian_to_fock(gs, space, tol)
+            d, gamma = (_spec_number(f"gaussian spec key {key!r}", spec[key], _floats)
+                        for key in ("d", "gamma"))
+            return gaussian_to_fock(GaussianState(d, gamma), space, tol)
         if kind == "mixture":
-            comps = [(c["weight"], parse_state_spec(c["state"], space, tol))
+            comps = [(_spec_number("mixture spec key 'weight'", c["weight"], float),
+                      parse_state_spec(c["state"], space, tol))
                      for c in spec["components"]]
             return mixture(comps)
         if kind == "file":

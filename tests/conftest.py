@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bosonic_ds.fock import FockSpace
+from bosonic_ds.fock import FockOperator, FockSpace
 from bosonic_ds.states import fock_state, thermal_state, vacuum
 
 
@@ -40,3 +40,11 @@ def random_low_energy_density(rng, space, top=4):
     full = np.zeros((space.dim, space.dim), dtype=complex)
     full[:block, :block] = m
     return density(space, full)
+
+
+def output_density(out):
+    """The dense rho_ab = W diag(p) W* of a ``pair_output``, built from its
+    factor (W, p) on the pair space."""
+    w, p = out.factor
+    arm = out.rho_a.space
+    return FockOperator(FockSpace(2 * arm.n_modes, arm.cutoff), (w * p) @ w.conj().T)

@@ -570,3 +570,58 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
     assert main(["ds-run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         "error: state spec 'thermal:abc': could not convert string to float: 'abc'\n")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"state1": "displaced:1"},
+     "state spec 'displaced:1': needs 2 components (q, p per mode), got 1"),
+    ({"state1": {"kind": "gaussian", "d": "x", "gamma": [[1, 0], [0, 1]]}},
+     "gaussian spec key 'd': could not convert string to float: 'x'"),
+    ({"state2": {"kind": "mixture", "components": [
+        {"weight": "a", "state": "vacuum"}]}},
+     "mixture spec key 'weight': could not convert string to float: 'a'"),
+    ({"tolerances": {"leak_budget": "x"}},
+     "tolerance leak_budget must be finite and positive, got 'x'"),
+], ids=["displaced-one-component", "gaussian-string-d", "mixture-string-weight",
+        "string-tolerance"])
+def test_bad_input_names_its_spec_or_key(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["witness", "--state", "fock:1", "--theta", "1e6", "--cutoff", "40"],
+    ["witness", "--state", "fock:1", "--theta", "1e308", "--cutoff", "8"],
+    ["ds-run", "--theta", "1e6", "--cutoff", "40"],
+    ["ds-run", "--theta", "1e308"],
+], ids=["witness-1e6", "witness-1e308", "ds-run-1e6", "ds-run-1e308"])
+def test_theta_beyond_one_period_is_one_error_line(tmp_path, capsys, command):
+    # the splitter is 2 pi-periodic; at theta = 1e6 and cutoff 40 its sector
+    # phases lose the precision its calibration checks, and 1e308 overflows
+    if command[0] == "ds-run":
+        command += ["--config", str(write_config(tmp_path, state1="fock:1"))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(command) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: theta must lie in [-2 pi, 2 pi], got ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_theta_within_one_period_still_runs(capsys):
+    assert main(["witness", "--state", "fock:1", "--theta", str(2 * np.pi - 0.7),
+                 "--cutoff", "8"]) == 0
+    assert capsys.readouterr().out.startswith("non-gaussian")
+
+
+@pytest.mark.parametrize("matrix", [TMS, np.eye(4)], ids=["two-mode-squeezer", "identity"])
+def test_classify_names_a_negative_seed(tmp_path, capsys, matrix):
+    path = tmp_path / "m.json"
+    save_matrix(matrix, path)
+    assert main(["classify", "--matrix", str(path), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -1\n"

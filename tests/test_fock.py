@@ -11,7 +11,7 @@ from bosonic_ds.errors import (CalibrationError, DimensionError,
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              _calibrate_beam_splitter, _calibrated_states,
                              _head_blocks, _head_bounds, _kappa_blocks,
-                             _kappa_value, _kappa_values, _pair_unitary,
+                             _kappa_values, _pair_unitary,
                              _quadrature_norms, _row_order,
                              apply_quadratures, apply_splitter,
                              beam_splitter_unitary, block_groups,
@@ -29,7 +29,7 @@ from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
 
-from conftest import random_low_energy_density
+from conftest import output_density, random_low_energy_density
 
 
 def lowering(d):
@@ -361,10 +361,9 @@ def test_odd_mode_count_rejected():
 
 
 def test_tensor_identity():
-    a = FockOperator(FockSpace(1, 3), np.eye(3), "unitary")
+    a = FockOperator(FockSpace(1, 3), np.eye(3))
     t = tensor(a, a)
     np.testing.assert_array_equal(t.matrix, np.eye(9))
-    assert t.kind == "unitary"
 
 
 def test_tensor_trace_multiplicative():
@@ -403,7 +402,7 @@ def test_partial_trace_of_correlated_state():
     space = FockSpace(2, 4)
     psi = np.zeros(16)
     psi[0 * 4 + 0] = psi[1 * 4 + 1] = 1 / np.sqrt(2)
-    rho = FockOperator(space, np.outer(psi, psi.conj()), "density")
+    rho = FockOperator(space, np.outer(psi, psi.conj()))
     reduced = partial_trace(rho, "first").matrix
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[1, 1] = 0.5
@@ -536,6 +535,7 @@ def test_kappa_factor_matches_dense(make, rank, n_dirs):
     rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
     assert len(p) == rank
     left = p[:, None] * w.conj().T
+    blocks = _kappa_blocks(left, rho_ab.space)
     quads = np.array([q.matrix for q in quadratures(rho_ab.space)])
     rng = np.random.default_rng(2)
     for _ in range(n_dirs):
@@ -543,7 +543,8 @@ def test_kappa_factor_matches_dense(make, rank, n_dirs):
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         ru, rv = np.tensordot(u, quads, 1), np.tensordot(v, quads, 1)
         dense = trace_norm(rho_ab.matrix @ ru @ ru @ rv @ rv)
-        assert _kappa_value(left, rho_ab.space, u, v) == pytest.approx(dense, rel=1e-12)
+        assert _kappa_values(left, rho_ab.space, u[None], v[None], blocks)[0] == \
+            pytest.approx(dense, rel=1e-12)
 
 
 def test_support_drops_roundoff_and_keeps_weights():
@@ -567,9 +568,9 @@ def test_kappa_search_ties_resolve_alike_on_factor_and_dense():
                                   (0.9372, 0.0628, 0.2247, 0.680994)):
         rho1 = mixture([(vac, vacuum(space)), (one, fock_state(space, 1))])
         out = pair_output(rho1, thermal_state(space, nbar), theta)
-        dense, dense_pair, _ = estimate_kappa(support(out.rho_ab),
-                                              out.rho_ab.space, seed=0)
-        low, low_pair, _ = estimate_kappa(out.factor, out.rho_ab.space, seed=0)
+        rho_ab = output_density(out)
+        dense, dense_pair, _ = estimate_kappa(support(rho_ab), rho_ab.space, seed=0)
+        low, low_pair, _ = estimate_kappa(out.factor, rho_ab.space, seed=0)
         assert low == pytest.approx(dense, rel=1e-12)
         for a, b in zip(low_pair, dense_pair):
             np.testing.assert_array_equal(a, b)
@@ -644,7 +645,7 @@ def test_kappa_blocks_follow_photon_parity(make, n_blocks):
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         ru, rv = np.tensordot(u, quads, 1), np.tensordot(v, quads, 1)
         dense = trace_norm(left @ ru @ ru @ rv @ rv)
-        assert _kappa_value(left, rho_ab.space, u, v, blocks) == \
+        assert _kappa_values(left, rho_ab.space, u[None], v[None], blocks)[0] == \
             pytest.approx(dense, rel=1e-12)
 
 
@@ -661,7 +662,8 @@ def test_kappa_values_batch_equals_single_pairs(make):
     us /= np.linalg.norm(us, axis=1, keepdims=True)
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     assert _kappa_values(left, rho_ab.space, us, vs, blocks) == \
-        [_kappa_value(left, rho_ab.space, u, v, blocks) for u, v in zip(us, vs)]
+        [_kappa_values(left, rho_ab.space, u[None], v[None], blocks)[0]
+         for u, v in zip(us, vs)]
 
 
 def _sequential_kappa(factor, space, seed, cfg):
@@ -678,7 +680,7 @@ def _sequential_kappa(factor, space, seed, cfg):
 
     def consider(u, v):
         nonlocal best, best_pair, n_eval
-        val = _kappa_value(left, space, u, v, blocks)
+        val = _kappa_values(left, space, u[None], v[None], blocks)[0]
         n_eval += 1
         if val > best * margin:
             best, best_pair = val, (u.copy(), v.copy())
@@ -693,8 +695,8 @@ def _sequential_kappa(factor, space, seed, cfg):
         consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
     for _ in range(cfg.refine_steps):
         u0, v0 = best_pair
-        u = u0 + cfg.refine_scale * rng.normal(size=dim)
-        v = v0 + cfg.refine_scale * rng.normal(size=dim)
+        u = u0 + fock._KAPPA_REFINE_SCALE * rng.normal(size=dim)
+        v = v0 + fock._KAPPA_REFINE_SCALE * rng.normal(size=dim)
         consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
     return best, best_pair, n_eval
 
@@ -712,21 +714,36 @@ def _full_rank_gaussians_two_modes():
                              space))
 
 
+def _displaced_gaussian_and_thermal():
+    space = FockSpace(1, 10)
+    return (gaussian_to_fock(GaussianState(np.array([0.6, -0.4]),
+                                           np.array([[1.6, 0.2], [0.2, 1.4]])), space),
+            thermal_state(space, 0.3))
+
+
 @pytest.mark.parametrize("make, batched", [
     (_thermal_and_mixture, True),
     (_two_mode_mixtures, True),
     (_full_rank_thermals, False),            # r = dim = 144: one pair at a time
     (_full_rank_gaussians_two_modes, True),  # r = dim = 81
+    (_displaced_gaussian_and_thermal, False),  # r = dim = 100, one zero block
 ], ids=["thermal-mixture", "two-modes-per-arm", "full-rank-thermals",
-        "full-rank-gaussians-two-modes"])
+        "full-rank-gaussians-two-modes", "displaced-gaussian-thermal"])
 def test_batched_kappa_search_matches_sequential_search(make, batched):
     # the search skips pairs that provably cannot beat the running best; the
     # unpruned sequential search must agree with it on kappa, pair and count
     rho1, rho2 = make()
     out = pair_output(rho1, rho2, 0.6)
-    space = out.rho_ab.space
-    if make in (_full_rank_thermals, _full_rank_gaussians_two_modes):
+    space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+    if make in (_full_rank_thermals, _full_rank_gaussians_two_modes,
+                _displaced_gaussian_and_thermal):
         assert len(out.factor[1]) == space.dim
+    if make is _displaced_gaussian_and_thermal:
+        # the displacement breaks the photon parity: the head bounds take the
+        # single-block branch of _head_blocks
+        w, p = out.factor
+        [(rows, _)] = _kappa_blocks(p[:, None] * w.conj().T, space)
+        assert isinstance(rows, slice)
     assert (_KAPPA_BATCH_ENTRIES // out.factor[0].size > 1) == batched
     for seed in (0, 3):
         kappa, pair, n_eval = estimate_kappa(out.factor, space, seed=seed)
@@ -802,7 +819,7 @@ def test_kappa_search_skips_most_full_rank_pairs(monkeypatch):
         return block_trace_norms(prod, blocks)
 
     monkeypatch.setattr(fock, "_block_trace_norms", counting)
-    kappa, _, n_eval = estimate_kappa(out.factor, out.rho_ab.space, seed=0)
+    kappa, _, n_eval = estimate_kappa(out.factor, FockSpace(2, 12), seed=0)
     assert n_eval == 100
     assert 0 < sum(reached) <= 20
 
@@ -813,7 +830,7 @@ def test_kappa_search_svds_stay_within_blocks(monkeypatch):
     space = FockSpace(1, 12)
     out = pair_output(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
     w, p = out.factor
-    ab = out.rho_ab.space
+    ab = FockSpace(2, 12)
     blocks = _kappa_blocks(p[:, None] * w.conj().T, ab)
     widest = max(np.size(cols) for _, cols in blocks)
     assert widest < ab.dim
@@ -852,7 +869,7 @@ def test_gaussify_rejects_unphysical_moments():
     space = FockSpace(1, 6)
     m = np.zeros((6, 6), dtype=complex)
     m[0, 0], m[1, 1] = 1.01, -0.01
-    rho = FockOperator(space, m, "density")
+    rho = FockOperator(space, m)
     with pytest.raises(UncertaintyViolationError):
         gaussify(rho)
 

@@ -21,7 +21,7 @@ from bosonic_ds.states import (fock_state, mixture, parse_state_spec,
                                thermal_state, vacuum)
 from bosonic_ds.symplectic import GaussianState, two_mode_squeezer
 
-from conftest import random_low_energy_density
+from conftest import output_density, random_low_energy_density
 
 CHEAP_KAPPA = KappaConfig(random_pairs=8, refine_steps=4)
 
@@ -389,11 +389,13 @@ def test_pair_output_matches_dense_reference(spec1, spec2, modes, cutoff, rank):
     g = ref.matrix - np.kron(partial_trace(ref, "first").matrix,
                              partial_trace(ref, "second").matrix)
     eps = float(np.sum(np.abs(np.linalg.eigvalsh(g))))
-    assert np.max(np.abs(out.rho_ab.matrix - ref.matrix)) <= 1e-14
-    assert out.epsilon == pytest.approx(eps, rel=1e-13)
     w, p = out.factor
     assert w.shape == (space.dim ** 2, rank)
-    assert np.max(np.abs((w * p) @ w.conj().T - out.rho_ab.matrix)) <= 1e-14
+    assert np.max(np.abs((w * p) @ w.conj().T - ref.matrix)) <= 1e-14
+    assert np.max(np.abs(out.rho_a.matrix - partial_trace(ref, "first").matrix)) <= 1e-14
+    assert np.max(np.abs(out.rho_b.matrix - partial_trace(ref, "second").matrix)) <= 1e-14
+    assert np.max(np.abs(out.g - g)) <= 1e-14
+    assert out.epsilon == pytest.approx(eps, rel=1e-13)
 
 
 def test_report_v_matches_cross_covariance_V():
@@ -403,7 +405,7 @@ def test_report_v_matches_cross_covariance_V():
     theta = 0.7
     rep = run_experiment(r1, r2, theta, seed=2, kappa_cfg=CHEAP_KAPPA,
                          strict=False)
-    rho_ab = pair_output(r1, r2, theta).rho_ab
+    rho_ab = output_density(pair_output(r1, r2, theta))
     res = cross_covariance_V(rho_ab, partial_trace(rho_ab, "first"),
                              partial_trace(rho_ab, "second"), theta,
                              kappa=rep.kappa, epsilon=rep.epsilon)
@@ -521,7 +523,7 @@ def test_output_moments_from_the_arms(modes, cutoff):
     rho2 = mixture([(0.6, vacuum(space)), (0.4, fock_state(space, first[::-1]))])
     rep = run_experiment(rho1, rho2, 0.6, seed=0, kappa_cfg=CHEAP_KAPPA,
                          strict=False)
-    whole = moments(pair_output(rho1, rho2, 0.6).rho_ab)
+    whole = moments(output_density(pair_output(rho1, rho2, 0.6)))
     assert rep.trace_gamma_out == pytest.approx(np.trace(whole.gamma), rel=1e-14)
     assert rep.kappa >= np.max(whole.fourth)
 
