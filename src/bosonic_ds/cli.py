@@ -124,9 +124,13 @@ def _number(key: str, value) -> float:
     raise ValidationError(f"{key} must be a number, got {value!r}")
 
 
+_CONFIG_KEYS = ("state1", "state2", "theta", "cutoff", "seed", "modes_per_arm",
+                "tolerances", "out")
+
+
 def _run_inputs(args, cfg: dict) -> tuple:
     """(rho1, rho2, theta, seed, tol, echo) from the config and its overrides;
-    a missing key or a mistyped value is a ValidationError."""
+    a missing or unknown key or a mistyped value is a ValidationError."""
     from dataclasses import asdict, fields
 
     from .config import Tolerances
@@ -134,6 +138,9 @@ def _run_inputs(args, cfg: dict) -> tuple:
     from .stability import _check_fits_memory
     from .states import parse_state_spec
 
+    for name in cfg:
+        if name not in _CONFIG_KEYS:
+            raise ValidationError(f"unknown config key {name!r}")
     try:
         theta = _number("theta", args.theta if args.theta is not None else cfg["theta"])
         cutoff = _integer("cutoff", args.cutoff if args.cutoff is not None

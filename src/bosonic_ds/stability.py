@@ -14,6 +14,7 @@ the report carries both numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -226,18 +227,46 @@ def _schmidt_trace_norm(psi: np.ndarray) -> float:
 # The splitter output
 
 
-@dataclass(frozen=True)
 class PairOutput:
-    """The reductions of rho_ab = W diag(p) W*, g (in rho_ab's buffer), epsilon
-    = |g|_1, the factor (W, p): W = U (V1 x V2) and p = p1 x p2 from the
-    inputs' support, and the output's truncation flags."""
+    """The splitter output rho_ab = W diag(p) W*, held as its factor (W, p):
+    W = U (V1 x V2) and p = p1 x p2 from the inputs' support.  Its
+    reductions rho_a and rho_b, its truncation flags and g = rho_ab - rho_a x
+    rho_b (in rho_ab's buffer) are dense pair-space arrays, built together by
+    ``_dense`` on the first read of any of them; epsilon = |g|_1 reads none of
+    them when both inputs are pure."""
 
-    rho_a: FockOperator
-    rho_b: FockOperator
-    g: np.ndarray
-    epsilon: float
-    factor: tuple
-    flags: tuple
+    def __init__(self, pair_space: FockSpace, factor: tuple, tol: Tolerances):
+        self.factor = factor
+        self._pair_space = pair_space
+        self._tol = tol
+
+    @functools.cached_property
+    def _dense(self) -> tuple:
+        """(rho_a, rho_b, flags, g): reduce rho_ab, flag its leak, then form
+        g in its buffer."""
+        w, p = self.factor
+        rho_ab = FockOperator(self._pair_space, (w * p) @ w.conj().T)
+        rho_a = partial_trace(rho_ab, "first")
+        rho_b = partial_trace(rho_ab, "second")
+        flags = leak_flags(rho_ab, "output", self._tol)
+        g = rho_ab.matrix
+        g -= np.kron(rho_a.matrix, rho_b.matrix)
+        return rho_a, rho_b, flags, g
+
+    rho_a = property(lambda self: self._dense[0])
+    rho_b = property(lambda self: self._dense[1])
+    flags = property(lambda self: self._dense[2])
+    g = property(lambda self: self._dense[3])
+
+    @functools.cached_property
+    def epsilon(self) -> float:
+        """|g|_1: from the output vector's Schmidt coefficients when both
+        inputs are pure (one column), otherwise from the zero blocks of g."""
+        w, p = self.factor
+        if len(p) > 1:
+            return _hermitian_trace_norm(self.g)
+        arm_dim = self._pair_space.cutoff ** (self._pair_space.n_modes // 2)
+        return _schmidt_trace_norm(math.sqrt(p[0]) * w[:, 0].reshape(arm_dim, -1))
 
 
 # Complex dim x dim matrices alive at once in the chain.  Two full-rank
@@ -250,7 +279,9 @@ class PairOutput:
 # full-rank thermals.  The rest is headroom.  A batch of kappa pairs adds at
 # most four arrays of 2**14 complex entries (256 KiB each), and a factor too
 # large for a batch of two goes one pair at a time, so batching leaves the
-# count unchanged.
+# count unchanged.  A pure witness holds only the pair unitary, since its
+# epsilon reads no dense member of the output; the count stays 9 because the
+# preflight runs before the input, and so its rank, is known.
 _DENSE_MATRICES = 9
 
 
@@ -302,30 +333,17 @@ def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
 
 def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
-    """Send rho1 x rho2 through the splitter; reduce and measure epsilon.
+    """Send rho1 x rho2 through the splitter.
 
     The splitter is passive, so with rho_j = V_j diag(p_j) V_j* the output
     is rho_ab = W diag(p) W*, W = U (V1 x V2), p = p1 x p2: U acts once, on
-    the rank(rho1) rank(rho2) columns of V1 x V2.  When both inputs are pure
-    (one column), epsilon comes from that column's Schmidt coefficients;
-    otherwise from the zero blocks of g."""
+    the rank(rho1) rank(rho2) columns of V1 x V2.  The reductions, g and
+    epsilon are formed on first read (see ``PairOutput``)."""
     pair_space = _check_pair(rho1, rho2, theta, tol)
     u_pair = beam_splitter_unitary(FockSpace(2, pair_space.cutoff), theta).matrix
     (v1, p1), (v2, p2) = support(rho1), support(rho2)
     w = apply_splitter(u_pair, np.kron(v1, v2), pair_space)
-    p = np.kron(p1, p2)
-    rho_ab = FockOperator(pair_space, (w * p) @ w.conj().T)
-    rho_a = partial_trace(rho_ab, "first")
-    rho_b = partial_trace(rho_ab, "second")
-    flags = leak_flags(rho_ab, "output", tol)
-    g = rho_ab.matrix
-    g -= np.kron(rho_a.matrix, rho_b.matrix)
-    if len(p) == 1:
-        psi = math.sqrt(p[0]) * w[:, 0].reshape(rho1.space.dim, -1)
-        epsilon = _schmidt_trace_norm(psi)
-    else:
-        epsilon = _hermitian_trace_norm(g)
-    return PairOutput(rho_a, rho_b, g, epsilon, (w, p), flags)
+    return PairOutput(pair_space, (w, np.kron(p1, p2)), tol)
 
 
 # ---------------------------------------------------------------------------

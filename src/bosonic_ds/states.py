@@ -8,6 +8,7 @@ Spec strings: "vacuum", "fock:2" (aliases fock1..fock3), "thermal:0.5",
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -99,13 +100,21 @@ def displaced_vacuum(space: FockSpace, d,
 _ALIASES = {"fock1": "fock:1", "fock2": "fock:2", "fock3": "fock:3"}
 
 
-def _spec_number(where: str, value, kind):
-    """``kind(value)``, one argument of a state spec; a malformed one names
-    ``where``, the spec or its key."""
+@contextmanager
+def _named(where: str):
+    """Re-raise a TypeError or ValueError (ValidationError included) as a
+    ValidationError that names ``where``, the spec or its key."""
     try:
-        return kind(value)
+        yield
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _spec_number(where: str, value, kind):
+    """``kind(value)``, one argument of a state spec; a malformed one names
+    ``where``."""
+    with _named(where):
+        return kind(value)
 
 
 def _floats(value) -> np.ndarray:
@@ -124,7 +133,8 @@ def parse_state_spec(spec, space: FockSpace,
         if head == "fock":
             levels = tuple(_spec_number(where, x, int) for x in arg.split(",")) \
                 if arg else (1,)
-            return fock_state(space, levels if len(levels) > 1 else levels[0])
+            with _named(where):
+                return fock_state(space, levels if len(levels) > 1 else levels[0])
         if head == "thermal":
             return thermal_state(space, _spec_number(where, arg, float), tol)
         if head == "squeezed":
@@ -143,11 +153,23 @@ def parse_state_spec(spec, space: FockSpace,
         if kind == "gaussian":
             d, gamma = (_spec_number(f"gaussian spec key {key!r}", spec[key], _floats)
                         for key in ("d", "gamma"))
-            return gaussian_to_fock(GaussianState(d, gamma), space, tol)
+            with _named("gaussian spec keys 'd' and 'gamma'"):
+                gs = GaussianState(d, gamma)
+                if gs.n != space.n_modes:
+                    raise ValidationError(f"{gs.n} modes, the space has "
+                                          f"{space.n_modes}")
+            return gaussian_to_fock(gs, space, tol)
         if kind == "mixture":
+            components = spec.get("components")
+            if not (isinstance(components, list) and all(
+                    isinstance(c, dict) and {"weight", "state"} <= c.keys()
+                    for c in components)):
+                raise ValidationError(
+                    "mixture spec key 'components' must be a list of objects "
+                    f"with 'weight' and 'state', got {components!r}")
             comps = [(_spec_number("mixture spec key 'weight'", c["weight"], float),
                       parse_state_spec(c["state"], space, tol))
-                     for c in spec["components"]]
+                     for c in components]
             return mixture(comps)
         if kind == "file":
             return load_density(spec["path"], expected_space=space, tol=tol)

@@ -582,12 +582,36 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
      "mixture spec key 'weight': could not convert string to float: 'a'"),
     ({"tolerances": {"leak_budget": "x"}},
      "tolerance leak_budget must be finite and positive, got 'x'"),
+    ({"state1": {"kind": "gaussian", "d": [1], "gamma": [[1, 0], [0, 1]]}},
+     "gaussian spec keys 'd' and 'gamma': incompatible moment shapes "
+     "d:(1,) gamma:(2, 2)"),
+    ({"state1": {"kind": "gaussian", "d": [0] * 4, "gamma": np.eye(4).tolist()}},
+     "gaussian spec keys 'd' and 'gamma': 2 modes, the space has 1"),
+    ({"state2": {"kind": "mixture", "components": ["vacuum", "fock:1"]}},
+     "mixture spec key 'components' must be a list of objects with 'weight' "
+     "and 'state', got ['vacuum', 'fock:1']"),
+    ({"state2": {"kind": "mixture", "components": {"a": 1}}},
+     "mixture spec key 'components' must be a list of objects with 'weight' "
+     "and 'state', got {'a': 1}"),
+    ({"state1": "fock:50"}, "state spec 'fock:50': levels (50,) outside cutoff 10"),
+    ({"state1": "fock:1,1"}, "state spec 'fock:1,1': need 1 level entries, got (1, 1)"),
 ], ids=["displaced-one-component", "gaussian-string-d", "mixture-string-weight",
-        "string-tolerance"])
+        "string-tolerance", "gaussian-shape-mismatch", "gaussian-two-modes-on-one",
+        "mixture-list-of-strings", "mixture-object", "fock-past-cutoff",
+        "fock-two-levels-on-one-mode"])
 def test_bad_input_names_its_spec_or_key(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["ds-run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ds_run_rejects_unknown_config_key(tmp_path, capsys):
+    # a misspelt modes_per_arm once ran silently at 1 mode per arm
+    cfg = write_config(tmp_path, state1="fock:1", cutoff=6, seed=0, modes_per_am=2)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config key 'modes_per_am'\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -591,3 +591,43 @@ def test_rank_two_pair_epsilon_takes_the_block_path(monkeypatch):
     out = pair_output(rho1, vacuum(space), 0.6)
     assert out.factor[0].shape[1] == 2
     assert out.epsilon == _hermitian_trace_norm(out.g)
+
+
+@pytest.mark.parametrize("spec, dense", [
+    ("fock:2", False), ("displaced:0.5,0.3", False), ("thermal:0.3", True),
+])
+def test_witness_reduces_only_a_mixed_output(monkeypatch, spec, dense):
+    # a pure witness takes epsilon from the output vector and forms no
+    # reduction of the pair space; a mixed one still needs g
+    from bosonic_ds import stability
+
+    calls = {"partial_trace": 0, "leak_flags": 0}
+    for name in calls:
+        original = getattr(stability, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counted)
+    rho = parse_state_spec(spec, FockSpace(1, 12))
+    nongaussianity_witness(rho, 0.6)
+    if dense:
+        assert calls == {"partial_trace": 2, "leak_flags": 1}
+    else:
+        assert calls == {"partial_trace": 0, "leak_flags": 0}
+
+
+@pytest.mark.parametrize("first", ["g", "epsilon", "rho_a"])
+def test_pair_output_members_do_not_depend_on_read_order(first):
+    space = FockSpace(1, 10)
+    rho1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 1))])
+    rho2 = thermal_state(space, 0.2)
+    ref = pair_output(rho1, rho2, 0.6)
+    out = pair_output(rho1, rho2, 0.6)
+    getattr(out, first)
+    np.testing.assert_array_equal(out.rho_a.matrix, ref.rho_a.matrix)
+    np.testing.assert_array_equal(out.rho_b.matrix, ref.rho_b.matrix)
+    np.testing.assert_array_equal(out.g, ref.g)
+    assert out.flags == ref.flags
+    assert out.epsilon == ref.epsilon
