@@ -2,8 +2,7 @@
 Gaussian bosonic states: truncated Fock simulation, characteristic-function
 analysis, stability constants, and symplectic classification."""
 
-from .config import (GridSpec, KappaConfig, Tolerances, DEFAULT_KAPPA,
-                     DEFAULT_TOLERANCES)
+from .config import GridSpec, Tolerances, DEFAULT_TOLERANCES
 from .symplectic import (GaussianState, beam_splitter, check_uncertainty,
                          is_symplectic, symplectic_form, transform_gaussian)
 from .fock import (FockOperator, FockSpace, MomentTable, beam_splitter_unitary,

@@ -126,6 +126,11 @@ def _number(key: str, value) -> float:
 
 _CONFIG_KEYS = ("state1", "state2", "theta", "cutoff", "seed", "modes_per_arm",
                 "tolerances", "out")
+# The tolerances that the ds-run chain reads; the others serve only classify
+# and the phase-space tools, so setting one here would change nothing.
+_RUN_TOLERANCES = ("uncertainty", "gamma_symmetry", "density_hermiticity",
+                   "density_trace", "density_psd", "leak_budget",
+                   "convention_rel", "convention_abs")
 
 
 def _run_inputs(args, cfg: dict) -> tuple:
@@ -156,6 +161,8 @@ def _run_inputs(args, cfg: dict) -> tuple:
         for name in tolerances:
             if name not in known:
                 raise ValidationError(f"unknown tolerance {name!r}")
+            if name not in _RUN_TOLERANCES:
+                raise ValidationError(f"tolerance {name!r} is not read by ds-run")
         tol = Tolerances(**tolerances)
         for name, value in asdict(tol).items():
             if not (isinstance(value, (int, float)) and math.isfinite(value)
@@ -188,11 +195,10 @@ def _cmd_ds_run(args) -> int:
 
     payload = report.to_dict()
     diagnostic = None
-    if not report.truncation_flags:
-        try:
-            _enforce_invariants(report, tol)
-        except (BoundViolationError, CalibrationError) as exc:
-            diagnostic = payload["invariant_failure"] = str(exc)
+    try:
+        _enforce_invariants(report, tol)
+    except (BoundViolationError, CalibrationError) as exc:
+        diagnostic = payload["invariant_failure"] = str(exc)
     out = args.out or cfg.get("out")
     if out:
         write_json(payload, out)

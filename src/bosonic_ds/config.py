@@ -51,13 +51,4 @@ class GridSpec:
         return np.linspace(-self.extent, self.extent, self.points)
 
 
-@dataclass(frozen=True)
-class KappaConfig:
-    """Sampling plan for the largest generalized fourth moment."""
-
-    random_pairs: int = 64
-    refine_steps: int = 20
-
-
 DEFAULT_TOLERANCES = Tolerances()
-DEFAULT_KAPPA = KappaConfig()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_KAPPA, DEFAULT_TOLERANCES, KappaConfig, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (CalibrationError, DimensionError,
                      UncertaintyViolationError, ValidationError)
 from .symplectic import (GaussianState, beam_splitter, check_uncertainty,
@@ -682,40 +682,13 @@ def _head_bounds(left: np.ndarray, space: FockSpace, us: np.ndarray,
 
 
 def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
-                  vs: np.ndarray, blocks: list, floor: float = -np.inf,
-                  rows: tuple = ()) -> list:
+                  vs: np.ndarray, blocks: list) -> list:
     """Trace norms of left R_u R_u R_v R_v for each row pair (u, v) of the
     (b, 2n) arrays ``us`` and ``vs`` (``_kappa_products``), taken per block
     of ``blocks``, the product's exact zero blocks (``_kappa_blocks``), by
-    ``_block_trace_norms``.
-
-    A pair whose trace norm provably cannot exceed ``floor`` gets -inf
-    instead: it is skipped once an upper bound b on its trace norm has
-    (1 + s) b <= floor, s a roundoff allowance of at least 16 dim eps.  With
-    a floor above 0 the bound is ``_head_bounds``, before the full products,
-    on the shortest head of rows by norm (``rows``, ``_row_order(left)``,
-    which a floor needs) whose tail weight t has sup ||X||_op t <=
-    ``_KAPPA_HEAD_SHARE`` floor, sup ||X||_op = q^4 n^2 over unit u, v on n
-    modes; only when that head leaves out a row.
-
-    The products of the pairs that are kept are rows of the same batch
-    product, so every value that is not skipped holds the same bits as
-    without a floor.
-    """
-    vals = np.full(len(us), -np.inf)
-    live = np.arange(len(us))
-    if floor > 0:
-        slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
-        order, tail = rows
-        sup = (_mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
-        h = int(np.searchsorted(-tail, -_KAPPA_HEAD_SHARE * floor / sup))
-        if h < len(left):
-            bounds = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
-            live = live[slack * bounds > floor]
-    if live.size:
-        prod = _kappa_products(left, space, us[live], vs[live])
-        vals[live] = _block_trace_norms(prod, blocks)
-    return vals.tolist()
+    ``_block_trace_norms``."""
+    return _block_trace_norms(_kappa_products(left, space, us, vs),
+                              blocks).tolist()
 
 
 # The kappa search evaluates its fixed pairs in batches whose b x r x dim
@@ -725,7 +698,7 @@ def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
 # exceeds it goes one pair at a time.
 _KAPPA_BATCH_ENTRIES = 2 ** 14
 
-# The head bound of ``_kappa_values``: the tail weight a head of rows may
+# The head bound of ``estimate_kappa``: the tail weight a head of rows may
 # leave out, as a share of the floor, and the relative roundoff allowance on
 # the bound.  With two full-rank thermals (0.3, 0.2) at cutoff 28, shares of
 # 0.003, 0.01, 0.03 and 0.1 keep heads of 52, 44, 38 and 31 rows, send 3, 3,
@@ -735,18 +708,21 @@ _KAPPA_BATCH_ENTRIES = 2 ** 14
 # other way: 6.7-7.1, 5.2-5.3, 3.7-3.9 and 2.9-3.0 s.
 _KAPPA_HEAD_SHARE = 0.01
 _KAPPA_SKIP_SLACK = 1e-9
-_KAPPA_REFINE_SCALE = 0.15   # a refine step's Gaussian spread per component
+# The search plan: random pairs after the canonical ones, then refine steps,
+# each a Gaussian move of this spread per component from the current best.
+_KAPPA_RANDOM_PAIRS = 64
+_KAPPA_REFINE_STEPS = 20
+_KAPPA_REFINE_SCALE = 0.15
 
 
-def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
-                   cfg: KappaConfig = DEFAULT_KAPPA) -> tuple:
+def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     """Sampled maximum of the trace norm of rho R_u^2 R_v^2 over unit u, v,
     as (kappa, (u, v), evaluations), for rho = w diag(p) w* on ``space``.
 
     Directions are taken in quadrature space; the target supremum ranges
     over xi . sigma R, but sigma is orthogonal so both direction sets
-    coincide.  All canonical axis pairs, random pairs, then greedy local
-    refinement.
+    coincide.  All canonical axis pairs, ``_KAPPA_RANDOM_PAIRS`` random
+    pairs, then ``_KAPPA_REFINE_STEPS`` steps of greedy local refinement.
 
     ``factor = (w, p)`` with orthonormal columns w gives the same singular
     values from the r x dim matrix diag(p) w* X.
@@ -758,46 +734,63 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0,
     entries each; the refine steps, each from the current best, go one by one.
     A candidate must beat the best by more than dim roundoff units, so
     pairs that tie exactly (by symmetry) keep the first one whichever
-    factor of the state evaluates them.  That threshold is each batch's
-    floor: a pair whose trace norm provably cannot pass it skips its product
-    and SVDs (``_kappa_values``), and still counts as an evaluation.
+    factor of the state evaluates them.
+
+    That threshold is each batch's floor: a pair whose trace norm provably
+    cannot pass it skips its product and SVDs, and still counts as an
+    evaluation.  It is skipped once an upper bound b on its trace norm has
+    (1 + s) b <= floor, s a roundoff allowance of at least 16 dim eps.  With
+    a floor above 0 the bound is ``_head_bounds``, before the full products,
+    on the shortest head of rows by norm (``_row_order``) whose tail weight t
+    has sup ||X||_op t <= ``_KAPPA_HEAD_SHARE`` floor, sup ||X||_op = q^4 n^2
+    over unit u, v on n modes; only when that head leaves out a row.  The
+    pairs that are kept are rows of one batch product, so each holds the
+    same bits as with no skip.
     """
     w, p = factor
     left = p[:, None] * w.conj().T
     blocks = _kappa_blocks(left, space)
-    rows = _row_order(left)
+    order, tail = _row_order(left)
     margin = 1.0 + space.dim * np.finfo(float).eps
+    slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
+    sup = (_mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
     dim = 2 * space.n_modes
     rng = np.random.default_rng(seed)
     best, best_pair = -np.inf, None
 
-    def consider(u, v, val):
+    def consider(us, vs):
         nonlocal best, best_pair
-        if val > best * margin:
-            best, best_pair = val, (u.copy(), v.copy())
+        floor = best * margin
+        live = np.arange(len(us))
+        if floor > 0:
+            h = int(np.searchsorted(-tail, -_KAPPA_HEAD_SHARE * floor / sup))
+            if h < len(left):
+                bounds = _head_bounds(left, space, us, vs, blocks, order[:h],
+                                      tail[h])
+                live = live[slack * bounds > floor]
+        if not live.size:
+            return
+        vals = _kappa_values(left, space, us[live], vs[live], blocks)
+        for k, val in zip(live, vals):
+            if val > best * margin:
+                best, best_pair = val, (us[k].copy(), vs[k].copy())
 
     eye = np.eye(dim)
     pairs = [(eye[i], eye[j]) for i in range(dim) for j in range(dim)]
-    for _ in range(cfg.random_pairs):
+    for _ in range(_KAPPA_RANDOM_PAIRS):
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
         pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
     us, vs = np.array(pairs).transpose(1, 0, 2)
     batch = max(1, _KAPPA_BATCH_ENTRIES // left.size)
     for lo in range(0, len(pairs), batch):
-        hi = lo + batch
-        vals = _kappa_values(left, space, us[lo:hi], vs[lo:hi], blocks,
-                             best * margin, rows)
-        for k, val in enumerate(vals, lo):
-            consider(us[k], vs[k], val)
-    for _ in range(cfg.refine_steps):
+        consider(us[lo:lo + batch], vs[lo:lo + batch])
+    for _ in range(_KAPPA_REFINE_STEPS):
         u0, v0 = best_pair
         u = u0 + _KAPPA_REFINE_SCALE * rng.normal(size=dim)
         v = v0 + _KAPPA_REFINE_SCALE * rng.normal(size=dim)
-        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-        consider(u, v, _kappa_values(left, space, u[None], v[None], blocks,
-                                     best * margin, rows)[0])
-    return best, best_pair, len(pairs) + cfg.refine_steps
+        consider((u / np.linalg.norm(u))[None], (v / np.linalg.norm(v))[None])
+    return best, best_pair, len(pairs) + _KAPPA_REFINE_STEPS
 
 
 def moments(rho: FockOperator) -> MomentTable:

@@ -111,10 +111,19 @@ def _named(where: str):
 
 
 def _spec_number(where: str, value, kind):
-    """``kind(value)``, one argument of a state spec; a malformed one names
-    ``where``."""
+    """``kind(value)``, one argument of a state spec; a malformed one or a
+    boolean names ``where``."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{where}: must be a number, got {value!r}")
     with _named(where):
         return kind(value)
+
+
+def _spec_key(spec: dict, key: str):
+    """``spec[key]`` of a JSON state spec; a missing key is named."""
+    if key not in spec:
+        raise ValidationError(f"{spec['kind']} spec is missing key {key!r}")
+    return spec[key]
 
 
 def _floats(value) -> np.ndarray:
@@ -135,6 +144,9 @@ def parse_state_spec(spec, space: FockSpace,
                 if arg else (1,)
             with _named(where):
                 return fock_state(space, levels if len(levels) > 1 else levels[0])
+        if head in ("thermal", "squeezed") and space.n_modes != 1:
+            raise ValidationError(f"{where}: a one-mode state, the space has "
+                                  f"{space.n_modes} modes")
         if head == "thermal":
             return thermal_state(space, _spec_number(where, arg, float), tol)
         if head == "squeezed":
@@ -151,7 +163,8 @@ def parse_state_spec(spec, space: FockSpace,
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "gaussian":
-            d, gamma = (_spec_number(f"gaussian spec key {key!r}", spec[key], _floats)
+            d, gamma = (_spec_number(f"gaussian spec key {key!r}",
+                                     _spec_key(spec, key), _floats)
                         for key in ("d", "gamma"))
             with _named("gaussian spec keys 'd' and 'gamma'"):
                 gs = GaussianState(d, gamma)
@@ -172,7 +185,8 @@ def parse_state_spec(spec, space: FockSpace,
                      for c in components]
             return mixture(comps)
         if kind == "file":
-            return load_density(spec["path"], expected_space=space, tol=tol)
+            return load_density(_spec_key(spec, "path"), expected_space=space,
+                                tol=tol)
         raise ValidationError(f"unknown state spec kind {kind!r}")
     raise ValidationError(f"state spec must be a string or object, got {type(spec)}")
 

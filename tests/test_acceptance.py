@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bosonic_ds.classify import build_canonical, decompose
-from bosonic_ds.config import GridSpec, KappaConfig
+from bosonic_ds.config import GridSpec
 from bosonic_ds.fock import (FockSpace, beam_splitter_unitary, evolve,
                              gaussian_to_fock, hs_norm, moments, partial_trace,
                              tensor, trace_norm)
@@ -55,9 +55,7 @@ def family_reports():
     reports = {}
     for p in (0.05, 0.1, 0.2):
         rho = mixture([(1 - p, vacuum(space)), (p, fock_state(space, 2))])
-        reports[p] = run_experiment(rho, rho, np.pi / 4, seed=int(p * 100),
-                                    kappa_cfg=KappaConfig(random_pairs=32,
-                                                          refine_steps=10))
+        reports[p] = run_experiment(rho, rho, np.pi / 4, seed=int(p * 100))
     return reports
 
 

@@ -595,14 +595,47 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
      "and 'state', got {'a': 1}"),
     ({"state1": "fock:50"}, "state spec 'fock:50': levels (50,) outside cutoff 10"),
     ({"state1": "fock:1,1"}, "state spec 'fock:1,1': need 1 level entries, got (1, 1)"),
+    ({"modes_per_arm": 2, "cutoff": 3, "state1": "thermal:0.3"},
+     "state spec 'thermal:0.3': a one-mode state, the space has 2 modes"),
+    ({"modes_per_arm": 2, "cutoff": 3, "state2": "squeezed:0.3"},
+     "state spec 'squeezed:0.3': a one-mode state, the space has 2 modes"),
+    ({"state1": {"kind": "gaussian", "gamma": [[1, 0], [0, 1]]}},
+     "gaussian spec is missing key 'd'"),
+    ({"state1": {"kind": "file"}}, "file spec is missing key 'path'"),
+    ({"state2": {"kind": "mixture", "components": [
+        {"weight": True, "state": "vacuum"}]}},
+     "mixture spec key 'weight': must be a number, got True"),
+    # ds-run never reads these, so setting one would be a silent no-op
+    *(({"tolerances": {key: 5}}, f"tolerance {key!r} is not read by ds-run")
+      for key in ("symplectic", "boundary", "kernel_psd", "residual",
+                  "alpha_swap")),
 ], ids=["displaced-one-component", "gaussian-string-d", "mixture-string-weight",
         "string-tolerance", "gaussian-shape-mismatch", "gaussian-two-modes-on-one",
         "mixture-list-of-strings", "mixture-object", "fock-past-cutoff",
-        "fock-two-levels-on-one-mode"])
+        "fock-two-levels-on-one-mode", "thermal-on-two-modes",
+        "squeezed-on-two-modes", "gaussian-without-d", "file-without-path",
+        "boolean-mixture-weight", "unread-tolerance-symplectic",
+        "unread-tolerance-boundary", "unread-tolerance-kernel_psd",
+        "unread-tolerance-residual", "unread-tolerance-alpha_swap"])
 def test_bad_input_names_its_spec_or_key(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["ds-run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ds_run_accepts_the_tolerances_it_reads(tmp_path):
+    from dataclasses import asdict
+
+    from bosonic_ds.config import DEFAULT_TOLERANCES
+
+    read = ("uncertainty", "gamma_symmetry", "density_hermiticity",
+            "density_trace", "density_psd", "leak_budget", "convention_rel",
+            "convention_abs")
+    tolerances = {key: asdict(DEFAULT_TOLERANCES)[key] for key in read}
+    cfg = write_config(tmp_path, cutoff=4, tolerances=tolerances)
+    out = tmp_path / "report.json"
+    assert main(["ds-run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tolerances"] == tolerances
 
 
 def test_ds_run_rejects_unknown_config_key(tmp_path, capsys):

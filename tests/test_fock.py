@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from bosonic_ds import fock
-from bosonic_ds.config import KappaConfig
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
@@ -457,9 +456,7 @@ def test_vacuum_fourth_moment_and_kappa():
     pair = FockSpace(2, 8)
     rho = tensor(vacuum(FockSpace(1, 8)), vacuum(FockSpace(1, 8)))
     table = moments(rho)
-    kappa, _, kappa_samples = estimate_kappa(
-        support(rho), rho.space, seed=0,
-        cfg=KappaConfig(random_pairs=8, refine_steps=4))
+    kappa, _, kappa_samples = estimate_kappa(support(rho), rho.space, seed=0)
     # <0|Q^4|0> = 3/4 in this convention
     assert table.fourth[0] == pytest.approx(0.75, abs=1e-12)
     assert kappa >= 0.75 - 1e-12
@@ -666,7 +663,7 @@ def test_kappa_values_batch_equals_single_pairs(make):
          for u, v in zip(us, vs)]
 
 
-def _sequential_kappa(factor, space, seed, cfg):
+def _sequential_kappa(factor, space, seed):
     """The kappa search one pair at a time: every canonical pair, the random
     pairs, then the refine steps, each kept when it beats the best by more
     than dim roundoff units."""
@@ -689,11 +686,11 @@ def _sequential_kappa(factor, space, seed, cfg):
     for i in range(dim):
         for j in range(dim):
             consider(eye[i], eye[j])
-    for _ in range(cfg.random_pairs):
+    for _ in range(fock._KAPPA_RANDOM_PAIRS):
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
         consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    for _ in range(cfg.refine_steps):
+    for _ in range(fock._KAPPA_REFINE_STEPS):
         u0, v0 = best_pair
         u = u0 + fock._KAPPA_REFINE_SCALE * rng.normal(size=dim)
         v = v0 + fock._KAPPA_REFINE_SCALE * rng.normal(size=dim)
@@ -747,8 +744,7 @@ def test_batched_kappa_search_matches_sequential_search(make, batched):
     assert (_KAPPA_BATCH_ENTRIES // out.factor[0].size > 1) == batched
     for seed in (0, 3):
         kappa, pair, n_eval = estimate_kappa(out.factor, space, seed=seed)
-        ref, ref_pair, ref_n = _sequential_kappa(out.factor, space, seed,
-                                                 KappaConfig())
+        ref, ref_pair, ref_n = _sequential_kappa(out.factor, space, seed)
         assert kappa == ref and n_eval == ref_n
         for a, b in zip(pair, ref_pair):
             np.testing.assert_array_equal(a, b)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonic_ds.config import KappaConfig, Tolerances
+from bosonic_ds.config import Tolerances
 from bosonic_ds.errors import (BoundViolationError, CalibrationError,
                                TrivialSplitterError, UncertaintyViolationError,
                                ValidationError)
@@ -22,8 +22,6 @@ from bosonic_ds.states import (fock_state, mixture, parse_state_spec,
 from bosonic_ds.symplectic import GaussianState, two_mode_squeezer
 
 from conftest import output_density, random_low_energy_density
-
-CHEAP_KAPPA = KappaConfig(random_pairs=8, refine_steps=4)
 
 
 def lowering(d):
@@ -114,8 +112,7 @@ def test_constants_sweep_rows():
 
 def test_vacuum_pair_is_exact_product():
     space = FockSpace(1, 10)
-    rep = run_experiment(vacuum(space), vacuum(space), np.pi / 4, seed=0,
-                         kappa_cfg=CHEAP_KAPPA)
+    rep = run_experiment(vacuum(space), vacuum(space), np.pi / 4, seed=0)
     assert rep.epsilon <= 1e-8
     assert max(rep.dist_hs_1, rep.dist_hs_2) <= 1e-5
     assert rep.cm_gap <= 1e-8
@@ -127,7 +124,7 @@ def test_interference_epsilon_matches_oracle():
     d = 6
     space = FockSpace(1, d)
     rep = run_experiment(fock_state(space, 1), fock_state(space, 1), np.pi / 4,
-                         seed=0, kappa_cfg=CHEAP_KAPPA)
+                         seed=0)
     # brute force: eigenvalues of the Hermitian difference at the same cutoff
     pair = FockSpace(2, d)
     u = beam_splitter_unitary(pair, np.pi / 4)
@@ -144,8 +141,7 @@ def test_cm_gap_matches_direct_frobenius():
     space = FockSpace(1, 24)
     r1 = gaussian_to_fock(GaussianState(np.zeros(2), 2 * np.eye(2)), space)
     r2 = gaussian_to_fock(GaussianState(np.zeros(2), np.eye(2)), space)
-    rep = run_experiment(r1, r2, np.pi / 4, seed=1,
-                         kappa_cfg=KappaConfig(random_pairs=4, refine_steps=2))
+    rep = run_experiment(r1, r2, np.pi / 4, seed=1)
     assert rep.cm_gap == pytest.approx(np.sqrt(2.0), abs=1e-8)
     assert rep.cm_gap == pytest.approx(float(np.linalg.norm(rep.gamma1 - rep.gamma2)),
                                        abs=1e-12)
@@ -192,14 +188,12 @@ def test_strict_mode_aborts_on_broken_convention():
     r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 2))])
     tiny = Tolerances(convention_rel=1e-30, convention_abs=1e-30)
     with pytest.raises(CalibrationError):
-        run_experiment(r1, vacuum(space), np.pi / 4, seed=0, tol=tiny,
-                       kappa_cfg=CHEAP_KAPPA)
+        run_experiment(r1, vacuum(space), np.pi / 4, seed=0, tol=tiny)
 
 
 def test_enforce_invariants_flags_negative_margin():
     space = FockSpace(1, 10)
-    rep = run_experiment(vacuum(space), vacuum(space), np.pi / 4, seed=0,
-                         kappa_cfg=CHEAP_KAPPA)
+    rep = run_experiment(vacuum(space), vacuum(space), np.pi / 4, seed=0)
     import dataclasses
 
     broken = dataclasses.replace(rep, margin_state=-1.0, margin_cm=0.5)
@@ -207,12 +201,33 @@ def test_enforce_invariants_flags_negative_margin():
         _enforce_invariants(broken)
 
 
+def test_enforce_invariants_passes_flagged_reports():
+    # the guarantees hold for clean runs only: the gate itself lets a report
+    # with truncation flags through
+    space = FockSpace(1, 10)
+    rep = run_experiment(vacuum(space), vacuum(space), np.pi / 4, seed=0)
+    import dataclasses
+
+    flagged = dataclasses.replace(rep, margin_state=-1.0, margin_cm=0.5,
+                                  truncation_flags=("truncation:input1:leak",))
+    _enforce_invariants(flagged)
+
+
+@pytest.mark.parametrize("modes, cutoff, samples", [(1, 6, 100), (2, 3, 148)])
+def test_kappa_samples_count_the_search_plan(modes, cutoff, samples):
+    # (4m)^2 canonical pairs on the 4m quadratures of the 2m-mode pair
+    # space, 64 random pairs and 20 refine steps
+    space = FockSpace(modes, cutoff)
+    rep = run_experiment(vacuum(space), vacuum(space), 0.6, seed=0)
+    assert rep.kappa_samples == samples
+
+
 def test_obtuse_angle_region():
     # beyond pi/2 the in-region constant has no real value (its radicand is
     # negative), but the experiment and the covariance-gap identity still work
     space = FockSpace(1, 12)
     r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 2))])
-    rep = run_experiment(r1, vacuum(space), 2.0, seed=1, kappa_cfg=CHEAP_KAPPA)
+    rep = run_experiment(r1, vacuum(space), 2.0, seed=1)
     assert rep.c1 is None and rep.bound1 is None
     ident = (2 / np.cos(2.0) ** 2) * rep.v_norm
     assert rep.cm_gap == pytest.approx(ident, abs=1e-10)
@@ -234,7 +249,6 @@ def test_mismatched_spaces_rejected():
 def test_report_serialization_keys():
     space = FockSpace(1, 8)
     rep = run_experiment(vacuum(space), vacuum(space), np.pi / 4, seed=0,
-                         kappa_cfg=CHEAP_KAPPA,
                          config_echo={"cutoff": 8, "seed": 0})
     payload = rep.to_dict()
     for key in ("theta", "n", "epsilon", "epsilon_3x", "lambda", "kappa", "r",
@@ -289,8 +303,7 @@ def test_two_modes_per_arm_experiment():
     r1 = tensor(mixture([(0.9, vacuum(one)), (0.1, fock_state(one, 1))]),
                 vacuum(one))
     r2 = tensor(fock_state(one, 1), vacuum(one))
-    rep = run_experiment(r1, r2, np.pi / 4, seed=3,
-                         kappa_cfg=KappaConfig(random_pairs=8, refine_steps=4))
+    rep = run_experiment(r1, r2, np.pi / 4, seed=3)
     assert rep.modes_per_arm == 2
     ident = (2 / np.cos(np.pi / 4) ** 2) * rep.v_norm
     assert rep.cm_gap == pytest.approx(ident, abs=1e-10)
@@ -341,8 +354,7 @@ def test_correlated_two_mode_synthesis_matches_expm():
 def test_witness_equals_experiment_epsilon():
     space = FockSpace(1, 8)
     rho = mixture([(0.7, vacuum(space)), (0.3, fock_state(space, 1))])
-    rep = run_experiment(rho, rho, 0.6, seed=0, kappa_cfg=CHEAP_KAPPA,
-                         strict=False)
+    rep = run_experiment(rho, rho, 0.6, seed=0, strict=False)
     assert nongaussianity_witness(rho, 0.6) == rep.epsilon
 
 
@@ -403,8 +415,7 @@ def test_report_v_matches_cross_covariance_V():
     r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 2))])
     r2 = thermal_state(space, 0.2)
     theta = 0.7
-    rep = run_experiment(r1, r2, theta, seed=2, kappa_cfg=CHEAP_KAPPA,
-                         strict=False)
+    rep = run_experiment(r1, r2, theta, seed=2, strict=False)
     rho_ab = output_density(pair_output(r1, r2, theta))
     res = cross_covariance_V(rho_ab, partial_trace(rho_ab, "first"),
                              partial_trace(rho_ab, "second"), theta,
@@ -521,8 +532,7 @@ def test_output_moments_from_the_arms(modes, cutoff):
     first = (1,) if modes == 1 else (1, 0)
     rho1 = mixture([(0.8, vacuum(space)), (0.2, fock_state(space, first))])
     rho2 = mixture([(0.6, vacuum(space)), (0.4, fock_state(space, first[::-1]))])
-    rep = run_experiment(rho1, rho2, 0.6, seed=0, kappa_cfg=CHEAP_KAPPA,
-                         strict=False)
+    rep = run_experiment(rho1, rho2, 0.6, seed=0, strict=False)
     whole = moments(output_density(pair_output(rho1, rho2, 0.6)))
     assert rep.trace_gamma_out == pytest.approx(np.trace(whole.gamma), rel=1e-14)
     assert rep.kappa >= np.max(whole.fourth)
