@@ -165,8 +165,8 @@ def _run_inputs(args, cfg: dict) -> tuple:
                 raise ValidationError(f"tolerance {name!r} is not read by ds-run")
         tol = Tolerances(**tolerances)
         for name, value in asdict(tol).items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):   # NaN fails too
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):   # NaN fails too
                 raise ValidationError(
                     f"tolerance {name} must be finite and positive, got {value!r}")
         space = FockSpace(modes, cutoff)

@@ -335,25 +335,29 @@ def _sector_exponential(hop: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_unitary(cutoff: int, theta: float) -> np.ndarray:
-    """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff):
-    a read-only complex array, calibrated once at construction.
+def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
+    """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff),
+    as its photon-number sector blocks: a read-only real (2 cutoff - 1,
+    cutoff, cutoff) array in the slots of ``_sector_grid``, calibrated once
+    at construction.
 
     The generator conserves n1 + n2, and so does its truncation, so U is the
     direct sum over totals N of the exponential of the generator on the
-    states |n1, N - n1> inside the cutoff (``_sector_grid``).  There it is
-    real tridiagonal: a2* a1 takes |n1, n2> to |n1 - 1, n2 + 1> with weight
-    sqrt(n1 (n2 + 1)), and a1* a2 is its transpose."""
-    n1, idx, inside = _sector_grid(cutoff)
+    states |n1, N - n1> inside the cutoff.  There it is real tridiagonal:
+    a2* a1 takes |n1, n2> to |n1 - 1, n2 + 1> with weight sqrt(n1 (n2 + 1)),
+    and a1* a2 is its transpose.  Every entry on an empty slot is exactly 0:
+    the exponential of a padded block is the identity on its padding, and
+    ``eigh`` may mix degenerate eigenvectors across it, so the padding is
+    zeroed after the exponential."""
+    n1, _, inside = _sector_grid(cutoff)
     n2 = np.arange(2 * cutoff - 1)[:, None] - n1
     # the weight into slot j from slot j + 1; 0 where slot j + 1 is empty
     hop = theta * np.sqrt(np.where(inside[:, 1:], n1[:, 1:] * (n2[:, 1:] + 1.0), 0.0))
-    sector, j, k = np.nonzero(inside[:, :, None] & inside[:, None, :])
-    u = np.zeros((cutoff ** 2,) * 2, dtype=complex)
-    u[idx[sector, j], idx[sector, k]] = _sector_exponential(hop)[sector, j, k]
-    _calibrate_beam_splitter(u, theta, cutoff)
-    u.flags.writeable = False   # one cached array serves every caller
-    return u
+    blocks = np.where(inside[:, :, None] & inside[:, None, :],
+                      _sector_exponential(hop), 0.0)
+    _calibrate_beam_splitter(blocks, theta, cutoff)
+    blocks.flags.writeable = False   # one cached array serves every caller
+    return blocks
 
 
 def _total_quanta(space: FockSpace) -> np.ndarray:
@@ -383,25 +387,30 @@ def _sector_quadratures(sectors: int, cutoff: int,
     return out
 
 
-def _calibrate_beam_splitter(u: np.ndarray, theta: float, cutoff: int,
+def _calibrate_beam_splitter(blocks: np.ndarray, theta: float, cutoff: int,
                              tol: float = 1e-9) -> None:
-    # The truncated generator conserves n1 + n2, so every entry of U between
-    # two photon-number sectors must be exactly zero.  Then U's Heisenberg
-    # transport U* R_k U, which moves one quantum, lives on adjacent sectors
-    # (N, N + 1), and it must match the block rotation sum_m S_km R_m there
-    # on every sector the truncation leaves intact (``_calibrated_states``:
-    # N + 1 <= cutoff - 2).  The splitter on n mode pairs is a product of
-    # commuting pair unitaries, so its transport follows from this one.
+    # The pair unitary is the direct sum of its sector blocks, so weight can
+    # pass between photon-number sectors only through an empty slot of a
+    # block: every entry there must be exactly zero, and every entry finite.
+    # Then U's Heisenberg transport U* R_k U, which moves one quantum, lives
+    # on adjacent sectors (N, N + 1), and it must match the block rotation
+    # sum_m S_km R_m there on every sector the truncation leaves intact
+    # (``_calibrated_states``: N + 1 <= cutoff - 2).  The splitter on n mode
+    # pairs is a product of commuting pair unitaries, so its transport
+    # follows from this one.
     space = FockSpace(2, cutoff)
-    _, idx, inside = _sector_grid(cutoff)
-    blocks = np.where(inside[:, :, None] & inside[:, None, :],
-                      u[idx[:, :, None], idx[:, None, :]], 0)
-    outside = np.count_nonzero(u) - np.count_nonzero(blocks)
-    if outside:   # NaN counts as nonzero
+    _, _, inside = _sector_grid(cutoff)
+    empty = ~(inside[:, :, None] & inside[:, None, :])
+    leaked = np.count_nonzero(blocks[empty])   # NaN counts as nonzero
+    if leaked:
         raise CalibrationError(
-            f"beam-splitter unitary has {outside} nonzero entries between "
-            "photon-number sectors; it must conserve the total photon number"
+            f"beam-splitter blocks have {leaked} nonzero entries on empty slots, "
+            "weight between photon-number sectors; it must conserve the total "
+            "photon number"
         )
+    broken = np.count_nonzero(~np.isfinite(blocks))
+    if broken:
+        raise CalibrationError(f"beam-splitter blocks have {broken} non-finite entries")
     top = int(_total_quanta(space)[_calibrated_states(space)].max())
     lhs = (np.swapaxes(blocks[:top].conj(), -1, -2)
            @ _sector_quadratures(top, cutoff, np.eye(4)) @ blocks[1:top + 1])
@@ -415,38 +424,59 @@ def _calibrate_beam_splitter(u: np.ndarray, theta: float, cutoff: int,
             )
 
 
-def apply_splitter(u_pair: np.ndarray, x: np.ndarray,
-                   space: FockSpace) -> np.ndarray:
-    """U x for x of shape (dim, r) on the two-arm ``space``: the pair unitary
-    ``u_pair`` (cutoff^2 x cutoff^2) acts on axes (l, n + l) of x reshaped to
-    (cutoff,) * 2n + (r,), that is on arm-1 mode l and arm-2 mode l."""
-    d, n = space.cutoff, space.n_modes // 2
-    pair = u_pair.reshape((d,) * 4)
+@dataclass(frozen=True)
+class Splitter:
+    """The beam splitter on a two-arm ``space``, held as the sector blocks of
+    its pair unitary (``pair_blocks``) and applied by ``apply_splitter``.
+    The dense unitary, ``matrix``, is formed only when read: by tests and
+    oracles, never by the ``ds-run`` and ``witness`` chains."""
+
+    space: FockSpace
+    blocks: np.ndarray
+    flags = ()   # no truncation flags, read by ``evolve`` like an operator's
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return apply_splitter(self, np.eye(self.space.dim, dtype=complex))
+
+
+def apply_splitter(u: Splitter, x: np.ndarray) -> np.ndarray:
+    """U x for x of shape (dim, r) on the splitter's two-arm space.  On each
+    mode pair (arm-1 mode l, arm-2 mode l), x is read as (cutoff^2, rest) on
+    the pair's flat index, and the rows of sector N, gathered by
+    ``_sector_grid``, are multiplied by block N.  The whole padded block is
+    applied: the rows gathered for empty slots are row 0, and they meet
+    exact zeros in the block, so only the sector's own rows are kept.  No
+    cutoff^2 x cutoff^2 array is formed."""
+    d, n = u.space.cutoff, u.space.n_modes // 2
+    _, idx, inside = _sector_grid(d)
+    sizes = np.count_nonzero(inside, axis=1)
     t = x.reshape((d,) * (2 * n) + (-1,))
     for l in range(n):
-        t = np.moveaxis(np.tensordot(pair, t, axes=([2, 3], [l, n + l])),
-                        (0, 1), (l, n + l))
+        moved = np.moveaxis(t, (l, n + l), (0, 1))
+        flat = moved.reshape(d * d, -1)
+        out = np.empty(flat.shape, dtype=np.result_type(u.blocks, flat))
+        for sector, size in enumerate(sizes):
+            rows = idx[sector]
+            out[rows[:size]] = (u.blocks[sector] @ flat[rows])[:size]
+        t = np.moveaxis(out.reshape(moved.shape), (0, 1), (l, n + l))
     return t.reshape(x.shape)
 
 
-def beam_splitter_unitary(space: FockSpace, theta: float) -> FockOperator:
-    """Unitary on a two-arm space whose moment transport realizes the block
-    rotation: Gamma' = S Gamma S^T, d' = S d.
+def beam_splitter_unitary(space: FockSpace, theta: float) -> Splitter:
+    """The splitter on a two-arm space whose moment transport realizes the
+    block rotation: Gamma' = S Gamma S^T, d' = S d.
 
-    The generator convention is verified at construction against the
-    symplectic transport on all untruncated number sectors.  At one mode
-    per arm this is the cached pair unitary itself; larger spaces get the
-    dense product of one pair unitary per mode pair.
+    The generator convention is verified at construction of the sector
+    blocks against the symplectic transport on all untruncated number
+    sectors; the blocks are cached, so a second call builds nothing.
     """
     if space.n_modes % 2:
         raise DimensionError("beam splitter needs two equal arms (even mode count)")
-    u = _pair_unitary(space.cutoff, float(theta))
-    if space.n_modes > 2:
-        u = apply_splitter(u, np.eye(space.dim), space)
-    return FockOperator(space, u)
+    return Splitter(space, pair_blocks(space.cutoff, float(theta)))
 
 
-def evolve(rho: FockOperator, u: FockOperator) -> FockOperator:
+def evolve(rho: FockOperator, u: FockOperator | Splitter) -> FockOperator:
     if rho.space != u.space:
         raise DimensionError("state and unitary live on different spaces")
     out = u.matrix @ rho.matrix @ u.matrix.conj().T

@@ -279,9 +279,11 @@ class PairOutput:
 # full-rank thermals.  The rest is headroom.  A batch of kappa pairs adds at
 # most four arrays of 2**14 complex entries (256 KiB each), and a factor too
 # large for a batch of two goes one pair at a time, so batching leaves the
-# count unchanged.  A pure witness holds only the pair unitary, since its
-# epsilon reads no dense member of the output; the count stays 9 because the
-# preflight runs before the input, and so its rank, is known.
+# count unchanged.  A pure witness holds none of them: the splitter is its
+# 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``), not
+# a dense pair unitary, and its epsilon reads no dense member of the output;
+# the count stays 9 because the preflight runs before the input, and so its
+# rank, is known.
 _DENSE_MATRICES = 9
 
 
@@ -340,9 +342,9 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
     the rank(rho1) rank(rho2) columns of V1 x V2.  The reductions, g and
     epsilon are formed on first read (see ``PairOutput``)."""
     pair_space = _check_pair(rho1, rho2, theta, tol)
-    u_pair = beam_splitter_unitary(FockSpace(2, pair_space.cutoff), theta).matrix
+    u = beam_splitter_unitary(pair_space, theta)
     (v1, p1), (v2, p2) = support(rho1), support(rho2)
-    w = apply_splitter(u_pair, np.kron(v1, v2), pair_space)
+    w = apply_splitter(u, np.kron(v1, v2))
     return PairOutput(pair_space, (w, np.kron(p1, p2)), tol)
 
 

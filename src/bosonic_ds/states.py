@@ -126,7 +126,17 @@ def _spec_key(spec: dict, key: str):
     return spec[key]
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _floats(value) -> np.ndarray:
+    """``value`` as a float array; a boolean at any depth is refused, not
+    read as 0 or 1."""
+    if _holds_bool(value):
+        raise ValueError(f"must hold numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 
 

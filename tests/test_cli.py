@@ -605,6 +605,10 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
     ({"state2": {"kind": "mixture", "components": [
         {"weight": True, "state": "vacuum"}]}},
      "mixture spec key 'weight': must be a number, got True"),
+    ({"state1": {"kind": "gaussian", "d": [True, False], "gamma": [[1, 0], [0, 1]]}},
+     "gaussian spec key 'd': must hold numbers, got [True, False]"),
+    ({"tolerances": {"leak_budget": True}},
+     "tolerance leak_budget must be finite and positive, got True"),
     # ds-run never reads these, so setting one would be a silent no-op
     *(({"tolerances": {key: 5}}, f"tolerance {key!r} is not read by ds-run")
       for key in ("symplectic", "boundary", "kernel_psd", "residual",
@@ -614,7 +618,8 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
         "mixture-list-of-strings", "mixture-object", "fock-past-cutoff",
         "fock-two-levels-on-one-mode", "thermal-on-two-modes",
         "squeezed-on-two-modes", "gaussian-without-d", "file-without-path",
-        "boolean-mixture-weight", "unread-tolerance-symplectic",
+        "boolean-mixture-weight", "boolean-gaussian-d", "boolean-tolerance",
+        "unread-tolerance-symplectic",
         "unread-tolerance-boundary", "unread-tolerance-kernel_psd",
         "unread-tolerance-residual", "unread-tolerance-alpha_swap"])
 def test_bad_input_names_its_spec_or_key(tmp_path, capsys, overrides, message):
@@ -682,3 +687,26 @@ def test_classify_names_a_negative_seed(tmp_path, capsys, matrix):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be non-negative, got -1\n"
+
+
+def test_chain_never_builds_the_dense_splitter(tmp_path, monkeypatch, capsys):
+    # witness and ds-run apply the splitter's sector blocks; the dense
+    # cutoff^2 x cutoff^2 unitary, formed on reading Splitter.matrix, serves
+    # only tests and oracles
+    from bosonic_ds import fock
+
+    def dense_splitter(self):
+        raise AssertionError("dense beam-splitter unitary built")
+
+    monkeypatch.setattr(fock.Splitter, "matrix", property(dense_splitter))
+    assert main(["witness", "--state", "thermal:0.3", "--theta", "0.6",
+                 "--cutoff", "8"]) == 0
+    assert main(["witness", "--state", "squeezed:0.3", "--theta", "0.6",
+                 "--cutoff", "8"]) == 0
+    for modes, cutoff in ((1, 8), (2, 3)):
+        cfg = write_config(tmp_path, state1={"kind": "mixture", "components": [
+            {"weight": 0.9, "state": "vacuum"},
+            {"weight": 0.1, "state": "fock:1" if modes == 1 else "fock:1,0"}]},
+            modes_per_arm=modes, cutoff=cutoff)
+        assert main(["ds-run", "--config", str(cfg),
+                     "--out", str(tmp_path / "report.json")]) == 0

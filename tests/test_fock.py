@@ -10,18 +10,18 @@ from bosonic_ds.errors import (CalibrationError, DimensionError,
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              _calibrate_beam_splitter, _calibrated_states,
                              _head_blocks, _head_bounds, _kappa_blocks,
-                             _kappa_values, _pair_unitary,
-                             _quadrature_norms, _row_order,
+                             _kappa_values, _quadrature_norms, _row_order,
+                             _sector_grid,
                              apply_quadratures, apply_splitter,
                              beam_splitter_unitary, block_groups,
                              certified_levels,
                              char_batch, density, displacement_elements,
                              estimate_kappa, evolve,
                              gaussian_to_fock, gaussify, hs_norm,
-                             leak_population, moments, partial_trace,
-                             quadratures, safe_extent, support, tensor,
-                             trace_norm, validate_density, weyl_alphas,
-                             weyl_operator)
+                             leak_population, moments, pair_blocks,
+                             partial_trace, quadratures, safe_extent, support,
+                             tensor, trace_norm, validate_density,
+                             weyl_alphas, weyl_operator)
 from bosonic_ds.stability import pair_output
 from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
                                squeezed_surrogate, thermal_state, vacuum)
@@ -271,23 +271,32 @@ def test_calibration_covers_every_intact_state(modes, cutoff):
 
 def test_calibration_rejects_reversed_angle():
     # the certified-block comparison still catches a sign flip of theta
-    u = _pair_unitary(8, -0.4)
+    blocks = pair_blocks(8, -0.4)
     with pytest.raises(CalibrationError):
-        _calibrate_beam_splitter(u, 0.4, 8)
+        _calibrate_beam_splitter(blocks, 0.4, 8)
 
 
 def test_calibration_rejects_nan_matrix():
     # a NaN defect must not compare as within tolerance
     with pytest.raises(CalibrationError):
-        _calibrate_beam_splitter(np.full((36, 36), np.nan, dtype=complex), 0.6, 6)
+        _calibrate_beam_splitter(np.full((11, 6, 6), np.nan), 0.6, 6)
+
+
+def test_calibration_rejects_nan_in_an_uncalibrated_sector():
+    # sector 14 (the state |7, 7>) lies past the transport check's reach, so
+    # only the finiteness check sees a NaN there
+    blocks = pair_blocks(8, 0.4).copy()
+    blocks[14, 0, 0] = np.nan
+    with pytest.raises(CalibrationError, match="non-finite"):
+        _calibrate_beam_splitter(blocks, 0.4, 8)
 
 
 @pytest.mark.parametrize("theta", [0.3, -0.6, 1.2])
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 32])
 def test_sector_pair_unitary_matches_dense_expm(cutoff, theta):
-    # built sector by sector, U equals the exponential of the dense
+    # applied sector by sector, U equals the exponential of the dense
     # Kronecker generator and never couples two total-photon sectors
-    u = _pair_unitary(cutoff, theta)
+    u = beam_splitter_unitary(FockSpace(2, cutoff), theta).matrix
     a = lowering(cutoff)
     dense = expm(theta * (np.kron(a, a.T) - np.kron(a.T, a)))
     assert np.max(np.abs(u - dense)) <= 1e-12
@@ -300,55 +309,79 @@ def test_sector_pair_unitary_matches_dense_expm(cutoff, theta):
 def test_calibration_rejects_one_reversed_sector(total):
     # every certified sector (total quanta <= cutoff - 2 = 6) is checked:
     # one block taken from the reversed angle is caught
-    u = _pair_unitary(8, 0.4).copy()
-    states = np.arange(total + 1) * 8 + total - np.arange(total + 1)
-    block = np.ix_(states, states)
-    u[block] = _pair_unitary(8, -0.4)[block]
+    blocks = pair_blocks(8, 0.4).copy()
+    blocks[total] = pair_blocks(8, -0.4)[total]
     with pytest.raises(CalibrationError):
-        _calibrate_beam_splitter(u, 0.4, 8)
+        _calibrate_beam_splitter(blocks, 0.4, 8)
 
 
 def test_calibration_rejects_weight_between_sectors():
-    # U must conserve the total photon number: weight 1e-6 from |0, 0>
-    # into |1, 0> breaks it, although every sector block is intact
-    u = _pair_unitary(8, 0.4).copy()
-    u[1 * 8 + 0, 0] = 1e-6
+    # U must conserve the total photon number; in the block form weight can
+    # pass between sectors only through an empty slot, so 1e-6 on the empty
+    # slot (0, 1) of sector 0 breaks it, although every sector is intact
+    blocks = pair_blocks(8, 0.4).copy()
+    blocks[0, 0, 1] = 1e-6
     with pytest.raises(CalibrationError, match="between photon-number sectors"):
-        _calibrate_beam_splitter(u, 0.4, 8)
+        _calibrate_beam_splitter(blocks, 0.4, 8)
 
 
 def test_calibration_rejects_wrong_angle():
     # a correct splitter at another angle fails the transport check
     with pytest.raises(CalibrationError, match="transport defect"):
-        _calibrate_beam_splitter(_pair_unitary(8, 0.41), 0.4, 8)
+        _calibrate_beam_splitter(pair_blocks(8, 0.41), 0.4, 8)
 
 
 def test_pair_unitary_is_cached_read_only():
-    first = beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix
-    assert beam_splitter_unitary(FockSpace(2, 8), 0.3).matrix is first
+    first = pair_blocks(8, 0.3)
+    assert pair_blocks(8, 0.3) is first
+    assert beam_splitter_unitary(FockSpace(4, 8), 0.3).blocks is first
     assert not first.flags.writeable
-    assert first.dtype == complex
+    assert first.dtype == float
+    assert first.shape == (15, 8, 8)
 
 
-def test_per_pair_splitter_matches_full_generator():
-    # two modes per arm, cutoff 5: expm of the Kronecker-built generator
-    # sum_l (a2l* a1l - a1l* a2l) on the full pair space
-    n, d, theta = 2, 5, 0.6
-    space = FockSpace(2 * n, d)
+def test_pair_blocks_are_zero_on_every_empty_slot():
+    # a padded block exponentiates to the identity on its padding, and eigh
+    # may mix degenerate eigenvectors across it; the cached blocks hold
+    # exact zeros there
+    _, _, inside = _sector_grid(16)
+    empty = ~(inside[:, :, None] & inside[:, None, :])
+    assert np.all(pair_blocks(16, np.pi / 4)[empty] == 0)
+
+
+def _kronecker_generator(n, d):
+    """The generator sum_l (a2l* a1l - a1l* a2l) on n modes per arm, cutoff
+    d, built from Kronecker products of the local lowering."""
     a = lowering(d)
 
     def embed(op, mode):
         return np.kron(np.kron(np.eye(d ** mode), op),
                        np.eye(d ** (2 * n - mode - 1)))
 
-    gen = sum(embed(a.T, n + l) @ embed(a, l) - embed(a.T, l) @ embed(a, n + l)
-              for l in range(n))
-    dense = expm(theta * gen)
-    u = beam_splitter_unitary(space, theta).matrix
-    assert np.max(np.abs(u - dense)) <= 1e-13
-    x = np.random.default_rng(3).normal(size=(space.dim, 3))
-    np.testing.assert_allclose(apply_splitter(_pair_unitary(d, theta), x, space),
-                               dense @ x, rtol=0, atol=1e-13)
+    return sum(embed(a.T, n + l) @ embed(a, l) - embed(a.T, l) @ embed(a, n + l)
+               for l in range(n))
+
+
+def test_per_pair_splitter_matches_full_generator():
+    # 1-3 modes per arm, cutoffs 2-5: the dense U and the sector-by-sector
+    # product on a complex block of columns equal the exponential of the
+    # Kronecker generator G.  G is real antisymmetric, so exp(theta G) =
+    # V exp(-i theta lam) V* from the eigenpairs of the Hermitian i G; scipy's
+    # expm is the blunter reference here (off by 1.4e-13 at 3 modes/arm,
+    # cutoff 3).  3 modes/arm at cutoff 5 is left out: its dense reference
+    # (dim 15625) would take 3.9 GB
+    theta = 0.6
+    for n, d in [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]:
+        space = FockSpace(2 * n, d)
+        lam, v = np.linalg.eigh(1j * _kronecker_generator(n, d))
+        dense = (v * np.exp(-1j * theta * lam)) @ v.conj().T
+        u = beam_splitter_unitary(space, theta)
+        assert np.max(np.abs(u.matrix - dense)) <= 1e-13
+        rng = np.random.default_rng(n * 10 + d)
+        x = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+        out = apply_splitter(u, x)
+        assert out.shape == x.shape and out.dtype == complex
+        np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-13)
 
 
 def test_odd_mode_count_rejected():
