@@ -399,18 +399,19 @@ def _calibrate_beam_splitter(blocks: np.ndarray, theta: float, cutoff: int,
     # pairs is a product of commuting pair unitaries, so its transport
     # follows from this one.
     space = FockSpace(2, cutoff)
+    where = f"beam splitter at cutoff {cutoff}, theta {float(theta)!r}"
     _, _, inside = _sector_grid(cutoff)
     empty = ~(inside[:, :, None] & inside[:, None, :])
     leaked = np.count_nonzero(blocks[empty])   # NaN counts as nonzero
     if leaked:
         raise CalibrationError(
-            f"beam-splitter blocks have {leaked} nonzero entries on empty slots, "
+            f"{where}: blocks have {leaked} nonzero entries on empty slots, "
             "weight between photon-number sectors; it must conserve the total "
             "photon number"
         )
     broken = np.count_nonzero(~np.isfinite(blocks))
     if broken:
-        raise CalibrationError(f"beam-splitter blocks have {broken} non-finite entries")
+        raise CalibrationError(f"{where}: blocks have {broken} non-finite entries")
     top = int(_total_quanta(space)[_calibrated_states(space)].max())
     lhs = (np.swapaxes(blocks[:top].conj(), -1, -2)
            @ _sector_quadratures(top, cutoff, np.eye(4)) @ blocks[1:top + 1])
@@ -419,7 +420,7 @@ def _calibrate_beam_splitter(blocks: np.ndarray, theta: float, cutoff: int,
     for k in range(4):
         if not defect[k] <= tol:   # a NaN defect fails too
             raise CalibrationError(
-                f"beam-splitter transport defect {defect[k]:.3e} on component {k}; "
+                f"{where}: transport defect {defect[k]:.3e} on component {k}; "
                 "sign or phase convention broke"
             )
 
@@ -695,6 +696,42 @@ def _head_blocks(blocks: list, head: np.ndarray, r: int) -> list:
     return restricted
 
 
+def _gram_trace_norm_bounds(m: np.ndarray) -> np.ndarray:
+    """Upper bounds on the trace norm of each matrix of a (b, rows, cols)
+    stack, from the eigenvalues of its Gram matrix on the short side.
+
+    Take each M as h x c with h <= c (its transpose otherwise, which has the
+    same singular values), so sigma_i(M)^2 = lambda_i(G) for G = M M*.  The
+    bound is sum_i sqrt(max(lam_i, 0) + delta), lam_i the computed
+    eigenvalues, with delta = (c + 10 h) eps tr G:
+    - each entry of the computed G sums c complex products, so
+      |fl(G) - G| <= gamma_(c+2) |M| |M|^T entrywise (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, ch. 3; the 2 is complex
+      multiplication's), and ||fl(G) - G||_2 <= gamma_(c+2) ||M||_F^2 =
+      gamma_(c+2) tr G;
+    - ``eigvalsh`` returns the exact eigenvalues of fl(G) + F, with
+      ||F||_2 <= p(h) eps ||fl(G)||_2 for a modestly growing p (LAPACK's
+      own error bounds take p = 1); p(h) = 8 h here, and ||fl(G)||_2 <=
+      tr G to first order;
+    - by Weyl's inequality each lam_i then lies within (c + 2 + 8 h) eps tr G
+      <= delta of lambda_i(G), h >= 1, and lambda_i(G) >= 0.
+    Terms of second order in eps, the rounding of tr G and of the square
+    roots and sums are left to the caller's roundoff slack, at least 16 dim
+    eps relative.  A stack whose tr G is not finite (the squares overflow)
+    takes the exact SVD instead."""
+    if m.shape[-2] > m.shape[-1]:
+        m = np.swapaxes(m, -1, -2)
+    h, c = m.shape[-2:]
+    with np.errstate(over="ignore", invalid="ignore"):   # caught by tr G
+        g = m @ np.swapaxes(m.conj(), -1, -2)
+    tr = np.einsum("...ii->...", g).real
+    if not np.all(np.isfinite(tr)):
+        return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    delta = (c + 10 * h) * np.finfo(float).eps * tr
+    lam = np.maximum(np.linalg.eigvalsh(g), 0.0)
+    return np.sum(np.sqrt(lam + delta[:, None]), axis=-1)
+
+
 def _head_bounds(left: np.ndarray, space: FockSpace, us: np.ndarray,
                  vs: np.ndarray, blocks: list, head: np.ndarray,
                  tail: float) -> np.ndarray:
@@ -703,12 +740,14 @@ def _head_bounds(left: np.ndarray, space: FockSpace, us: np.ndarray,
     ``tail`` is at least the summed norms of the other rows.  By the triangle
     inequality each other row adds at most the norm of row_i X, which is at
     most ||row_i|| ||R_u||^2 ||R_v||^2 (``_quadrature_norms``).  The head's
-    trace norm is taken per block of ``blocks`` (``_head_blocks``)."""
+    trace norm is bounded per block of ``blocks`` (``_head_blocks``) by
+    ``_gram_trace_norm_bounds``, with no SVD."""
     op = (_quadrature_norms(us, space.cutoff)
           * _quadrature_norms(vs, space.cutoff)) ** 2
     prod = _kappa_products(left[head], space, us, vs)
     head_blocks = _head_blocks(blocks, head, len(left))
-    return _block_trace_norms(prod, head_blocks) + op * tail
+    return sum(_gram_trace_norm_bounds(prod[(slice(None),) + idx])
+               for idx in head_blocks) + op * tail
 
 
 def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
@@ -721,11 +760,14 @@ def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
                               blocks).tolist()
 
 
-# The kappa search evaluates its fixed pairs in batches whose b x r x dim
-# products hold at most this many complex entries (256 KiB per array): enough
-# pairs to spread numpy's per-call cost when r x dim is small, few enough to
-# stay in cache and add little to peak memory.  A factor whose r x dim
-# exceeds it goes one pair at a time.
+# The kappa search's products hold at most this many complex entries (256 KiB
+# per array): enough pairs to spread numpy's per-call cost when the rows are
+# few, few enough to stay in cache and add little to peak memory.  It sizes
+# both kinds of batch: a head bound takes b pairs of h x dim products, h the
+# head rows, and a full evaluation b pairs of r x dim.  Two full-rank
+# thermals at cutoff 12 (r = dim = 144) go one pair at a time through full
+# evaluations, but their heads of 23-24 rows take 4 pairs per bound.  Where
+# one pair's product exceeds the cap, a batch holds one pair.
 _KAPPA_BATCH_ENTRIES = 2 ** 14
 
 # The head bound of ``estimate_kappa``: the tail weight a head of rows may
@@ -757,53 +799,76 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     ``factor = (w, p)`` with orthonormal columns w gives the same singular
     values from the r x dim matrix diag(p) w* X.
     The exact zero blocks that every product shares are found once per
-    search (``_kappa_blocks``), and each evaluation and each bound takes its
-    singular values block by block (``_block_trace_norms``).
-    The canonical and random pairs are fixed before the search, so they are
-    evaluated in batches whose products hold at most ``_KAPPA_BATCH_ENTRIES``
-    entries each; the refine steps, each from the current best, go one by one.
+    search (``_kappa_blocks``); each evaluation takes its singular values
+    block by block (``_block_trace_norms``), and each head bound its Gram
+    eigenvalues (``_gram_trace_norm_bounds``).
+    Pairs are offered in order, in batches whose products hold at most
+    ``_KAPPA_BATCH_ENTRIES`` entries each, sized for the rows the batch's
+    first product holds: the head rows when a head bound comes first,
+    otherwise all r.  The canonical and random pairs are fixed before the
+    search, so a gain inside a batch keeps the values already taken and no
+    fixed pair is multiplied out twice.  The refine moves are drawn up front
+    (the same stream as one step at a time) and each batch of candidates is
+    formed from the current best; at the first candidate that raises the
+    best, the rest of its batch is dropped and rebuilt from the new best.
     A candidate must beat the best by more than dim roundoff units, so
     pairs that tie exactly (by symmetry) keep the first one whichever
     factor of the state evaluates them.
 
-    That threshold is each batch's floor: a pair whose trace norm provably
-    cannot pass it skips its product and SVDs, and still counts as an
-    evaluation.  It is skipped once an upper bound b on its trace norm has
-    (1 + s) b <= floor, s a roundoff allowance of at least 16 dim eps.  With
-    a floor above 0 the bound is ``_head_bounds``, before the full products,
-    on the shortest head of rows by norm (``_row_order``) whose tail weight t
-    has sup ||X||_op t <= ``_KAPPA_HEAD_SHARE`` floor, sup ||X||_op = q^4 n^2
-    over unit u, v on n modes; only when that head leaves out a row.  The
-    pairs that are kept are rows of one batch product, so each holds the
-    same bits as with no skip.
+    That threshold is the floor: a pair whose trace norm provably cannot
+    pass it skips its product and SVDs, and still counts as an evaluation.
+    It is skipped once an upper bound b on its trace norm has (1 + s) b <=
+    floor, s a roundoff allowance of at least 16 dim eps.  With a floor
+    above 0 the bound is ``_head_bounds``, before the full products, on the
+    shortest head of rows by norm (``_row_order``) whose tail weight t has
+    sup ||X||_op t <= ``_KAPPA_HEAD_SHARE`` floor, sup ||X||_op = q^4 n^2
+    over unit u, v on n modes; only when that head leaves out a row.  A
+    batch's bounds are taken against the floor at its start, and each full
+    evaluation, r x dim at a time within ``_KAPPA_BATCH_ENTRIES``, against
+    the running floor.  Every row of a product holds the same bits whichever
+    pairs share its batch, so kappa, its pair and the count are those of
+    the one-by-one search with no skip.
     """
     w, p = factor
     left = p[:, None] * w.conj().T
+    r = len(left)
     blocks = _kappa_blocks(left, space)
     order, tail = _row_order(left)
     margin = 1.0 + space.dim * np.finfo(float).eps
     slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
     sup = (_mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
     dim = 2 * space.n_modes
+    chunk = max(1, _KAPPA_BATCH_ENTRIES // left.size)
     rng = np.random.default_rng(seed)
     best, best_pair = -np.inf, None
 
-    def consider(us, vs):
-        nonlocal best, best_pair
+    def head():
+        # the rows the next call multiplies out first, and its batch of pairs
         floor = best * margin
-        live = np.arange(len(us))
+        h = r
         if floor > 0:
             h = int(np.searchsorted(-tail, -_KAPPA_HEAD_SHARE * floor / sup))
-            if h < len(left):
-                bounds = _head_bounds(left, space, us, vs, blocks, order[:h],
-                                      tail[h])
-                live = live[slack * bounds > floor]
-        if not live.size:
-            return
-        vals = _kappa_values(left, space, us[live], vs[live], blocks)
-        for k, val in zip(live, vals):
-            if val > best * margin:
-                best, best_pair = val, (us[k].copy(), vs[k].copy())
+        return h, max(1, _KAPPA_BATCH_ENTRIES // (h * space.dim))
+
+    def consider(us, vs, h, restart):
+        # offers the pairs in order; returns how many it took: all of them,
+        # or with ``restart`` those up to the first that raises the best
+        nonlocal best, best_pair
+        bounds = np.full(len(us), np.inf)
+        if h < r:
+            bounds = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
+        live = np.arange(len(us))
+        while True:
+            live = live[slack * bounds[live] > best * margin]
+            if not live.size:
+                return len(us)
+            part, live = live[:chunk], live[chunk:]
+            for k, val in zip(part, _kappa_values(left, space, us[part],
+                                                  vs[part], blocks)):
+                if val > best * margin:
+                    best, best_pair = val, (us[k].copy(), vs[k].copy())
+                    if restart:
+                        return k + 1
 
     eye = np.eye(dim)
     pairs = [(eye[i], eye[j]) for i in range(dim) for j in range(dim)]
@@ -812,14 +877,18 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
         v = rng.normal(size=dim)
         pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
     us, vs = np.array(pairs).transpose(1, 0, 2)
-    batch = max(1, _KAPPA_BATCH_ENTRIES // left.size)
-    for lo in range(0, len(pairs), batch):
-        consider(us[lo:lo + batch], vs[lo:lo + batch])
-    for _ in range(_KAPPA_REFINE_STEPS):
-        u0, v0 = best_pair
-        u = u0 + _KAPPA_REFINE_SCALE * rng.normal(size=dim)
-        v = v0 + _KAPPA_REFINE_SCALE * rng.normal(size=dim)
-        consider((u / np.linalg.norm(u))[None], (v / np.linalg.norm(v))[None])
+    taken = 0
+    while taken < len(pairs):
+        h, batch = head()
+        taken += consider(us[taken:taken + batch], vs[taken:taken + batch], h,
+                          restart=False)
+    moves = _KAPPA_REFINE_SCALE * rng.normal(size=(_KAPPA_REFINE_STEPS, 2, dim))
+    taken = 0
+    while taken < _KAPPA_REFINE_STEPS:
+        h, batch = head()
+        steps = np.array(best_pair) + moves[taken:taken + batch]
+        steps = np.array([[x / np.linalg.norm(x) for x in step] for step in steps])
+        taken += consider(steps[:, 0], steps[:, 1], h, restart=True)
     return best, best_pair, len(pairs) + _KAPPA_REFINE_STEPS
 
 

@@ -23,13 +23,14 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (BoundViolationError, CalibrationError,
-                     TrivialSplitterError, ValidationError)
+                     TrivialSplitterError, UncertaintyViolationError,
+                     ValidationError)
 from .fock import (FockOperator, FockSpace, apply_splitter,
                    beam_splitter_unitary, block_groups, estimate_kappa,
                    gaussian_to_fock, gaussify, hs_norm, leak_flags,
                    mode_pair_moments, moments, partial_trace, support,
                    validate_density)
-from .symplectic import is_trivial_angle
+from .symplectic import GaussianState, is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
 # the published curve; the ~10% gap is reported side by side, not reconciled.
@@ -277,9 +278,12 @@ class PairOutput:
 # inputs).  Peak RSS above the interpreter's and the inputs' measures 6.44 of
 # them at dim 1296 for two full-rank Gaussians and 3.72 at dim 1600 for two
 # full-rank thermals.  The rest is headroom.  A batch of kappa pairs adds at
-# most four arrays of 2**14 complex entries (256 KiB each), and a factor too
-# large for a batch of two goes one pair at a time, so batching leaves the
-# count unchanged.  A pure witness holds none of them: the splitter is its
+# most four arrays of 2**14 complex entries (256 KiB each): the head bounds
+# batch their h x dim products and the full evaluations their r x dim ones
+# under that cap, and one pair too large for it goes alone.  The head
+# bounds take Gram matrices of at most h x h per pair, no larger than the
+# head product, in place of an SVD's copy, so the count is unchanged.  A
+# pure witness holds none of them: the splitter is its
 # 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``), not
 # a dense pair unitary, and its epsilon reads no dense member of the output;
 # the count stays 9 because the preflight runs before the input, and so its
@@ -426,6 +430,17 @@ def _operator_norm(gamma: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(gamma))))
 
 
+def _gaussify_input(rho: FockOperator, label: str,
+                    tol: Tolerances) -> GaussianState:
+    """``gaussify(rho)``; its failure names the input, ``label``, and the
+    cutoff."""
+    try:
+        return gaussify(rho, tol)
+    except UncertaintyViolationError as exc:
+        raise UncertaintyViolationError(
+            f"{label} at cutoff {rho.space.cutoff}: {exc}") from exc
+
+
 def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
                    seed: int = 0,
                    tol: Tolerances = DEFAULT_TOLERANCES,
@@ -442,8 +457,8 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     # Gaussify before the splitter, so a cutoff too small for an input fails
     # before U is built and the pair evolved.
     pair_space = _check_pair(rho1, rho2, theta, tol)
-    gs1 = gaussify(rho1, tol)
-    gs2 = gaussify(rho2, tol)
+    gs1 = _gaussify_input(rho1, "state1", tol)
+    gs2 = _gaussify_input(rho2, "state2", tol)
     out = pair_output(rho1, rho2, theta, tol)
     n = rho1.space.n_modes
     epsilon = out.epsilon

@@ -347,6 +347,15 @@ def test_ds_run_cutoff_or_size_failure_is_one_line(tmp_path, capsys, overrides,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", ["state1", "state2"])
+def test_ds_run_gaussify_failure_names_the_input(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, cutoff=6, **{bad: "displaced:3,0"})
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} at cutoff 6: gaussified covariance")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_ds_run_preflight_counts_full_rank_working_set(tmp_path, capsys,
                                                        monkeypatch):
     # two full-rank Gaussians at 2 modes/arm, cutoff 6 (dim 1296) peak at

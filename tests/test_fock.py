@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              _calibrate_beam_splitter, _calibrated_states,
-                             _head_blocks, _head_bounds, _kappa_blocks,
+                             _gram_trace_norm_bounds, _head_blocks,
+                             _head_bounds, _kappa_blocks,
                              _kappa_values, _quadrature_norms, _row_order,
                              _sector_grid,
                              apply_quadratures, apply_splitter,
@@ -329,6 +331,30 @@ def test_calibration_rejects_wrong_angle():
     # a correct splitter at another angle fails the transport check
     with pytest.raises(CalibrationError, match="transport defect"):
         _calibrate_beam_splitter(pair_blocks(8, 0.41), 0.4, 8)
+
+
+def _weight_between_sectors(blocks):
+    blocks[0, 0, 1] = 1e-6
+
+
+def _nan_in_last_sector(blocks):
+    blocks[14, 0, 0] = np.nan
+
+
+@pytest.mark.parametrize("built_at, corrupt, message", [
+    (0.4, _weight_between_sectors, "between photon-number sectors"),
+    (0.4, _nan_in_last_sector, "non-finite"),
+    (0.41, None, "transport defect"),
+], ids=["weight-between-sectors", "non-finite", "transport-defect"])
+def test_calibration_errors_name_cutoff_and_theta(built_at, corrupt, message):
+    # each of the three calibration failures names the splitter's size and
+    # angle, so a failing run says which splitter broke
+    blocks = pair_blocks(8, built_at).copy()
+    if corrupt:
+        corrupt(blocks)
+    with pytest.raises(CalibrationError, match=message) as info:
+        _calibrate_beam_splitter(blocks, 0.4, 8)
+    assert "beam splitter at cutoff 8, theta 0.4:" in str(info.value)
 
 
 def test_pair_unitary_is_cached_read_only():
@@ -696,10 +722,23 @@ def test_kappa_values_batch_equals_single_pairs(make):
          for u, v in zip(us, vs)]
 
 
+def _fixed_pairs(dim, rng):
+    """The kappa search's fixed pairs: every canonical pair, then the random
+    pairs drawn from ``rng``."""
+    eye = np.eye(dim)
+    pairs = [(eye[i], eye[j]) for i in range(dim) for j in range(dim)]
+    for _ in range(fock._KAPPA_RANDOM_PAIRS):
+        u = rng.normal(size=dim)
+        v = rng.normal(size=dim)
+        pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
+    return pairs
+
+
 def _sequential_kappa(factor, space, seed):
     """The kappa search one pair at a time: every canonical pair, the random
     pairs, then the refine steps, each kept when it beats the best by more
-    than dim roundoff units."""
+    than dim roundoff units.  Also returns the refine steps that raised the
+    best."""
     w, p = factor
     left = p[:, None] * w.conj().T
     blocks = _kappa_blocks(left, space)
@@ -714,25 +753,28 @@ def _sequential_kappa(factor, space, seed):
         n_eval += 1
         if val > best * margin:
             best, best_pair = val, (u.copy(), v.copy())
+            return True
+        return False
 
-    eye = np.eye(dim)
-    for i in range(dim):
-        for j in range(dim):
-            consider(eye[i], eye[j])
-    for _ in range(fock._KAPPA_RANDOM_PAIRS):
-        u = rng.normal(size=dim)
-        v = rng.normal(size=dim)
-        consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    for _ in range(fock._KAPPA_REFINE_STEPS):
+    for u, v in _fixed_pairs(dim, rng):
+        consider(u, v)
+    gains = []
+    for step in range(fock._KAPPA_REFINE_STEPS):
         u0, v0 = best_pair
         u = u0 + fock._KAPPA_REFINE_SCALE * rng.normal(size=dim)
         v = v0 + fock._KAPPA_REFINE_SCALE * rng.normal(size=dim)
-        consider(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    return best, best_pair, n_eval
+        if consider(u / np.linalg.norm(u), v / np.linalg.norm(v)):
+            gains.append(step)
+    return best, best_pair, n_eval, gains
 
 
 def _full_rank_thermals():
     space = FockSpace(1, 12)
+    return thermal_state(space, 0.3), thermal_state(space, 0.2)
+
+
+def _full_rank_thermals_cutoff_10():
+    space = FockSpace(1, 10)
     return thermal_state(space, 0.3), thermal_state(space, 0.2)
 
 
@@ -757,16 +799,20 @@ def _displaced_gaussian_and_thermal():
     (_full_rank_thermals, False),            # r = dim = 144: one pair at a time
     (_full_rank_gaussians_two_modes, True),  # r = dim = 81
     (_displaced_gaussian_and_thermal, False),  # r = dim = 100, one zero block
+    (_full_rank_thermals_cutoff_10, False),  # head batches of several pairs
+    (_fock_mixtures, True),   # a refine batch meets a gain before its last pair
 ], ids=["thermal-mixture", "two-modes-per-arm", "full-rank-thermals",
-        "full-rank-gaussians-two-modes", "displaced-gaussian-thermal"])
-def test_batched_kappa_search_matches_sequential_search(make, batched):
-    # the search skips pairs that provably cannot beat the running best; the
-    # unpruned sequential search must agree with it on kappa, pair and count
+        "full-rank-gaussians-two-modes", "displaced-gaussian-thermal",
+        "head-batches", "refine-gain-inside-a-batch"])
+def test_batched_kappa_search_matches_sequential_search(monkeypatch, make, batched):
+    # the search skips pairs that provably cannot beat the running best and
+    # takes the refine steps in batches from the running best; the unpruned
+    # sequential search must agree with it on kappa, pair and count
     rho1, rho2 = make()
     out = pair_output(rho1, rho2, 0.6)
     space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
     if make in (_full_rank_thermals, _full_rank_gaussians_two_modes,
-                _displaced_gaussian_and_thermal):
+                _displaced_gaussian_and_thermal, _full_rank_thermals_cutoff_10):
         assert len(out.factor[1]) == space.dim
     if make is _displaced_gaussian_and_thermal:
         # the displacement breaks the photon parity: the head bounds take the
@@ -775,12 +821,64 @@ def test_batched_kappa_search_matches_sequential_search(make, batched):
         [(rows, _)] = _kappa_blocks(p[:, None] * w.conj().T, space)
         assert isinstance(rows, slice)
     assert (_KAPPA_BATCH_ENTRIES // out.factor[0].size > 1) == batched
+    head_bounds, kappa_values = fock._head_bounds, fock._kappa_values
+    head_batches, evaluated = [], []
+
+    def counting_bounds(left, space, us, *args):
+        head_batches.append(len(us))
+        return head_bounds(left, space, us, *args)
+
+    def counting_values(left, space, us, *args):
+        evaluated.append(len(us))
+        return kappa_values(left, space, us, *args)
+
+    monkeypatch.setattr(fock, "_head_bounds", counting_bounds)
+    monkeypatch.setattr(fock, "_kappa_values", counting_values)
     for seed in (0, 3):
+        head_batches.clear()
+        evaluated.clear()
         kappa, pair, n_eval = estimate_kappa(out.factor, space, seed=seed)
-        ref, ref_pair, ref_n = _sequential_kappa(out.factor, space, seed)
+        ref, ref_pair, ref_n, gains = _sequential_kappa(out.factor, space, seed)
         assert kappa == ref and n_eval == ref_n
         for a, b in zip(pair, ref_pair):
             np.testing.assert_array_equal(a, b)
+        if make is _full_rank_thermals_cutoff_10:
+            # the heads hold a few of the 100 rows, so one head bound takes
+            # several pairs although a full product takes one at a time
+            assert max(head_batches) > 1
+        if make is _fock_mixtures:
+            # every row is in the head, so nothing is skipped and one batch
+            # holds every remaining refine step: a gain before the last step
+            # drops the rest of its batch, evaluated but rebuilt from the
+            # new best
+            assert not head_batches
+            assert _KAPPA_BATCH_ENTRIES // out.factor[0].size >= fock._KAPPA_REFINE_STEPS
+            assert any(step < fock._KAPPA_REFINE_STEPS - 1 for step in gains)
+            assert sum(evaluated) > n_eval
+
+
+@pytest.mark.parametrize("make", [_two_mode_mixtures, _full_rank_thermals],
+                         ids=["two-modes-per-arm", "full-rank-thermals"])
+def test_kappa_search_evaluates_no_fixed_pair_twice(monkeypatch, make):
+    # a gain inside a batch of fixed pairs keeps the values already taken:
+    # no canonical or random pair reaches the full product twice
+    rho1, rho2 = make()
+    out = pair_output(rho1, rho2, 0.6)
+    space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+    kappa_values = fock._kappa_values
+    seen = Counter()
+
+    def counting(left, space, us, vs, blocks):
+        seen.update(u.tobytes() + v.tobytes() for u, v in zip(us, vs))
+        return kappa_values(left, space, us, vs, blocks)
+
+    monkeypatch.setattr(fock, "_kappa_values", counting)
+    estimate_kappa(out.factor, space, seed=0)
+    fixed = [u.tobytes() + v.tobytes() for u, v in
+             _fixed_pairs(2 * space.n_modes, np.random.default_rng(0))]
+    assert max(seen[pair] for pair in fixed) == 1
+    if make is _two_mode_mixtures:   # r = 6: no pair is skipped
+        assert all(seen[pair] == 1 for pair in fixed)
 
 
 def _displaced_and_thermal():
@@ -817,6 +915,74 @@ def test_kappa_bounds_hold(make):
     for h in (1, r // 2, r - 1):
         head = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
         assert np.all(head >= dense * (1 - 1e-12))
+
+
+def _with_singular_values(rng, rows, cols, sv):
+    """A stack of three complex rows x cols matrices with singular values
+    ``sv`` (the rest zero), each with its own random singular vectors."""
+    k = len(sv)
+    out = []
+    for _ in range(3):
+        a = np.linalg.qr(rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k)))[0]
+        b = np.linalg.qr(rng.normal(size=(cols, k)) + 1j * rng.normal(size=(cols, k)))[0]
+        out.append((a * sv) @ b.conj().T)
+    return np.array(out)
+
+
+def _rank_deficient_product(rng):
+    # a product of a 6 x 2 and a 2 x 20 factor: rank 2 of 6
+    a = rng.normal(size=(3, 6, 2)) + 1j * rng.normal(size=(3, 6, 2))
+    return a @ (rng.normal(size=(3, 2, 20)) + 1j * rng.normal(size=(3, 2, 20)))
+
+
+def _near_eps_singular_values(rng):
+    eps = np.finfo(float).eps
+    return _with_singular_values(rng, 6, 20, [1.0, 3 * eps, eps, eps / 2, eps / 8])
+
+
+def _single_row(rng):
+    return rng.normal(size=(3, 1, 30)) + 1j * rng.normal(size=(3, 1, 30))
+
+
+def _tall_block(rng):
+    return _with_singular_values(rng, 12, 5, [2.0, 1.0, 1e-3, 1e-9, 0.0])
+
+
+@pytest.mark.parametrize("make, short", [
+    (_rank_deficient_product, 6),
+    (_near_eps_singular_values, 6),
+    (_single_row, 1),
+    (_tall_block, 5),   # more rows than columns: the Gram matrix is 5 x 5
+], ids=["rank-deficient-product", "singular-values-near-eps", "single-row",
+        "more-rows-than-columns"])
+def test_gram_bound_lies_above_the_trace_norm(monkeypatch, make, short):
+    # sum sqrt(max(lam, 0) + delta) over the Gram eigenvalues of the short
+    # side is at least the exact trace norm, and close to it
+    m = make(np.random.default_rng(11))
+    eigvalsh = np.linalg.eigvalsh
+    sizes = []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    bound = _gram_trace_norm_bounds(m)
+    exact = np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    assert sizes == [short]
+    assert np.all(bound >= exact)
+    assert np.all(bound <= exact * (1 + 1e-5))
+
+
+def test_gram_bound_falls_back_to_the_svd(monkeypatch):
+    # entries near 1e160 overflow the Gram matrix: tr G is not finite, so the
+    # bound is the exact SVD sum, and no eigenvalue is taken
+    m = 1e160 * _rank_deficient_product(np.random.default_rng(12))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    bound = _gram_trace_norm_bounds(m)
+    np.testing.assert_array_equal(
+        bound, np.sum(np.linalg.svd(m, compute_uv=False), axis=-1))
+    assert np.all(np.isfinite(bound))
 
 
 @pytest.mark.parametrize("n_modes", [2, 4], ids=["one-mode-per-arm", "two-modes-per-arm"])

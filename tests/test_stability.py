@@ -442,6 +442,21 @@ def test_gaussify_fails_before_the_splitter(monkeypatch):
         run_experiment(rho1, vacuum(space), np.pi / 4, seed=0)
 
 
+@pytest.mark.parametrize("bad_first", [True, False], ids=["state1", "state2"])
+def test_gaussify_failure_names_the_input(bad_first):
+    # the uncertainty violation says which input failed, and at what cutoff
+    from bosonic_ds.symplectic import two_mode_squeezer
+
+    tms = two_mode_squeezer(0.3)
+    space = FockSpace(2, 5)
+    bad = gaussian_to_fock(GaussianState(np.zeros(4), tms @ tms.T), space)
+    pair = (bad, vacuum(space)) if bad_first else (vacuum(space), bad)
+    label = "state1" if bad_first else "state2"
+    with pytest.raises(UncertaintyViolationError,
+                       match=f"^{label} at cutoff 5: gaussified covariance"):
+        run_experiment(*pair, np.pi / 4, seed=0)
+
+
 # --- epsilon on the exact zero blocks of g -----------------------------------
 
 
