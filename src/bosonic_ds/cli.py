@@ -254,7 +254,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .fock import FockSpace
+    from .fock import FockSpace, leak_flags
     from .states import parse_state_spec
     from .stability import _check_fits_memory, nongaussianity_witness
 
@@ -266,7 +266,7 @@ def _cmd_witness(args) -> int:
     eps = nongaussianity_witness(rho, args.theta)
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"
     print(f"{verdict} (epsilon={eps:.6e})")
-    for flag in rho.flags:
+    for flag in rho.flags + leak_flags(rho, "input"):
         print(f"warning: {flag}", file=sys.stderr)
     return 0
 

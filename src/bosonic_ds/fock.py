@@ -339,7 +339,7 @@ def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
     """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff),
     as its photon-number sector blocks: a read-only real (2 cutoff - 1,
     cutoff, cutoff) array in the slots of ``_sector_grid``, calibrated once
-    at construction.
+    at construction against the block rotation (``_calibrate_beam_splitter``).
 
     The generator conserves n1 + n2, and so does its truncation, so U is the
     direct sum over totals N of the exponential of the generator on the
@@ -360,45 +360,36 @@ def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
     return blocks
 
 
-def _total_quanta(space: FockSpace) -> np.ndarray:
-    """Total photon number of each number state, on integer labels."""
-    return np.indices((space.cutoff,) * space.n_modes).sum(axis=0).ravel()
-
-
-def _calibrated_states(space: FockSpace) -> np.ndarray:
-    """Mask of the number states whose quadrature transport the truncation
-    leaves intact: total quanta <= cutoff - 2, counted on integer labels."""
-    return _total_quanta(space) <= space.cutoff - 2
-
-
-def _sector_quadratures(sectors: int, cutoff: int,
-                        coeffs: np.ndarray) -> np.ndarray:
-    """Blocks <N| sum_k c_k R_k |N + 1> on a mode pair for the full sectors
-    N = 0 .. ``sectors`` - 1, in the slots of ``_sector_grid`` (slot n1 of a
-    full sector is |n1, N - n1>), one per row of the (m, 4) ``coeffs``:
-    shape (m, sectors, cutoff, cutoff).  From the ladder entries
-    <n|c_Q Q + c_P P|n + 1> = (c_Q - i c_P) sqrt(n + 1)/sqrt2: mode 1 takes
-    |n1 + 1, n2> to |n1, n2>, mode 2 takes |n1, n2 + 1> to it."""
-    c = coeffs[:, 0::2] - 1j * coeffs[:, 1::2]
-    total, n1 = np.nonzero(np.tri(sectors, cutoff - 1, dtype=bool))
-    out = np.zeros((len(coeffs), sectors, cutoff, cutoff), dtype=complex)
-    out[:, total, n1, n1 + 1] = c[:, :1] * (np.sqrt(n1 + 1.0) / SQRT2)
-    out[:, total, n1, n1] = c[:, 1:] * (np.sqrt(total - n1 + 1.0) / SQRT2)
+def _sector_lowering(cutoff: int) -> np.ndarray:
+    """Blocks <N|a_l|N + 1>/sqrt2 of the two lowering operators (l = 1, 2) on
+    a mode pair for the full sectors N = 0 .. cutoff - 3, in the slots of
+    ``_sector_grid`` (slot n1 of a full sector is |n1, N - n1>): a real
+    array of shape (2, cutoff - 2, cutoff, cutoff).  a_1 takes |n1 + 1, n2>
+    to |n1, n2> with weight sqrt(n1 + 1), a_2 takes |n1, n2 + 1> to it with
+    weight sqrt(n2 + 1)."""
+    total, n1 = np.nonzero(np.tri(cutoff - 2, cutoff - 1, dtype=bool))
+    out = np.zeros((2, cutoff - 2, cutoff, cutoff))
+    out[0, total, n1, n1 + 1] = np.sqrt(n1 + 1.0) / SQRT2
+    out[1, total, n1, n1] = np.sqrt(total - n1 + 1.0) / SQRT2
     return out
 
 
-def _calibrate_beam_splitter(blocks: np.ndarray, theta: float, cutoff: int,
-                             tol: float = 1e-9) -> None:
+_TRANSPORT_TOL = 1e-9   # on <N|a_l|N + 1>/sqrt2, the quadratures' scale
+
+
+def _calibrate_beam_splitter(blocks: np.ndarray, theta: float,
+                             cutoff: int) -> None:
     # The pair unitary is the direct sum of its sector blocks, so weight can
     # pass between photon-number sectors only through an empty slot of a
     # block: every entry there must be exactly zero, and every entry finite.
     # Then U's Heisenberg transport U* R_k U, which moves one quantum, lives
     # on adjacent sectors (N, N + 1), and it must match the block rotation
-    # sum_m S_km R_m there on every sector the truncation leaves intact
-    # (``_calibrated_states``: N + 1 <= cutoff - 2).  The splitter on n mode
-    # pairs is a product of commuting pair unitaries, so its transport
-    # follows from this one.
-    space = FockSpace(2, cutoff)
+    # sum_m S_km R_m there on every sector the truncation leaves intact,
+    # N + 1 <= cutoff - 2.  There c_Q Q + c_P P acts as (c_Q - i c_P) a and
+    # S rotates P as it rotates Q, so on real blocks each P defect equals
+    # its mode's Q defect: the two lowering transports check all four.  The
+    # splitter on n mode pairs is a product of commuting pair unitaries, so
+    # its transport follows from this one.
     where = f"beam splitter at cutoff {cutoff}, theta {float(theta)!r}"
     _, _, inside = _sector_grid(cutoff)
     empty = ~(inside[:, :, None] & inside[:, None, :])
@@ -412,16 +403,19 @@ def _calibrate_beam_splitter(blocks: np.ndarray, theta: float, cutoff: int,
     broken = np.count_nonzero(~np.isfinite(blocks))
     if broken:
         raise CalibrationError(f"{where}: blocks have {broken} non-finite entries")
-    top = int(_total_quanta(space)[_calibrated_states(space)].max())
-    lhs = (np.swapaxes(blocks[:top].conj(), -1, -2)
-           @ _sector_quadratures(top, cutoff, np.eye(4)) @ blocks[1:top + 1])
-    rhs = _sector_quadratures(top, cutoff, beam_splitter(theta, 1))
+    if np.iscomplexobj(blocks):
+        raise CalibrationError(f"{where}: blocks are complex; the transport "
+                               "check holds for real sector blocks only")
+    top = cutoff - 2
+    lowering = _sector_lowering(cutoff)
+    lhs = np.swapaxes(blocks[:top], -1, -2) @ lowering @ blocks[1:top + 1]
+    rhs = np.tensordot(beam_splitter(theta, 1)[0::2, 0::2], lowering, axes=1)
     defect = np.max(np.abs(lhs - rhs), axis=(1, 2, 3), initial=0.0)
-    for k in range(4):
-        if not defect[k] <= tol:   # a NaN defect fails too
+    for l in range(2):
+        if not defect[l] <= _TRANSPORT_TOL:   # a NaN defect fails too
             raise CalibrationError(
-                f"{where}: transport defect {defect[k]:.3e} on component {k}; "
-                "sign or phase convention broke"
+                f"{where}: transport defect {defect[l]:.3e} on component "
+                f"{2 * l}; sign or phase convention broke"
             )
 
 
@@ -429,12 +423,11 @@ def _calibrate_beam_splitter(blocks: np.ndarray, theta: float, cutoff: int,
 class Splitter:
     """The beam splitter on a two-arm ``space``, held as the sector blocks of
     its pair unitary (``pair_blocks``) and applied by ``apply_splitter``.
-    The dense unitary, ``matrix``, is formed only when read: by tests and
-    oracles, never by the ``ds-run`` and ``witness`` chains."""
+    The dense unitary, ``matrix``, is reference API formed only when read:
+    by tests and oracles, never by the ``ds-run`` and ``witness`` chains."""
 
     space: FockSpace
     blocks: np.ndarray
-    flags = ()   # no truncation flags, read by ``evolve`` like an operator's
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -468,20 +461,23 @@ def beam_splitter_unitary(space: FockSpace, theta: float) -> Splitter:
     """The splitter on a two-arm space whose moment transport realizes the
     block rotation: Gamma' = S Gamma S^T, d' = S d.
 
-    The generator convention is verified at construction of the sector
-    blocks against the symplectic transport on all untruncated number
-    sectors; the blocks are cached, so a second call builds nothing.
+    The generator convention is verified when the sector blocks are built:
+    the two lowering transports (the P quadratures follow from them) must
+    match the block rotation on every sector pair below the top two.  The
+    blocks are cached, so a second call builds nothing.
     """
     if space.n_modes % 2:
         raise DimensionError("beam splitter needs two equal arms (even mode count)")
     return Splitter(space, pair_blocks(space.cutoff, float(theta)))
 
 
-def evolve(rho: FockOperator, u: FockOperator | Splitter) -> FockOperator:
+def evolve(rho: FockOperator, u: Splitter) -> FockOperator:
+    """U rho U* by the dense unitary, keeping rho's flags: reference API that
+    the tests compare the per-sector ``apply_splitter`` path against."""
     if rho.space != u.space:
         raise DimensionError("state and unitary live on different spaces")
     out = u.matrix @ rho.matrix @ u.matrix.conj().T
-    return FockOperator(rho.space, out, tuple(dict.fromkeys(rho.flags + u.flags)))
+    return FockOperator(rho.space, out, rho.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +485,7 @@ def evolve(rho: FockOperator, u: FockOperator | Splitter) -> FockOperator:
 
 
 def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
+    """Dense a (x) b with both flags: reference API for the tests' inputs."""
     if a.space.cutoff != b.space.cutoff:
         raise DimensionError("tensor factors must share the cutoff")
     space = FockSpace(a.space.n_modes + b.space.n_modes, a.space.cutoff)
@@ -572,6 +569,7 @@ def block_groups(pattern: np.ndarray) -> list:
 
 
 def trace_norm(op: FockOperator | np.ndarray) -> float:
+    """||op||_1 by a dense SVD: reference API for the tests' epsilon checks."""
     m = op.matrix if isinstance(op, FockOperator) else np.asarray(op)
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 

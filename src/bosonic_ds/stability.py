@@ -132,6 +132,9 @@ def constants_sweep(theta_min: float, theta_max: float, steps: int,
             "c2_shape": c2_shape(n),
             "c3": c3_constant(float(t), n, kappa),
         })
+        if not (math.isfinite(rows[-1]["c1"]) and math.isfinite(rows[-1]["c3"])):
+            raise ValidationError(f"kappa {kappa} at modes {n}: c1 or c3 overflows "
+                                  "a double")
     return rows
 
 

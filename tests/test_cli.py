@@ -268,6 +268,19 @@ def test_constants_refuses_steps_beyond_memory(capsys, monkeypatch):
                             "rows does not fit in 8.0 GiB of physical memory\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_constants_rejects_overflowing_constants(capsys, fmt):
+    # c1 and c3 scale with kappa: at 1e308 they overflow to inf, which the
+    # table would print as null
+    assert main(["constants", "--theta-min", "0.5", "--theta-max", "0.6",
+                 "--steps", "1", "--modes", "2", "--kappa", "1e308",
+                 "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: kappa 1e+308 at modes 2: c1 or c3 "
+                            "overflows a double\n")
+
+
 def test_constants_json_notes(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["constants", "--theta-min", "0.3", "--theta-max", "0.5",
@@ -428,6 +441,18 @@ def test_witness_warns_on_input_truncation_flags(capsys):
     assert main(["witness", "--state", "fock:1", "--theta", "0.6",
                  "--cutoff", "8"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("state, cutoff", [("fock:7", 8), ("fock:1", 2)])
+def test_witness_warns_on_input_leak(capsys, state, cutoff):
+    # a number state on a top level is the named state itself, with no flag
+    # of its own, but the splitter's truncation clips it: the same leak
+    # check that ds-run applies to its inputs prints a warning
+    assert main(["witness", "--state", state, "--theta", "0.7853981633974483",
+                 "--cutoff", str(cutoff)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "gaussian (epsilon=0.000000e+00)\n"
+    assert captured.err == "warning: truncation:input:leak=1.000e+00\n"
 
 
 def test_witness_singular_husimi_matrix_is_one_error_line(capsys):

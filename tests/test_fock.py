@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +8,7 @@ from bosonic_ds import fock
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
-                             _calibrate_beam_splitter, _calibrated_states,
+                             _calibrate_beam_splitter,
                              _gram_trace_norm_bounds, _head_blocks,
                              _head_bounds, _kappa_blocks,
                              _kappa_values, _quadrature_norms, _row_order,
@@ -264,13 +263,6 @@ def test_moment_transport_matches_symplectic():
     np.testing.assert_allclose(table.gamma, expected.gamma, atol=1e-6)
 
 
-@pytest.mark.parametrize("modes,cutoff", [(2, 5), (2, 12), (4, 4), (4, 6)])
-def test_calibration_covers_every_intact_state(modes, cutoff):
-    # every number state with total quanta <= cutoff - 2 is certified
-    mask = _calibrated_states(FockSpace(modes, cutoff))
-    assert int(mask.sum()) == math.comb(cutoff - 2 + modes, modes)
-
-
 def test_calibration_rejects_reversed_angle():
     # the certified-block comparison still catches a sign flip of theta
     blocks = pair_blocks(8, -0.4)
@@ -307,14 +299,32 @@ def test_sector_pair_unitary_matches_dense_expm(cutoff, theta):
     assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff ** 2))) <= 1e-11
 
 
-@pytest.mark.parametrize("total", [1, 3, 6])
+@pytest.mark.parametrize("total", range(1, 7))
 def test_calibration_rejects_one_reversed_sector(total):
     # every certified sector (total quanta <= cutoff - 2 = 6) is checked:
-    # one block taken from the reversed angle is caught
+    # one block taken from the reversed angle is caught.  Sector 0 is the
+    # 1 x 1 identity at every angle, so reversing it changes nothing
     blocks = pair_blocks(8, 0.4).copy()
     blocks[total] = pair_blocks(8, -0.4)[total]
     with pytest.raises(CalibrationError):
         _calibrate_beam_splitter(blocks, 0.4, 8)
+
+
+def test_calibration_passes_a_reversed_sector_past_its_reach():
+    # sector cutoff - 1 = 7 meets no certified pair (N, N + 1), N + 1 <= 6:
+    # only the empty-slot and finiteness checks reach it
+    blocks = pair_blocks(8, 0.4).copy()
+    blocks[7] = pair_blocks(8, -0.4)[7]
+    _calibrate_beam_splitter(blocks, 0.4, 8)
+
+
+def test_calibration_rejects_complex_blocks():
+    # the two lowering transports stand for all four quadratures only on
+    # real blocks, so a complex array is refused, even with zero imaginary part
+    blocks = pair_blocks(8, 0.4).astype(complex)
+    with pytest.raises(CalibrationError, match="complex") as info:
+        _calibrate_beam_splitter(blocks, 0.4, 8)
+    assert "beam splitter at cutoff 8, theta 0.4:" in str(info.value)
 
 
 def test_calibration_rejects_weight_between_sectors():
@@ -328,9 +338,11 @@ def test_calibration_rejects_weight_between_sectors():
 
 
 def test_calibration_rejects_wrong_angle():
-    # a correct splitter at another angle fails the transport check
-    with pytest.raises(CalibrationError, match="transport defect"):
-        _calibrate_beam_splitter(pair_blocks(8, 0.41), 0.4, 8)
+    # a correct splitter at another angle fails the transport check, from
+    # the one certified pair of sectors at cutoff 3 up to cutoff 40
+    for cutoff in (3, 8, 40):
+        with pytest.raises(CalibrationError, match="transport defect"):
+            _calibrate_beam_splitter(pair_blocks(cutoff, 0.41), 0.4, cutoff)
 
 
 def _weight_between_sectors(blocks):
