@@ -5,9 +5,9 @@ analysis, stability constants, and symplectic classification."""
 from .config import GridSpec, Tolerances, DEFAULT_TOLERANCES
 from .symplectic import (GaussianState, beam_splitter, check_uncertainty,
                          is_symplectic, symplectic_form, transform_gaussian)
-from .fock import (FockOperator, FockSpace, MomentTable, beam_splitter_unitary,
-                   char_batch, evolve, gaussian_to_fock, gaussify, hs_norm,
-                   moments, partial_trace, quadratures, tensor, trace_norm,
+from .fock import (FockOperator, FockSpace, beam_splitter_unitary, char_batch,
+                   evolve, gaussian_to_fock, gaussify, hs_norm, moments,
+                   partial_trace, quadratures, tensor, trace_norm,
                    weyl_operator)
 from .phase_space import (CharGrid, SigmaPositivityReport, char_function,
                           char_grid, derivative_moments, ds_residual,

@@ -103,10 +103,10 @@ def _load_config(path: str) -> dict:
 
 
 def _integer(key: str, value) -> int:
-    """``value`` as an int; a fractional or non-finite number or a boolean
-    names ``key`` instead of being truncated or read as 0 or 1."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """``value`` as an int; a fractional or non-finite number, a boolean or a
+    string names ``key`` instead of being truncated, read as 0 or 1 or parsed."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -115,9 +115,9 @@ def _integer(key: str, value) -> int:
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float; a value that is not a number names ``key``."""
+    """``value`` as a float; a non-number (a boolean or string too) names ``key``."""
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, (bool, str)):
             return float(value)
     except (TypeError, ValueError):
         pass
@@ -325,8 +325,8 @@ def _cmd_selftest(args) -> int:
 
     def fock1_moments():
         space = FockSpace(1, 10)
-        table = moments(states.fock_state(space, 1))
-        assert np.allclose(table.gamma, 3 * np.eye(2), atol=1e-10)
+        gs = moments(states.fock_state(space, 1))
+        assert np.allclose(gs.gamma, 3 * np.eye(2), atol=1e-10)
 
     def synthesis_round_trip():
         space = FockSpace(1, 12)
@@ -378,8 +378,8 @@ def _cmd_selftest(args) -> int:
                           "fock3": 7.0, "thermal_nbar05": 2.0}
         for name, diag in expected_gamma.items():
             rho = validate_density(states.load_golden(name))
-            table = moments(rho)
-            assert np.max(np.abs(table.gamma - diag * np.eye(2))) < 1e-3, name
+            gs = moments(rho)
+            assert np.max(np.abs(gs.gamma - diag * np.eye(2))) < 1e-3, name
         validate_density(states.load_golden("squeezed_z025"))
 
     check("symplectic form and beam splitter", symplectic_basics)

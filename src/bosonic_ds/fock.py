@@ -608,15 +608,6 @@ def leak_flags(rho: FockOperator, label: str,
 # Moments
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """First, second and per-axis fourth moments of a state."""
-
-    d: np.ndarray
-    gamma: np.ndarray
-    fourth: np.ndarray
-
-
 def support(rho: FockOperator) -> tuple:
     """Eigenpairs (v, p) of a density with |p| > len(p) eps max|p|, the
     accuracy of ``eigh`` itself (``numpy.linalg.matrix_rank``'s default
@@ -793,6 +784,9 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     over xi . sigma R, but sigma is orthogonal so both direction sets
     coincide.  All canonical axis pairs, ``_KAPPA_RANDOM_PAIRS`` random
     pairs, then ``_KAPPA_REFINE_STEPS`` steps of greedy local refinement.
+    The canonical pairs include (e_k, e_k) for every axis k, and
+    ||rho R_k^4||_1 >= |Tr[rho R_k^4]|, so kappa is never below an axis
+    fourth moment.
 
     ``factor = (w, p)`` with orthonormal columns w gives the same singular
     values from the r x dim matrix diag(p) w* X.
@@ -890,21 +884,21 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     return best, best_pair, len(pairs) + _KAPPA_REFINE_STEPS
 
 
-def moments(rho: FockOperator) -> MomentTable:
-    """Displacement, covariance (anticommutator convention) and per-axis
-    fourth moments Tr[rho R_k^4].
+def moments(rho: FockOperator) -> GaussianState:
+    """The Gaussian state of rho's displacement and covariance
+    (anticommutator convention); no uncertainty check (see ``gaussify``).
 
-    Every product R_k R_l touches at most two modes, so d, the one-mode
-    blocks of Gamma and the fourth moments are read from the one-mode
-    reductions of rho, and the cross-mode blocks of Gamma from its two-mode
-    reductions (``mode_pair_moments``).  Each trace is an elementwise sum,
-    Tr[A B] = sum(A * B.T)."""
+    Every product R_k R_l touches at most two modes, so d and the one-mode
+    blocks of Gamma are read from the one-mode reductions of rho, and the
+    cross-mode blocks of Gamma from its two-mode reductions
+    (``mode_pair_moments``).  Each trace is an elementwise sum,
+    Tr[A B] = sum(A * B.T).  Gamma is mirrored from its upper triangle, so
+    it is exactly symmetric."""
     space = rho.space
     quads = _mode_quadratures(space.cutoff)
     dim = 2 * space.n_modes
     d = np.empty(dim)
     second = np.empty((dim, dim))   # Re Tr[rho R_l R_k], read for k <= l
-    fourth = np.empty(dim)
     for mode in range(space.n_modes):
         red = _reduce(rho.matrix, space, (mode,))
         prods = [q @ red for q in quads]
@@ -912,26 +906,23 @@ def moments(rho: FockOperator) -> MomentTable:
         d[blk] = [np.sum(red * q.T).real for q in quads]
         second[blk, blk] = [[np.sum(quads[l] * prods[k].T).real
                              for l in range(2)] for k in range(2)]
-        fourth[blk] = [np.sum((p @ q) * (q @ q).T).real
-                       for p, q in zip(prods, quads)]
     for i in range(space.n_modes):
         for j in range(i + 1, space.n_modes):
             second[2 * i:2 * i + 2, 2 * j:2 * j + 2] = \
                 mode_pair_moments(rho.matrix, space, i, j).real
     second = np.triu(second) + np.triu(second, 1).T
-    gamma = 2.0 * second - 2.0 * np.outer(d, d)
-    return MomentTable(d, gamma, fourth)
+    return GaussianState(d, 2.0 * second - 2.0 * np.outer(d, d))
 
 
 def gaussify(rho: FockOperator,
              tol: Tolerances = DEFAULT_TOLERANCES) -> GaussianState:
-    """Gaussian state with the same first and second moments as rho.
+    """``moments(rho)``, the Gaussian state with rho's first and second
+    moments.
 
     Raises when the measured covariance violates the uncertainty relation
     beyond tolerance, which signals an unphysical truncation.
     """
-    table = moments(rho)
-    gs = GaussianState(table.d, (table.gamma + table.gamma.T) / 2)
+    gs = moments(rho)
     mineig = check_uncertainty(gs.gamma, tol)
     if mineig < -tol.uncertainty:
         raise UncertaintyViolationError(

@@ -469,13 +469,12 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     flags = [*leak_flags(rho1, "input1", tol), *leak_flags(rho2, "input2", tol),
              *rho1.flags, *rho2.flags, *out.flags]
 
-    # every axis of the output lives in one arm, so its per-axis moments are
-    # the arms'; kappa is searched on the output's factor, of rank
-    # rank(rho1) rank(rho2)
+    # every axis of the output lives in one arm, so Tr Gamma_out is the sum of
+    # the arms' covariance diagonals; kappa is searched on the output's
+    # factor, of rank rank(rho1) rank(rho2)
     arms = (moments(out.rho_a), moments(out.rho_b))
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
     kappa, _, kappa_samples = estimate_kappa(out.factor, pair_space, seed=seed)
-    kappa = max(kappa, float(np.max([m.fourth for m in arms])))
     trace_gamma_out = float(np.sum(np.concatenate([np.diag(m.gamma) for m in arms])))
 
     try:
@@ -502,10 +501,9 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
 
     cov = _cross_covariance(out.g, pair_space, theta, kappa, epsilon)
 
-    margin_state = margin_cm = None
-    if bound1 is not None:
-        margin_state = bound1 - max(dist1, dist2)
-        margin_cm = bound2 - cm_gap
+    # bound2 holds for every non-trivial theta, bound1 only where c1 does
+    margin_state = bound1 - max(dist1, dist2) if bound1 is not None else None
+    margin_cm = bound2 - cm_gap if bound2 is not None else None
 
     flags = tuple(dict.fromkeys(flags))
 
@@ -552,13 +550,12 @@ def _enforce_invariants(report: StabilityReport,
             f"covariance gap {report.cm_gap:.6e} disagrees with the "
             f"cross-covariance identity value {ident:.6e}; convention bug"
         )
-    if report.margin_state is not None:
-        if report.margin_state < 0 or report.margin_cm < 0:
-            raise BoundViolationError(
-                f"stability bound violated on a clean run: "
-                f"state margin {report.margin_state}, cm margin {report.margin_cm}",
-                report=report,
-            )
+    if any(m is not None and m < 0 for m in (report.margin_state, report.margin_cm)):
+        raise BoundViolationError(
+            f"stability bound violated on a clean run: "
+            f"state margin {report.margin_state}, cm margin {report.margin_cm}",
+            report=report,
+        )
     if not report.v_within_bound:
         raise BoundViolationError(
             f"|V| = {report.v_norm:.6e} exceeds its bound {report.v_bound:.6e}",

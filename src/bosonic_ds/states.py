@@ -126,18 +126,28 @@ def _spec_key(spec: dict, key: str):
     return spec[key]
 
 
-def _holds_bool(value) -> bool:
+def _holds_numbers(value) -> bool:
+    """True when ``value`` holds only JSON numbers at any depth."""
     if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+        return all(_holds_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _floats(value) -> np.ndarray:
-    """``value`` as a float array; a boolean at any depth is refused, not
-    read as 0 or 1."""
-    if _holds_bool(value):
+    """``value`` as a float array; what float() cannot read keeps its message,
+    and a boolean, string or null that it reads is refused."""
+    floats = np.asarray(value, dtype=float)
+    if not _holds_numbers(value):
         raise ValueError(f"must hold numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+    return floats
+
+
+def _float(value) -> float:
+    """``value`` as a float, refused as in ``_floats``."""
+    number = float(value)
+    if not _holds_numbers(value):
+        raise ValueError(f"must be a number, got {value!r}")
+    return number
 
 
 def parse_state_spec(spec, space: FockSpace,
@@ -190,7 +200,7 @@ def parse_state_spec(spec, space: FockSpace,
                 raise ValidationError(
                     "mixture spec key 'components' must be a list of objects "
                     f"with 'weight' and 'state', got {components!r}")
-            comps = [(_spec_number("mixture spec key 'weight'", c["weight"], float),
+            comps = [(_spec_number("mixture spec key 'weight'", c["weight"], _float),
                       parse_state_spec(c["state"], space, tol))
                      for c in components]
             return mixture(comps)

@@ -48,3 +48,11 @@ def output_density(out):
     w, p = out.factor
     arm = out.rho_a.space
     return FockOperator(FockSpace(2 * arm.n_modes, arm.cutoff), (w * p) @ w.conj().T)
+
+
+def axis_fourth_moments(rho):
+    """Tr[rho R_k^4] for every axis k, from the dense quadratures."""
+    from bosonic_ds.fock import quadratures
+
+    return np.array([np.trace(rho.matrix @ np.linalg.matrix_power(q.matrix, 4)).real
+                     for q in quadratures(rho.space)])

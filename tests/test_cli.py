@@ -643,6 +643,19 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
      "gaussian spec key 'd': must hold numbers, got [True, False]"),
     ({"tolerances": {"leak_budget": True}},
      "tolerance leak_budget must be finite and positive, got True"),
+    # a JSON string is not a number, even when float() or int() reads it
+    ({"theta": "0.6"}, "theta must be a number, got '0.6'"),
+    ({"cutoff": "8"}, "cutoff must be an integer, got '8'"),
+    ({"seed": "0"}, "seed must be an integer, got '0'"),
+    ({"modes_per_arm": "1"}, "modes_per_arm must be an integer, got '1'"),
+    ({"state2": {"kind": "mixture", "components": [
+        {"weight": "0.9", "state": "vacuum"}]}},
+     "mixture spec key 'weight': must be a number, got '0.9'"),
+    ({"state1": {"kind": "gaussian", "d": ["0", "0"], "gamma": [[1, 0], [0, 1]]}},
+     "gaussian spec key 'd': must hold numbers, got ['0', '0']"),
+    ({"state1": {"kind": "gaussian", "d": [0, 0],
+                 "gamma": [["1", "0"], ["0", "1"]]}},
+     "gaussian spec key 'gamma': must hold numbers, got [['1', '0'], ['0', '1']]"),
     # ds-run never reads these, so setting one would be a silent no-op
     *(({"tolerances": {key: 5}}, f"tolerance {key!r} is not read by ds-run")
       for key in ("symplectic", "boundary", "kernel_psd", "residual",
@@ -653,6 +666,9 @@ def test_malformed_state_spec_names_the_spec(tmp_path, capsys):
         "fock-two-levels-on-one-mode", "thermal-on-two-modes",
         "squeezed-on-two-modes", "gaussian-without-d", "file-without-path",
         "boolean-mixture-weight", "boolean-gaussian-d", "boolean-tolerance",
+        "string-number-theta", "string-number-cutoff", "string-number-seed",
+        "string-number-modes_per_arm", "string-number-mixture-weight",
+        "string-number-gaussian-d", "string-number-gaussian-gamma",
         "unread-tolerance-symplectic",
         "unread-tolerance-boundary", "unread-tolerance-kernel_psd",
         "unread-tolerance-residual", "unread-tolerance-alpha_swap"])

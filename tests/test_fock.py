@@ -29,7 +29,8 @@ from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
 
-from conftest import output_density, random_low_energy_density
+from conftest import (axis_fourth_moments, output_density,
+                      random_low_energy_density)
 
 
 def lowering(d):
@@ -524,14 +525,12 @@ def test_fock_covariance(space14, m):
 
 
 def test_vacuum_fourth_moment_and_kappa():
-    pair = FockSpace(2, 8)
     rho = tensor(vacuum(FockSpace(1, 8)), vacuum(FockSpace(1, 8)))
-    table = moments(rho)
     kappa, _, kappa_samples = estimate_kappa(support(rho), rho.space, seed=0)
     # <0|Q^4|0> = 3/4 in this convention
-    assert table.fourth[0] == pytest.approx(0.75, abs=1e-12)
+    assert axis_fourth_moments(rho)[0] == pytest.approx(0.75, abs=1e-12)
     assert kappa >= 0.75 - 1e-12
-    assert kappa >= np.max(table.fourth) - 1e-12
+    assert kappa >= np.max(axis_fourth_moments(rho)) - 1e-12
     assert kappa_samples > 0
 
 
@@ -547,10 +546,8 @@ def test_moments_match_full_product_traces():
     d = np.array([np.trace(m @ q).real for q in quads])
     gamma = np.array([[2 * np.trace(m @ qk @ ql).real - 2 * d[k] * d[l]
                        for l, ql in enumerate(quads)] for k, qk in enumerate(quads)])
-    fourth = [np.trace(m @ np.linalg.matrix_power(q, 4)).real for q in quads]
     np.testing.assert_allclose(table.d, d, rtol=0, atol=1e-14)
     np.testing.assert_allclose(table.gamma, gamma, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(table.fourth, fourth, rtol=0, atol=1e-13)
 
 
 def _output_and_factor(rho1, rho2, theta):
@@ -891,6 +888,21 @@ def test_kappa_search_evaluates_no_fixed_pair_twice(monkeypatch, make):
     assert max(seen[pair] for pair in fixed) == 1
     if make is _two_mode_mixtures:   # r = 6: no pair is skipped
         assert all(seen[pair] == 1 for pair in fixed)
+
+
+@pytest.mark.parametrize("make", [
+    _full_rank_thermals, _displaced_gaussian_and_thermal, _two_mode_mixtures,
+    _displaced_pair,
+], ids=["full-rank-thermals", "displaced-gaussian-thermal", "two-modes-per-arm",
+        "pure-pair"])
+def test_kappa_covers_every_axis_fourth_moment(make):
+    # the search evaluates every canonical pair (e_k, e_k), and
+    # |rho R_k^4|_1 >= Tr[rho R_k^4], so kappa needs no separate floor
+    rho1, rho2 = make()
+    out = pair_output(rho1, rho2, 0.6)
+    space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+    kappa, _, _ = estimate_kappa(out.factor, space, seed=0)
+    assert kappa >= np.max(axis_fourth_moments(output_density(out)))
 
 
 def _displaced_and_thermal():

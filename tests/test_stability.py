@@ -21,7 +21,8 @@ from bosonic_ds.states import (fock_state, mixture, parse_state_spec,
                                thermal_state, vacuum)
 from bosonic_ds.symplectic import GaussianState, two_mode_squeezer
 
-from conftest import output_density, random_low_energy_density
+from conftest import (axis_fourth_moments, output_density,
+                      random_low_energy_density)
 
 
 def lowering(d):
@@ -231,6 +232,32 @@ def test_obtuse_angle_region():
     assert rep.c1 is None and rep.bound1 is None
     ident = (2 / np.cos(2.0) ** 2) * rep.v_norm
     assert rep.cm_gap == pytest.approx(ident, abs=1e-10)
+
+
+@pytest.mark.parametrize("theta", [0.6, 2.0, -0.6, -2.0])
+def test_cm_margin_wherever_bound2_holds(theta):
+    # bound2 = c3 sqrt(eps) holds for every non-trivial theta, c1 (and with it
+    # bound1) only where sin 2 theta > 0
+    space = FockSpace(1, 12)   # a clean run: no truncation flag
+    r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 1))])
+    rep = run_experiment(r1, thermal_state(space, 0.3), theta, seed=0)
+    assert not rep.truncation_flags
+    assert rep.bound2 is not None
+    assert rep.margin_cm == rep.bound2 - rep.cm_gap > 0
+    assert (rep.margin_state is None) == (math.sin(2 * theta) < 0)
+
+
+@pytest.mark.parametrize("theta", [2.0, -0.6])
+def test_enforce_invariants_checks_cm_margin_without_c1(theta):
+    import dataclasses
+
+    space = FockSpace(1, 12)   # a clean run: no truncation flag
+    r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 1))])
+    rep = run_experiment(r1, thermal_state(space, 0.3), theta, seed=0)
+    assert not rep.truncation_flags
+    assert rep.margin_state is None
+    with pytest.raises(BoundViolationError, match="cm margin -1.0"):
+        _enforce_invariants(dataclasses.replace(rep, margin_cm=-1.0))
 
 
 def test_trivial_angles_rejected():
@@ -542,15 +569,17 @@ def test_block_epsilon_of_zero_g_is_zero():
 @pytest.mark.parametrize("modes, cutoff", [(1, 10), (2, 4)])
 def test_output_moments_from_the_arms(modes, cutoff):
     # every axis of the output lives in one arm: the report's trace of
-    # Gamma_out and its kappa floor match the moments of the whole output
+    # Gamma_out matches the moments of the whole output, and its kappa lies
+    # above every axis fourth moment of the whole output
     space = FockSpace(modes, cutoff)
     first = (1,) if modes == 1 else (1, 0)
     rho1 = mixture([(0.8, vacuum(space)), (0.2, fock_state(space, first))])
     rho2 = mixture([(0.6, vacuum(space)), (0.4, fock_state(space, first[::-1]))])
     rep = run_experiment(rho1, rho2, 0.6, seed=0, strict=False)
-    whole = moments(output_density(pair_output(rho1, rho2, 0.6)))
-    assert rep.trace_gamma_out == pytest.approx(np.trace(whole.gamma), rel=1e-14)
-    assert rep.kappa >= np.max(whole.fourth)
+    rho = output_density(pair_output(rho1, rho2, 0.6))
+    assert rep.trace_gamma_out == pytest.approx(np.trace(moments(rho).gamma),
+                                                rel=1e-14)
+    assert rep.kappa >= np.max(axis_fourth_moments(rho))
 
 
 # --- epsilon of a pure output from its Schmidt coefficients ----------------
