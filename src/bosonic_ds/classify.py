@@ -132,9 +132,10 @@ def decompose(s: np.ndarray, seed: int = 0,
               tol: Tolerances = DEFAULT_TOLERANCES) -> ClassificationResult:
     """Classify S and, when admissible, extract (X, Y, alpha).
 
-    Near-singular A (condition number above 1e8) switches to the
-    swap-branch parametrization through B, which stays well conditioned
-    exactly where A degenerates.
+    An admissible S has B = -alpha A, so the larger of A and B, compared by
+    their largest entries (a norm overflows on entries near 1e300), is the
+    well-conditioned one to solve with: A when |alpha| <= 1, local maps
+    (B = 0) included, and B otherwise, swaps (A = 0) included.
     """
     s = np.asarray(s, dtype=float)
     ok, residual = preserves_identical(s, tol)
@@ -145,23 +146,18 @@ def decompose(s: np.ndarray, seed: int = 0,
 
     a, b, c, d = split_blocks(s)
     n2 = a.shape[0]
-    use_gamma_branch = np.linalg.cond(a) > 1e8
-    if not use_gamma_branch:
-        alpha = float(-np.trace(np.linalg.solve(a, b)) / n2)
-        if abs(alpha) > tol.alpha_swap:
-            use_gamma_branch = True
-    if use_gamma_branch:
+    if np.max(np.abs(b)) > np.max(np.abs(a)):
         gamma_par = float(-np.trace(np.linalg.solve(b, a)) / n2)
         if abs(gamma_par) < 1.0 / tol.alpha_swap:
             x, y = b.copy(), c.copy()
-            result = _finalize(s, x, y, math.inf, residual, tol)
-            return result
+            return _finalize(s, x, y, math.inf, residual, tol)
         alpha = 1.0 / gamma_par
         root = math.sqrt(1.0 + gamma_par * gamma_par)
         sign = math.copysign(1.0, gamma_par)
         x = -sign * root * b
         y = sign * root * c
     else:
+        alpha = float(-np.trace(np.linalg.solve(a, b)) / n2)
         root = math.sqrt(1.0 + alpha * alpha)
         x = root * a
         y = root * d

@@ -9,8 +9,8 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -84,44 +84,36 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _read(what: str, path: str, load):
-    """``load(path)``; a read or parse failure names ``what`` and the path."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
-    data = json.loads(Path(path).read_text())
+def _config_object(data) -> dict:
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     return data
 
 
 def _integer(key: str, value) -> int:
-    """``value`` as an int; a fractional or non-finite number, a boolean or a
-    string names ``key`` instead of being truncated, read as 0 or 1 or parsed."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float)
-                                          and not value.is_integer()):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    """``value`` as an int; a fractional or non-finite number, or what
+    ``json_integer`` refuses, names ``key`` instead of being truncated."""
+    from .io import json_integer
+
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key} must be an integer, got {value!r}") from exc
+        return json_integer(value)
+    except ValueError:
+        raise ValidationError(
+            f"{key} must be an integer, got {reprlib.repr(value)}") from None
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float; a non-number (a boolean or string too) names ``key``."""
+    """``value`` as a float; what ``json_number`` refuses names ``key``."""
+    from .io import json_number
+
     try:
-        if not isinstance(value, (bool, str)):
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(f"{key} must be a number, got {value!r}")
+        return float(json_number(value))
+    except ValueError:
+        raise ValidationError(
+            f"{key} must be a number, got {reprlib.repr(value)}") from None
 
 
 _CONFIG_KEYS = ("state1", "state2", "theta", "cutoff", "seed", "modes_per_arm",
@@ -136,7 +128,7 @@ _RUN_TOLERANCES = ("uncertainty", "gamma_symmetry", "density_hermiticity",
 def _run_inputs(args, cfg: dict) -> tuple:
     """(rho1, rho2, theta, seed, tol, echo) from the config and its overrides;
     a missing or unknown key or a mistyped value is a ValidationError."""
-    from dataclasses import asdict, fields
+    from dataclasses import fields
 
     from .config import Tolerances
     from .fock import FockSpace
@@ -164,11 +156,6 @@ def _run_inputs(args, cfg: dict) -> tuple:
             if name not in _RUN_TOLERANCES:
                 raise ValidationError(f"tolerance {name!r} is not read by ds-run")
         tol = Tolerances(**tolerances)
-        for name, value in asdict(tol).items():
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):   # NaN fails too
-                raise ValidationError(
-                    f"tolerance {name} must be finite and positive, got {value!r}")
         space = FockSpace(modes, cutoff)
         _check_fits_memory(FockSpace(2 * modes, cutoff))   # before any input is built
         rho1 = parse_state_spec(cfg["state1"], space, tol)
@@ -185,10 +172,10 @@ def _run_inputs(args, cfg: dict) -> tuple:
 
 
 def _cmd_ds_run(args) -> int:
-    from .io import canonical_dumps, write_json
+    from .io import canonical_dumps, read_json, write_json
     from .stability import run_experiment, _enforce_invariants
 
-    cfg = _read("config", args.config, _load_config)
+    cfg = read_json("config", args.config, _config_object)
     rho1, rho2, theta, seed, tol, echo = _run_inputs(args, cfg)
     report = run_experiment(rho1, rho2, theta, seed=seed, tol=tol,
                             strict=False, config_echo=echo)
@@ -244,7 +231,7 @@ def _cmd_classify(args) -> int:
 
     if args.seed < 0:   # decompose draws from the seed for some matrices only
         raise ValidationError(f"seed must be non-negative, got {args.seed}")
-    result = decompose(_read("matrix", args.matrix, load_matrix), seed=args.seed)
+    result = decompose(load_matrix(args.matrix), seed=args.seed)
     payload = result.to_dict()
     if args.out:
         write_json(payload, args.out)

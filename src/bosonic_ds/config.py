@@ -6,7 +6,12 @@ default, never a literal baked into a comparison site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import reprlib
+from dataclasses import dataclass, fields
+
+from .errors import ValidationError
+from .io import json_number
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,17 @@ class Tolerances:
     convention_abs: float = 1e-8     # absolute floor for the same check
     residual: float = 1e-9           # classifier reconstruction residual
     alpha_swap: float = 1e12         # |alpha| beyond which a map counts as a swap
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                valid = math.isfinite(json_number(value)) and value > 0
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ValidationError(f"tolerance {field.name} must be finite and "
+                                      f"positive, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,25 @@
-"""Deterministic serialization helpers.
+"""Deterministic serialization helpers, and the one reader of numbers from
+outside.
 
 All floats are written with a fixed 17-significant-digit format so that a
-given config and seed produce byte-identical output files.
+given config and seed produce byte-identical output files.  Every JSON number
+read from a config, a state spec, a density file or a matrix file goes
+through ``json_number``, ``json_integer`` or ``json_array``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import numbers
+import reprlib
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def format_float(x: float) -> str:
@@ -77,6 +85,69 @@ def write_json(obj, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Reading numbers and JSON files
+
+
+def _is_number(value, *, any_int: bool = False) -> bool:
+    """True for a JSON number: an int or a float, never a bool, a string or
+    null, and an int beyond a double's range only when ``any_int``.  A string
+    that float() cannot read raises float()'s own ValueError."""
+    if isinstance(value, str):
+        float(value)
+        return False
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:   # an int beyond a double's range
+        return any_int
+    return True
+
+
+def json_number(value):
+    """``value`` itself when it is a JSON number that a double holds (see
+    ``_is_number``), else a ValueError that shows it."""
+    if not _is_number(value):
+        raise ValueError(f"must be a number, got {reprlib.repr(value)}")
+    return value
+
+
+def json_integer(value) -> int:
+    """``value`` as an int: an int of any size, never passed through a
+    double, or a float with no fractional part; a fractional or non-finite
+    number is refused, not truncated, and so are a bool and a string."""
+    if not (_is_number(value, any_int=True) and value % 1 == 0):   # NaN, inf fail
+        raise ValueError(f"must be an integer, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def json_array(value) -> np.ndarray:
+    """``value``, a JSON number or arrays of them nested to any depth, as a
+    float array; one entry that ``json_number`` refuses refuses the whole."""
+    pending = [value]
+    while pending:
+        entry = pending.pop()
+        if isinstance(entry, (list, tuple)):
+            if not set(map(type, entry)) <= {float, int}:   # scanned in C
+                pending.extend(reversed(entry))
+        elif not _is_number(entry):
+            break
+    else:
+        with contextlib.suppress(OverflowError):   # an int beyond a double's range
+            return np.asarray(value, dtype=float)
+    raise ValueError(f"must hold numbers, got {reprlib.repr(value)}")
+
+
+def read_json(what: str, path, parse):
+    """``parse`` of the JSON in ``path``; a read, parse or number failure names
+    ``what`` and the path in one line."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Real matrices as JSON arrays of rows
 
 
@@ -92,10 +163,13 @@ def save_matrix(matrix: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
-    m = np.asarray(data, dtype=float)
+    return read_json("matrix", path, _matrix_rows)
+
+
+def _matrix_rows(data) -> np.ndarray:
+    m = json_array(data)
     if m.ndim != 2:
-        raise ValueError(f"{path}: expected an array of rows")
+        raise ValueError("expected an array of rows")
     return m
 
 

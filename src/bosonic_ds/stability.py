@@ -195,7 +195,8 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
 
 def _hermitian_trace_norm(g: np.ndarray) -> float:
     """|g|_1 of a Hermitian g: the sum of its absolute eigenvalues, taken
-    block by block on the exact zeros of g and summed in ascending order.
+    block by block on the exact zeros of g and summed in ascending order of
+    the signed eigenvalues (most negative first), not of their magnitudes.
     With the diagonal of every nonzero line in the pattern, row i and column
     i share a component, so every block of ``block_groups`` is a principal
     block; all-zero lines (eigenvalue 0) join no block."""
@@ -307,15 +308,18 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
     complex dim x dim matrices, exceeds physical memory; skipped where that
     is unknown."""
     physical = _physical_memory()
-    dim = pair_space.dim
+    n, cutoff = pair_space.n_modes, pair_space.cutoff
+    # cutoff^n is formed only up to 2^1024: no memory holds a larger pair,
+    # and for a large n the exact power takes minutes and gigabytes to form
+    dim = pair_space.dim if n <= 1024 / math.log2(cutoff) else math.inf
     need = _DENSE_MATRICES * dim ** 2 * 16
     if 0 < physical < need:
         gib = need / 2 ** 30 if need < 2 ** 1000 else math.inf   # no float overflow
         # past 20 digits the power says more, and str() fails past 4300
-        shown = dim if dim < 10 ** 20 else f"{pair_space.cutoff}^{pair_space.n_modes}"
+        shown = dim if dim < 10 ** 20 else f"{cutoff}^{n}"
         raise ValidationError(
-            f"pair dim {shown} ({pair_space.n_modes // 2} modes per arm, cutoff "
-            f"{pair_space.cutoff}) needs about {gib:.3g} GiB of dense "
+            f"pair dim {shown} ({n // 2} modes per arm, cutoff "
+            f"{cutoff}) needs about {gib:.3g} GiB of dense "
             f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
         )
 

@@ -7,7 +7,6 @@ Spec strings: "vacuum", "fock:2" (aliases fock1..fock3), "thermal:0.5",
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,7 +14,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .fock import FockOperator, FockSpace, density, gaussian_to_fock, leak_flags
+from .fock import (FockOperator, FockSpace, gaussian_to_fock, leak_flags,
+                   validate_density)
+from .io import canonical_dumps, json_array, json_integer, json_number, read_json
 from .symplectic import GaussianState
 
 
@@ -66,7 +67,8 @@ def mixture(components) -> FockOperator:
     weights = np.array([w for w, _ in components], dtype=float)
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be nonnegative")
-    total = weights.sum()
+    with np.errstate(over="ignore"):   # an overflowing sum is refused below
+        total = weights.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValidationError(f"mixture weights must have a positive finite sum, "
                               f"got {total}")
@@ -111,10 +113,8 @@ def _named(where: str):
 
 
 def _spec_number(where: str, value, kind):
-    """``kind(value)``, one argument of a state spec; a malformed one or a
-    boolean names ``where``."""
-    if isinstance(value, bool):
-        raise ValidationError(f"{where}: must be a number, got {value!r}")
+    """``kind(value)``, one argument of a state spec; a malformed one names
+    ``where``."""
     with _named(where):
         return kind(value)
 
@@ -124,30 +124,6 @@ def _spec_key(spec: dict, key: str):
     if key not in spec:
         raise ValidationError(f"{spec['kind']} spec is missing key {key!r}")
     return spec[key]
-
-
-def _holds_numbers(value) -> bool:
-    """True when ``value`` holds only JSON numbers at any depth."""
-    if isinstance(value, (list, tuple)):
-        return all(_holds_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _floats(value) -> np.ndarray:
-    """``value`` as a float array; what float() cannot read keeps its message,
-    and a boolean, string or null that it reads is refused."""
-    floats = np.asarray(value, dtype=float)
-    if not _holds_numbers(value):
-        raise ValueError(f"must hold numbers, got {value!r}")
-    return floats
-
-
-def _float(value) -> float:
-    """``value`` as a float, refused as in ``_floats``."""
-    number = float(value)
-    if not _holds_numbers(value):
-        raise ValueError(f"must be a number, got {value!r}")
-    return number
 
 
 def parse_state_spec(spec, space: FockSpace,
@@ -184,7 +160,7 @@ def parse_state_spec(spec, space: FockSpace,
         kind = spec.get("kind")
         if kind == "gaussian":
             d, gamma = (_spec_number(f"gaussian spec key {key!r}",
-                                     _spec_key(spec, key), _floats)
+                                     _spec_key(spec, key), json_array)
                         for key in ("d", "gamma"))
             with _named("gaussian spec keys 'd' and 'gamma'"):
                 gs = GaussianState(d, gamma)
@@ -200,7 +176,8 @@ def parse_state_spec(spec, space: FockSpace,
                 raise ValidationError(
                     "mixture spec key 'components' must be a list of objects "
                     f"with 'weight' and 'state', got {components!r}")
-            comps = [(_spec_number("mixture spec key 'weight'", c["weight"], _float),
+            comps = [(_spec_number("mixture spec key 'weight'", c["weight"],
+                                   json_number),
                       parse_state_spec(c["state"], space, tol))
                      for c in components]
             return mixture(comps)
@@ -225,21 +202,34 @@ def density_to_dict(op: FockOperator) -> dict:
 
 
 def density_from_dict(data: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
-    space = FockSpace(int(data["n"]), int(data["cutoff"]))
-    m = np.asarray(data["real"], dtype=float) + 1j * np.asarray(data["imag"], dtype=float)
-    return density(space, m, tol=tol)
+    return validate_density(_density_operator(data), tol)
+
+
+def _density_operator(data) -> FockOperator:
+    """The operator a density file's JSON describes, not yet validated; a
+    missing or malformed key is named."""
+    if not isinstance(data, dict):
+        raise ValidationError("must be a JSON object with keys 'n', 'cutoff', "
+                              "'real' and 'imag'")
+    fields = {}
+    for key, read in (("n", json_integer), ("cutoff", json_integer),
+                      ("real", json_array), ("imag", json_array)):
+        if key not in data:
+            raise ValidationError(f"missing key {key!r}")
+        with _named(f"key {key!r}"):
+            fields[key] = read(data[key])
+    with _named("keys 'real' and 'imag'"):
+        m = fields["real"] + 1j * fields["imag"]
+    return FockOperator(FockSpace(fields["n"], fields["cutoff"]), m)
 
 
 def save_density(op: FockOperator, path) -> None:
-    from .io import canonical_dumps
-
     Path(path).write_text(canonical_dumps(density_to_dict(op)))
 
 
 def load_density(path, expected_space: FockSpace | None = None,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
-    data = json.loads(Path(path).read_text())
-    op = density_from_dict(data, tol)
+    op = validate_density(read_json("density file", path, _density_operator), tol)
     if expected_space is not None and op.space != expected_space:
         raise ValidationError(
             f"density file space {op.space} does not match expected {expected_space}"

@@ -171,3 +171,16 @@ def test_result_serialization():
     res = decompose(swap_matrix())
     d = res.to_dict()
     assert d["alpha"] is None and d["alpha_infinite"]
+
+
+@pytest.mark.parametrize("diagonal", [(1e5, 1e-5), (1e300, 1e-300)],
+                         ids=["1e5", "1e300"])
+def test_decompose_strongly_squeezed_local_map(diagonal):
+    # cond(A) is far above 1e8, but B = 0: the branch follows the larger of
+    # A and B, never a solve with B
+    x = np.diag(diagonal)
+    res = decompose(build_canonical(x, np.eye(2), 0.0))
+    assert res.verdict == "local" and res.alpha == 0.0
+    np.testing.assert_array_equal(res.blocks[0], x)
+    np.testing.assert_array_equal(res.blocks[1], np.eye(2))
+

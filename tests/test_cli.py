@@ -760,3 +760,134 @@ def test_chain_never_builds_the_dense_splitter(tmp_path, monkeypatch, capsys):
             modes_per_arm=modes, cutoff=cutoff)
         assert main(["ds-run", "--config", str(cfg),
                      "--out", str(tmp_path / "report.json")]) == 0
+
+
+HUGE = 10 ** 400   # a JSON integer with 401 digits: beyond a double's range
+
+
+def _density_file(tmp_path, text):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("key, named", [
+    ("theta", "theta must be a number, got 1000"),
+    ("tolerances", "tolerance leak_budget must be finite and positive, got 1000"),
+    ("weight", "mixture spec key 'weight': must be a number, got 1000"),
+    ("d", "gaussian spec key 'd': must hold numbers, got [1000"),
+    ("file", "cannot read density file "),
+])
+def test_integer_beyond_a_double_is_one_line(tmp_path, capsys, key, named):
+    zero = [[0] * 10 for _ in range(10)]
+    density = _density_file(tmp_path, json.dumps(
+        {"n": 1, "cutoff": 10, "real": [[HUGE] + zero[0][1:]] + zero[1:],
+         "imag": zero}))
+    overrides = {
+        "theta": {"theta": HUGE},
+        "tolerances": {"tolerances": {"leak_budget": HUGE}},
+        "weight": {"state1": {"kind": "mixture", "components": [
+            {"weight": HUGE, "state": "vacuum"}]}},
+        "d": {"state1": {"kind": "gaussian", "d": [HUGE, 0],
+                         "gamma": [[1, 0], [0, 1]]}},
+        "file": {"state1": f"file:{density}"},
+    }[key]
+    assert main(["ds-run", "--config", str(write_config(tmp_path, **overrides))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
+    assert len(captured.err.splitlines()) == 1
+    if key == "file":
+        assert f"{density}: key 'real': must hold numbers, got [[1000" in captured.err
+
+
+def test_matrix_entry_beyond_a_double_is_one_line(tmp_path, capsys):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps([[HUGE, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                  [0, 0, 0, 1]]))
+    assert main(["classify", "--matrix", str(matrix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read matrix {matrix}: must hold "
+                                   "numbers, got [[1000")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", ["true", '"1"'], ids=["bool", "string"])
+def test_density_and_matrix_files_hold_only_numbers(tmp_path, capsys, entry):
+    density = _density_file(tmp_path, '{"n": 1, "cutoff": 2, "real": [[%s, 0], '
+                            '[0, 0]], "imag": [[0, 0], [0, 0]]}' % entry)
+    assert main(["witness", "--state", f"file:{density}", "--theta", "0.6",
+                 "--cutoff", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read density file {density}: key 'real': must hold "
+        f"numbers, got [[{'True' if entry == 'true' else repr('1')}, 0], [0, 0]]\n")
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+                      % entry)
+    assert main(["classify", "--matrix", str(matrix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read matrix {matrix}: must hold "
+                                   "numbers, got [[")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"n": 1, "cutoff": 4}', "missing key 'real'"),
+    ("[1, 2]", "must be a JSON object with keys 'n', 'cutoff', 'real' and 'imag'"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"n": 1.5, "cutoff": 4, "real": [], "imag": []}',
+     "key 'n': must be an integer, got 1.5"),
+], ids=["missing-real", "array", "unparsable", "fractional-n"])
+@pytest.mark.parametrize("command", ["witness", "ds-run"])
+def test_density_file_error_names_the_file_and_key(tmp_path, capsys, text, reason,
+                                                   command):
+    density = _density_file(tmp_path, text)
+    if command == "witness":
+        argv = ["witness", "--state", f"file:{density}", "--theta", "0.6",
+                "--cutoff", "4"]
+    else:
+        argv = ["ds-run", "--config",
+                str(write_config(tmp_path, state1=f"file:{density}", cutoff=4))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read density file {density}: {reason}\n")
+
+
+@pytest.mark.parametrize("modes", [10 ** 9, HUGE], ids=["1e9", "1e400"])
+def test_mode_count_is_refused_without_forming_the_pair_dim(tmp_path, capsys, modes):
+    # cutoff^(2n) as an exact integer took seconds and gigabytes at n = 10^8
+    import time
+
+    cfg = write_config(tmp_path, modes_per_arm=modes, cutoff=4)
+    start = time.perf_counter()
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: pair dim 4^{2 * modes} ({modes} modes per arm, "
+                          "cutoff 4) needs about inf GiB")
+    assert len(err.splitlines()) == 1
+
+
+def test_overflowing_mixture_weights_print_one_line(tmp_path):
+    # the weights' sum overflows to inf: refused, with no numpy warning
+    cfg = write_config(tmp_path, state1={"kind": "mixture", "components": [
+        {"weight": 1e308, "state": "vacuum"}, {"weight": 1e308, "state": "fock:1"}]})
+    proc = subprocess.run([sys.executable, "-m", "bosonic_ds.cli", "ds-run",
+                           "--config", str(cfg)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: mixture weights must have a positive finite "
+                           "sum, got inf\n")
+
+
+@pytest.mark.parametrize("diagonal", [(1e5, 1e-5), (1e300, 1e-300)],
+                         ids=["1e5", "1e300"])
+def test_classify_strongly_squeezed_local_map(tmp_path, capsys, diagonal):
+    path = tmp_path / "m.json"
+    save_matrix(np.diag([*diagonal, 1.0, 1.0]), path)
+    assert main(["classify", "--matrix", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "local" and data["alpha"] == 0
+    assert data["X"] == np.diag(diagonal).tolist()
+    assert data["Y"] == np.eye(2).tolist()

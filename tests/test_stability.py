@@ -685,3 +685,17 @@ def test_pair_output_members_do_not_depend_on_read_order(first):
     np.testing.assert_array_equal(out.g, ref.g)
     assert out.flags == ref.flags
     assert out.epsilon == ref.epsilon
+
+
+@pytest.mark.parametrize("modes", [10 ** 9, 10 ** 400], ids=["1e9", "1e400"])
+def test_memory_check_never_forms_a_huge_pair_dim(modes):
+    import time
+
+    from bosonic_ds.stability import _check_fits_memory
+
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as exc:
+        _check_fits_memory(FockSpace(2 * modes, 4))
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value).startswith(f"pair dim 4^{2 * modes} ({modes} modes per "
+                                     "arm, cutoff 4) needs about inf GiB")

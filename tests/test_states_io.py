@@ -155,3 +155,101 @@ def test_csv_formatting():
     lines = text.strip().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "0.5,x"
+
+
+# --- numbers from outside ----------------------------------------------------
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a number, got True"),
+    (None, "must be a number, got None"),
+    ("0.5", "must be a number, got '0.5'"),
+    ("x", "could not convert string to float: 'x'"),
+    ([1.0], "must be a number, got [1.0]"),
+    (10 ** 400, "must be a number, got 100000000000000000...0000000000000000000"),
+], ids=["bool", "null", "string", "unreadable-string", "array", "huge-int"])
+def test_json_number_refuses_what_is_not_a_double(value, message):
+    from bosonic_ds.io import json_number
+
+    with pytest.raises(ValueError) as exc:
+        json_number(value)
+    assert str(exc.value) == message
+
+
+def test_json_number_and_integer_keep_what_they_accept():
+    from bosonic_ds.io import json_integer, json_number
+
+    assert json_number(3) == 3 and type(json_number(3)) is int
+    assert json_number(float("nan")) != json_number(float("nan"))
+    assert json_number(-1e308) == -1e308
+    assert json_integer(8.0) == 8 and type(json_integer(8.0)) is int
+    # an int never passes through a double, so no digit is lost
+    assert json_integer(2 ** 60 + 1) == 2 ** 60 + 1
+    assert json_integer(10 ** 400) == 10 ** 400
+    for bad in (8.7, float("inf"), float("nan"), True, "8", None):
+        with pytest.raises(ValueError):
+            json_integer(bad)
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[1, True]], "must hold numbers, got [[1, True]]"),
+    ([0, "1"], "must hold numbers, got [0, '1']"),
+    ([[0, None]], "must hold numbers, got [[0, None]]"),
+    ([[0, "x"]], "could not convert string to float: 'x'"),
+    ([[0], [10 ** 400]],
+     "must hold numbers, got [[0], [100000000000000000...0000000000000000000]]"),
+    ([[0.5] * 100, [0.5] * 99 + [False]],
+     "must hold numbers, got [[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...], "
+     "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...]]"),
+], ids=["bool", "string", "null", "unreadable-string", "huge-int", "long-rows"])
+def test_json_array_refuses_any_entry_that_is_not_a_double(value, message):
+    from bosonic_ds.io import json_array
+
+    with pytest.raises(ValueError) as exc:
+        json_array(value)
+    assert str(exc.value) == message
+
+
+def test_json_array_reads_nested_numbers():
+    from bosonic_ds.io import json_array
+
+    np.testing.assert_array_equal(json_array([[1, 0.5], [-2, 3e300]]),
+                                  [[1.0, 0.5], [-2.0, 3e300]])
+    assert json_array(2).shape == ()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("leak_budget", True), ("density_psd", "1e-8"), ("uncertainty", 0.0),
+    ("residual", -1e-9), ("alpha_swap", float("inf")), ("symplectic", None),
+    ("boundary", 10 ** 400),
+], ids=["bool", "string", "zero", "negative", "inf", "null", "huge-int"])
+def test_tolerances_check_their_fields(field, value):
+    import reprlib
+
+    from bosonic_ds.config import Tolerances
+
+    with pytest.raises(ValidationError) as exc:
+        Tolerances(**{field: value})
+    assert str(exc.value) == (f"tolerance {field} must be finite and positive, "
+                              f"got {reprlib.repr(value)}")
+
+
+def test_load_density_names_the_file_and_key(tmp_path):
+    path = tmp_path / "d.json"
+    data = density_to_dict(vacuum(FockSpace(1, 2)))
+    del data["imag"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as exc:
+        load_density(path)
+    assert str(exc.value) == f"cannot read density file {path}: missing key 'imag'"
+    with pytest.raises(ValidationError, match="^missing key 'imag'$"):
+        density_from_dict(data)
+
+
+def test_load_matrix_names_the_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[[1, 0], [0, true]]")
+    with pytest.raises(ValidationError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == (f"cannot read matrix {path}: must hold numbers, "
+                              "got [[1, 0], [0, True]]")
