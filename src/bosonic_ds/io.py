@@ -138,11 +138,41 @@ def json_array(value) -> np.ndarray:
     raise ValueError(f"must hold numbers, got {reprlib.repr(value)}")
 
 
+# Arrays and objects nest at most this deep in a file read: a report echoes
+# its config through recursive helpers, which reach Python's recursion limit
+# from a depth of about 500 (a depth of 3 per nested mixture).
+MAX_JSON_DEPTH = 400
+
+
+def _json_depth(data) -> int:
+    """How deeply arrays and objects nest in ``data``, found level by level;
+    a container of scalars alone is scanned in C."""
+    depth, level = 0, [data] if isinstance(data, (list, dict)) else []
+    while level:
+        depth += 1
+        inner = []
+        for c in level:
+            items = c.values() if isinstance(c, dict) else c
+            if not set(map(type, items)) <= {int, float, str, bool, type(None)}:
+                inner += [v for v in items if isinstance(v, (list, dict))]
+        level = inner
+    return depth
+
+
 def read_json(what: str, path, parse):
-    """``parse`` of the JSON in ``path``; a read, parse or number failure names
-    ``what`` and the path in one line."""
+    """``parse`` of the JSON in ``path``; a read, parse or number failure, or
+    a nesting deeper than MAX_JSON_DEPTH, names ``what`` and the path in one
+    line."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except RecursionError:   # the decoder's own limit lies deeper still
+            deep = True
+        else:
+            deep = _json_depth(data) > MAX_JSON_DEPTH
+        if deep:
+            raise ValueError(f"arrays and objects nest deeper than {MAX_JSON_DEPTH}")
+        return parse(data)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 

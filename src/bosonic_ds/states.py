@@ -7,6 +7,7 @@ Spec strings: "vacuum", "fock:2" (aliases fock1..fock3), "thermal:0.5",
 
 from __future__ import annotations
 
+import reprlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -220,7 +221,14 @@ def _density_operator(data) -> FockOperator:
             fields[key] = read(data[key])
     with _named("keys 'real' and 'imag'"):
         m = fields["real"] + 1j * fields["imag"]
-    return FockOperator(FockSpace(fields["n"], fields["cutoff"]), m)
+    space = FockSpace(fields["n"], fields["cutoff"])
+    # cutoff >= 2, so cutoff^n rows need n <= log2(rows); checked before
+    # FockOperator forms cutoff^n exactly, which at n = 10^9 outlasts 15 s
+    if space.n_modes > max(m.shape, default=0).bit_length():
+        raise ValidationError(f"key 'n': {reprlib.repr(space.n_modes)} modes at "
+                              f"cutoff {reprlib.repr(space.cutoff)} cannot fit a "
+                              f"matrix of shape {m.shape}")
+    return FockOperator(space, m)
 
 
 def save_density(op: FockOperator, path) -> None:

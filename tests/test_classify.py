@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bosonic_ds import classify
 from bosonic_ds.classify import (build_canonical, decompose, find_witness,
                                  preserves_arbitrary, preserves_identical,
-                                 symmetric_projector)
+                                 split_blocks, symmetric_projector)
+from bosonic_ds.config import DEFAULT_TOLERANCES
 from bosonic_ds.errors import DimensionError, ValidationError
-from bosonic_ds.symplectic import (beam_splitter, is_symplectic,
+from bosonic_ds.symplectic import (OMEGA, beam_splitter, is_symplectic,
                                    random_local_symplectic, two_mode_squeezer)
 
 
@@ -184,3 +186,88 @@ def test_decompose_strongly_squeezed_local_map(diagonal):
     np.testing.assert_array_equal(res.blocks[0], x)
     np.testing.assert_array_equal(res.blocks[1], np.eye(2))
 
+
+def _projector_residual(*products) -> float:
+    """max |(sum of the Kronecker products) P+|, P+ formed in full."""
+    dim = math.isqrt(products[0].shape[0])
+    return float(np.max(np.abs(sum(products) @ symmetric_projector(dim))))
+
+
+def _criterion_maps():
+    rng = np.random.default_rng(8)
+    for n in range(1, 5):
+        x, y = random_local_symplectic(n, rng), random_local_symplectic(n, rng)
+        yield f"local-{n}", build_canonical(x, y, 0.0)
+        yield f"swap-{n}", swap_matrix(2 * n)
+        yield f"squeezer-{n}", two_mode_squeezer(0.4, n)
+        for theta in (0.3, np.pi / 4, 1.1):
+            yield f"beam-splitter-{n}-{theta:.2f}", beam_splitter(theta, n)
+        for alpha in (0.5, -0.5, 3.0, -3.0, 1e7, math.inf):
+            yield f"canonical-{n}-{alpha:g}", build_canonical(x, y, alpha)
+
+
+@pytest.mark.parametrize("s", [pytest.param(s, id=name)
+                               for name, s in _criterion_maps()])
+def test_predicates_read_the_projector_criterion_entry_by_entry(monkeypatch, s):
+    # the residual is the projector product's, bit for bit, and neither
+    # predicate forms P+ or a Kronecker product of the blocks; np.kron serves
+    # only the symplectic form
+    a, b, c, d = split_blocks(s)
+    identical = _projector_residual(np.kron(a, c), np.kron(b, d))
+    arbitrary = max(_projector_residual(np.kron(a, c)),
+                    _projector_residual(np.kron(b, d)))
+    kron = np.kron
+
+    def form_only(x, y):
+        assert y is OMEGA, "a Kronecker product of the blocks was formed"
+        return kron(x, y)
+
+    def no_projector(dim):
+        raise AssertionError("P+ was formed")
+
+    monkeypatch.setattr(np, "kron", form_only)
+    monkeypatch.setattr(classify, "symmetric_projector", no_projector)
+    tol = 10 * DEFAULT_TOLERANCES.symplectic
+    assert preserves_identical(s) == (identical <= tol, identical)
+    assert preserves_arbitrary(s) == (arbitrary <= tol)
+
+
+def test_residual_kernel_on_random_blocks():
+    rng = np.random.default_rng(9)
+    for n in range(1, 5):
+        a, b, c, d = (rng.standard_normal((2 * n, 2 * n)) for _ in range(4))
+        assert classify._residual([(a, c), (b, d)]) == _projector_residual(
+            np.kron(a, c), np.kron(b, d))
+        assert classify._residual([(b, d)]) == _projector_residual(np.kron(b, d))
+
+
+def test_preserves_identical_stays_small_at_d40():
+    # P+ alone would be 40^2 x 40^2 doubles (19.5 MiB); with the two
+    # Kronecker products the predicate peaked at 78 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ok, residual = preserves_identical(np.eye(80))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and residual == 0.0
+    assert peak <= 8 * 2 ** 20
+
+
+def test_symplectic_check_runs_once_per_predicate(monkeypatch):
+    calls = []
+    defect = classify.symplectic_defect
+    monkeypatch.setattr(classify, "symplectic_defect",
+                        lambda s: calls.append(s) or defect(s))
+    assert preserves_identical(beam_splitter(0.3, 2))[0]
+    assert not preserves_arbitrary(beam_splitter(0.3, 2))
+    assert len(calls) == 2
+    # the shape is checked first, then symplecticity, in the same words
+    with pytest.raises(DimensionError, match=r"^need a 4n x 4n matrix, got \(6, 6\)$"):
+        preserves_arbitrary(2 * np.eye(6))
+    for predicate in (preserves_identical, preserves_arbitrary):
+        with pytest.raises(ValidationError,
+                           match=r"^matrix is not symplectic \(defect 3\.000e\+00\)$"):
+            predicate(np.diag([2.0, 2.0, 2.0, 2.0]))

@@ -891,3 +891,82 @@ def test_classify_strongly_squeezed_local_map(tmp_path, capsys, diagonal):
     assert data["verdict"] == "local" and data["alpha"] == 0
     assert data["X"] == np.diag(diagonal).tolist()
     assert data["Y"] == np.eye(2).tolist()
+
+
+def test_classify_large_identity_is_local(tmp_path, capsys):
+    # n = 50 modes per arm: P+ alone would be 100^2 x 100^2 doubles (763 MiB)
+    path = tmp_path / "eye.json"
+    save_matrix(np.eye(200), path)
+    assert main(["classify", "--matrix", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "local" and data["residual"] == 0
+
+
+def _nested_mixture(count):
+    state = "vacuum"
+    for _ in range(count):
+        state = {"kind": "mixture", "components": [{"weight": 1, "state": state}]}
+    return state
+
+
+@pytest.mark.parametrize("modes", [10 ** 9, HUGE], ids=["1e9", "1e400"])
+@pytest.mark.parametrize("command", ["witness", "ds-run"])
+def test_density_file_mode_count_is_refused_at_once(tmp_path, capsys, modes, command):
+    # cutoff^n as an exact integer ran past 15 s at n = 10^9
+    import reprlib
+    import time
+
+    density = _density_file(tmp_path, json.dumps(
+        {"n": modes, "cutoff": 4, "real": [[1]], "imag": [[0]]}))
+    if command == "witness":
+        argv = ["witness", "--state", f"file:{density}", "--theta", "0.6",
+                "--cutoff", "4"]
+    else:
+        argv = ["ds-run", "--config", str(write_config(
+            tmp_path, state1={"kind": "file", "path": str(density)}, cutoff=4))]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: cannot read density file {density}: key 'n': "
+        f"{reprlib.repr(modes)} modes at cutoff 4 cannot fit a matrix of "
+        "shape (1, 1)\n")
+
+
+@pytest.mark.parametrize("what", ["config", "config-mixtures", "matrix",
+                                  "density file"])
+def test_deeply_nested_json_is_one_line(tmp_path, capsys, what):
+    # 100 000 brackets overflow the JSON decoder's recursion; 200 nested
+    # mixtures (depth 601) parse, but the report's echo of the config overflowed
+    import time
+
+    path = tmp_path / "deep.json"
+    if what == "config-mixtures":
+        path.write_text(json.dumps({"state1": _nested_mixture(200),
+                                    "state2": "vacuum", "theta": 0.6,
+                                    "cutoff": 4, "seed": 0}))
+    else:
+        path.write_text("[" * 100_000)
+    argv = {"matrix": ["classify", "--matrix", str(path)],
+            "density file": ["witness", "--state", f"file:{path}", "--theta",
+                             "0.6", "--cutoff", "4"]}.get(
+        what, ["ds-run", "--config", str(path)])
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: cannot read {what.removesuffix('-mixtures')} {path}: arrays and "
+        "objects nest deeper than 400\n")
+
+
+def test_nested_mixtures_run_to_the_depth_limit(tmp_path, capsys):
+    # 133 nested mixtures nest 400 deep: read, run and echoed in the report;
+    # one more is refused
+    cfg = write_config(tmp_path, state1=_nested_mixture(133), cutoff=4)
+    out = tmp_path / "report.json"
+    assert main(["ds-run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["state1"] == _nested_mixture(133)
+    cfg = write_config(tmp_path, state1=_nested_mixture(134), cutoff=4)
+    assert main(["ds-run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read config {cfg}: arrays and objects nest deeper than 400\n")

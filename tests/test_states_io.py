@@ -253,3 +253,19 @@ def test_load_matrix_names_the_file(tmp_path):
         load_matrix(path)
     assert str(exc.value) == (f"cannot read matrix {path}: must hold numbers, "
                               "got [[1, 0], [0, True]]")
+
+
+def test_read_json_depth_rule(tmp_path):
+    from bosonic_ds.io import MAX_JSON_DEPTH, read_json
+
+    path = tmp_path / "nested.json"
+    path.write_text("[" * MAX_JSON_DEPTH + '1, "x", null, true' + "]" * MAX_JSON_DEPTH)
+    assert read_json("file", path, len) == 1
+    # objects nest as arrays do
+    for text in ("[" * (MAX_JSON_DEPTH + 1) + "]" * (MAX_JSON_DEPTH + 1),
+                 '{"a": ' * MAX_JSON_DEPTH + "[]" + "}" * MAX_JSON_DEPTH):
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            read_json("file", path, len)
+        assert str(exc.value) == (f"cannot read file {path}: arrays and objects "
+                                  f"nest deeper than {MAX_JSON_DEPTH}")
