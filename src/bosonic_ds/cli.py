@@ -77,6 +77,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, UncertaintyViolationError,
             DecompositionError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:   # the chains name the pair dim in the message
+        return _fail(f"{args.command}: out of memory"
+                     + (f": {exc}" if str(exc) else ""))
 
 
 def _fail(message: str) -> int:
@@ -158,8 +161,10 @@ def _run_inputs(args, cfg: dict) -> tuple:
         tol = Tolerances(**tolerances)
         space = FockSpace(modes, cutoff)
         _check_fits_memory(FockSpace(2 * modes, cutoff))   # before any input is built
-        rho1 = parse_state_spec(cfg["state1"], space, tol)
-        rho2 = parse_state_spec(cfg["state2"], space, tol)
+        space_from = ("--cutoff" if args.cutoff is not None
+                      else "config key 'cutoff'") + " and config key 'modes_per_arm'"
+        rho1 = parse_state_spec(cfg["state1"], space, tol, space_from=space_from)
+        rho2 = parse_state_spec(cfg["state2"], space, tol, space_from=space_from)
     except KeyError as exc:
         raise ValidationError(f"config is missing {exc}") from exc
     except TypeError as exc:
@@ -249,7 +254,8 @@ def _cmd_witness(args) -> int:
         raise ValidationError(
             f"--witness-tol must be finite and >= 0, got {args.witness_tol}")
     _check_fits_memory(FockSpace(2, args.cutoff))   # before the input is built
-    rho = parse_state_spec(args.state, FockSpace(1, args.cutoff))
+    rho = parse_state_spec(args.state, FockSpace(1, args.cutoff),
+                           space_from="--cutoff (a witness state has one mode)")
     eps = nongaussianity_witness(rho, args.theta)
     verdict = "gaussian" if eps <= args.witness_tol else "non-gaussian"
     print(f"{verdict} (epsilon={eps:.6e})")

@@ -334,6 +334,16 @@ def _sector_exponential(hop: np.ndarray) -> np.ndarray:
                      @ np.swapaxes(v, -1, -2))).real
 
 
+def _sector_hops(cutoff: int) -> np.ndarray:
+    """<n1, N - n1| a2* a1 |n1 + 1, N - n1 - 1> on each sector of
+    ``_sector_grid``, the weight into slot j from slot j + 1, as a real
+    (2 cutoff - 1, cutoff - 1) array: sqrt((n1 + 1) (N - n1)), 0 where slot
+    j + 1 is empty.  It is also <n1 + 1, N - n1 - 1| a1* a2 |n1, N - n1>."""
+    n1, _, inside = _sector_grid(cutoff)
+    n2 = np.arange(2 * cutoff - 1)[:, None] - n1
+    return np.sqrt(np.where(inside[:, 1:], n1[:, 1:] * (n2[:, 1:] + 1.0), 0.0))
+
+
 @functools.lru_cache(maxsize=8)
 def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
     """exp(theta (a2* a1 - a1* a2)) on one mode pair, FockSpace(2, cutoff),
@@ -349,12 +359,9 @@ def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
     the exponential of a padded block is the identity on its padding, and
     ``eigh`` may mix degenerate eigenvectors across it, so the padding is
     zeroed after the exponential."""
-    n1, _, inside = _sector_grid(cutoff)
-    n2 = np.arange(2 * cutoff - 1)[:, None] - n1
-    # the weight into slot j from slot j + 1; 0 where slot j + 1 is empty
-    hop = theta * np.sqrt(np.where(inside[:, 1:], n1[:, 1:] * (n2[:, 1:] + 1.0), 0.0))
+    _, _, inside = _sector_grid(cutoff)
     blocks = np.where(inside[:, :, None] & inside[:, None, :],
-                      _sector_exponential(hop), 0.0)
+                      _sector_exponential(theta * _sector_hops(cutoff)), 0.0)
     _calibrate_beam_splitter(blocks, theta, cutoff)
     blocks.flags.writeable = False   # one cached array serves every caller
     return blocks
@@ -455,6 +462,69 @@ def apply_splitter(u: Splitter, x: np.ndarray) -> np.ndarray:
             out[rows[:size]] = (u.blocks[sector] @ flat[rows])[:size]
         t = np.moveaxis(out.reshape(moved.shape), (0, 1), (l, n + l))
     return t.reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _label_slots(cutoff: int, n_pairs: int) -> tuple:
+    """The labels (N_1, ..., N_n) of n mode pairs' photon-number totals and,
+    in each, the slots (s_1, ..., s_n) of ``_sector_grid``, both in C order:
+    the arm-1 and arm-2 flat indices of each slot's state and whether the
+    slot holds one, three read-only ((2 cutoff - 1)^n, cutoff^n) arrays.  An
+    empty slot's indices are 0."""
+    n1, _, inside = _sector_grid(cutoff)
+    n2 = np.arange(2 * cutoff - 1)[:, None] - n1
+    arm1, arm2, held = 0, 0, True
+    for l in range(n_pairs):
+        shape = [1] * (2 * n_pairs)
+        shape[l], shape[n_pairs + l] = 2 * cutoff - 1, cutoff
+        arm1 = arm1 * cutoff + np.where(inside, n1, 0).reshape(shape)
+        arm2 = arm2 * cutoff + np.where(inside, n2, 0).reshape(shape)
+        held = held & inside.reshape(shape)
+    full = (2 * cutoff - 1,) * n_pairs + (cutoff,) * n_pairs
+    out = tuple(np.broadcast_to(x, full).reshape(-1, cutoff ** n_pairs)
+                for x in (arm1, arm2, held))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def sector_output(u: Splitter, q1: np.ndarray, q2: np.ndarray) -> tuple:
+    """U diag(q1 x q2) U* for real populations q1 and q2 of the arms' number
+    states (flat index), as (blocks, arm1, arm2, held).
+
+    Each mode pair's unitary is the direct sum of its real sector blocks B_N
+    (``pair_blocks``), so the output is block diagonal on the labels
+    (N_1, ..., N_n) of the pairs' totals, and its block on label L is
+    M_L diag(q_L) M_L^T with M_L = B_{N_1} x ... x B_{N_n} and q_L the input
+    populations of the label's states.  ``blocks`` holds them as a real
+    (labels, slots, slots) array in the slots of ``_label_slots``, whose
+    arm1, arm2 and held arrays come with it; rows and columns of empty slots
+    are exact zeros.  No pair-space array is formed: the blocks hold
+    (2 cutoff - 1)^n cutoff^(2n) entries."""
+    d, n = u.space.cutoff, u.space.n_modes // 2
+    arm1, arm2, held = _label_slots(d, n)
+    m = np.ones((1, 1, 1))
+    for _ in range(n):
+        m = np.einsum("Ast,Buv->ABsutv", m, u.blocks).reshape(
+            len(m) * len(u.blocks), m.shape[1] * d, -1)
+    q = np.where(held, q1[arm1] * q2[arm2], 0.0)
+    return (m * q[:, None, :]) @ np.swapaxes(m, 1, 2), arm1, arm2, held
+
+
+def sector_exchange(blocks: np.ndarray, cutoff: int, n_pairs: int) -> np.ndarray:
+    """Tr[x a_l* b_l] for each mode pair l (arm-1 mode l, arm-2 mode l) of a
+    real x held as label blocks (``sector_output``).  a_l* b_l keeps N_l and
+    every other total, so the trace reads the entries of pair l's slot j and
+    j + 1 with every other slot alike, weighted by ``_sector_hops``."""
+    grid = blocks.reshape((2 * cutoff - 1,) * n_pairs + (cutoff,) * (2 * n_pairs))
+    labels, rows = "ABCDEFGHIJKL"[:n_pairs], "abcdefghijkl"[:n_pairs]
+    hops = _sector_hops(cutoff)
+    out = np.empty(n_pairs)
+    for l in range(n_pairs):
+        cols = rows[:l] + "z" + rows[l + 1:]
+        pair = np.einsum(f"{labels}{rows}{cols}->{labels[l]}{rows[l]}z", grid)
+        out[l] = np.sum(np.diagonal(pair[:, :-1, 1:], axis1=1, axis2=2) * hops)
+    return out
 
 
 def beam_splitter_unitary(space: FockSpace, theta: float) -> Splitter:
@@ -582,23 +652,41 @@ def hs_norm(op: FockOperator | np.ndarray) -> float:
 def mode_populations(rho: FockOperator) -> np.ndarray:
     """Per-mode level occupations, shape (n_modes, cutoff): the diagonal as
     a (cutoff,) * n_modes array, summed over every other mode."""
-    n = rho.space.n_modes
-    pops = np.real(np.diag(rho.matrix)).reshape((rho.space.cutoff,) * n)
+    return _mode_populations(np.real(np.diag(rho.matrix)), rho.space)
+
+
+def _mode_populations(diagonal: np.ndarray, space: FockSpace) -> np.ndarray:
+    n = space.n_modes
+    pops = diagonal.reshape((space.cutoff,) * n)
     return np.array([pops.sum(axis=tuple(k for k in range(n) if k != l))
                      for l in range(n)])
 
 
 def leak_population(rho: FockOperator) -> float:
     """Largest per-mode population above level cutoff - 3 (the top two levels)."""
-    pops = mode_populations(rho)
-    return float(np.max(np.sum(pops[:, rho.space.cutoff - 2:], axis=1)))
+    return _top_population(np.real(np.diag(rho.matrix)), rho.space)
+
+
+def _top_population(diagonal: np.ndarray, space: FockSpace) -> float:
+    pops = _mode_populations(diagonal, space)
+    return float(np.max(np.sum(pops[:, space.cutoff - 2:], axis=1)))
 
 
 def leak_flags(rho: FockOperator, label: str,
                tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """``rho``'s truncation flag, named by ``label``, if its top-level
     population exceeds the leak budget."""
-    leak = leak_population(rho)
+    return _leak_flag(leak_population(rho), label, tol)
+
+
+def diagonal_leak_flags(diagonal: np.ndarray, space: FockSpace, label: str,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """``leak_flags`` of a state on ``space`` whose real diagonal, its number
+    populations, is ``diagonal``: all the check reads."""
+    return _leak_flag(_top_population(diagonal, space), label, tol)
+
+
+def _leak_flag(leak: float, label: str, tol: Tolerances) -> tuple:
     if leak > tol.leak_budget:
         return (f"truncation:{label}:leak={leak:.3e}",)
     return ()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +26,11 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (BoundViolationError, CalibrationError,
                      TrivialSplitterError, UncertaintyViolationError,
                      ValidationError)
-from .fock import (FockOperator, FockSpace, apply_splitter,
-                   beam_splitter_unitary, block_groups, estimate_kappa,
-                   gaussian_to_fock, gaussify, hs_norm, leak_flags,
-                   mode_pair_moments, moments, partial_trace, support,
-                   validate_density)
+from .fock import (FockOperator, FockSpace, Splitter, apply_splitter,
+                   beam_splitter_unitary, block_groups, diagonal_leak_flags,
+                   estimate_kappa, gaussian_to_fock, gaussify, hs_norm,
+                   leak_flags, mode_pair_moments, moments, partial_trace,
+                   sector_exchange, sector_output, support, validate_density)
 from .symplectic import GaussianState, is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
@@ -171,14 +172,13 @@ def _cross_cov_matrix(g_mat: np.ndarray, space: FockSpace,
                       for j in range(n)] for i in range(n)]) / t
 
 
-def _cross_covariance(g_mat: np.ndarray, pair_space: FockSpace, theta: float,
-                      kappa: float | None, epsilon: float) -> CrossCovariance:
+def _cross_covariance(v: np.ndarray, theta: float, kappa: float | None,
+                      epsilon: float) -> CrossCovariance:
     """V, its Frobenius norm and, given kappa, the bound on that norm."""
-    v = _cross_cov_matrix(g_mat, pair_space, theta)
     norm = float(np.linalg.norm(v))
     if kappa is None:
         return CrossCovariance(v, norm, None, None)
-    n = pair_space.n_modes // 2
+    n = len(v) // 2
     bound = math.sqrt(24.0 * n ** 2 * kappa * epsilon) / abs(math.tan(theta))
     return CrossCovariance(v, norm, bound, norm <= bound)
 
@@ -190,7 +190,8 @@ def cross_covariance_V(rho_ab: FockOperator, rho_a: FockOperator,
     g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
     if epsilon is None:
         epsilon = _hermitian_trace_norm(g)
-    return _cross_covariance(g, rho_ab.space, theta, kappa, epsilon)
+    return _cross_covariance(_cross_cov_matrix(g, rho_ab.space, theta), theta,
+                             kappa, epsilon)
 
 
 def _hermitian_trace_norm(g: np.ndarray) -> float:
@@ -203,9 +204,14 @@ def _hermitian_trace_norm(g: np.ndarray) -> float:
     pattern = g != 0
     live = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
     pattern[live, live] = True
-    eigs = np.concatenate([np.zeros(0)] + [np.linalg.eigvalsh(g[idx])
-                                           for idx in block_groups(pattern)])
-    return float(np.sum(np.abs(np.sort(eigs))))
+    return _absolute_sum(np.concatenate(
+        [np.zeros(0)] + [np.linalg.eigvalsh(g[idx]) for idx in block_groups(pattern)]))
+
+
+def _absolute_sum(eigs: np.ndarray) -> float:
+    """sum |lambda| of the signed eigenvalues ``eigs``, added in ascending
+    order of lambda (most negative first)."""
+    return float(np.sum(np.abs(np.sort(eigs, axis=None))))
 
 
 def _schmidt_trace_norm(psi: np.ndarray) -> float:
@@ -233,17 +239,50 @@ def _schmidt_trace_norm(psi: np.ndarray) -> float:
 
 
 class PairOutput:
-    """The splitter output rho_ab = W diag(p) W*, held as its factor (W, p):
-    W = U (V1 x V2) and p = p1 x p2 from the inputs' support.  Its
-    reductions rho_a and rho_b, its truncation flags and g = rho_ab - rho_a x
-    rho_b (in rho_ab's buffer) are dense pair-space arrays, built together by
-    ``_dense`` on the first read of any of them; epsilon = |g|_1 reads none of
-    them when both inputs are pure."""
+    """The splitter output rho_ab = U (rho1 x rho2) U*, read along one of
+    three paths, chosen once from the inputs (``path``):
 
-    def __init__(self, pair_space: FockSpace, factor: tuple, tol: Tolerances):
-        self.factor = factor
-        self._pair_space = pair_space
+    - ``schmidt``: both inputs pure (of rank 1 by ``support``, or with one
+      nonzero population when number-diagonal).  epsilon comes from the
+      Schmidt coefficients of the output vector; the rest as on the dense
+      path.
+    - ``sectors``: both inputs number-diagonal (every off-diagonal Fock
+      entry exactly 0, as for Fock and thermal states and their mixtures),
+      not both pure.  The output is block diagonal on the labels (N_1, ...,
+      N_n) of the pairs' photon-number totals (``fock.sector_output``), and
+      so is g: rho_a and rho_b are diagonal, their diagonals the marginals of
+      the blocks' diagonals.  epsilon is the sum of the blocks' absolute
+      eigenvalues, the leak flags read the same diagonals, and V is read
+      from the blocks (``_sectors``); no pair-space array is formed.
+    - ``dense``: any other pair.  rho_a, rho_b, the flags and g = rho_ab -
+      rho_a x rho_b (in rho_ab's buffer) are dense pair-space arrays, built
+      together by ``_dense`` on the first read of any of them.
+
+    The factor (W, p), W = U (V1 x V2) and p = p1 x p2 from the inputs'
+    support, is built on first read: by kappa, and by the schmidt and dense
+    paths.  The dense members are reference API on the sectors path, formed
+    only when read, as ``fock.Splitter.matrix`` is."""
+
+    def __init__(self, rho1: FockOperator, rho2: FockOperator, theta: float,
+                 splitter: Splitter, tol: Tolerances):
+        self._inputs = (rho1, rho2)
+        self._populations = [_number_populations(rho) for rho in self._inputs]
+        self._theta = theta
+        self._splitter = splitter
+        self._pair_space = splitter.space
         self._tol = tol
+
+    @functools.cached_property
+    def path(self) -> str:
+        if any(q is None for q in self._populations):
+            return "schmidt" if len(self.factor[1]) == 1 else "dense"
+        pure = all(np.count_nonzero(q) == 1 for q in self._populations)
+        return "schmidt" if pure else "sectors"
+
+    @functools.cached_property
+    def factor(self) -> tuple:
+        (v1, p1), (v2, p2) = (support(rho) for rho in self._inputs)
+        return apply_splitter(self._splitter, np.kron(v1, v2)), np.kron(p1, p2)
 
     @functools.cached_property
     def _dense(self) -> tuple:
@@ -258,20 +297,68 @@ class PairOutput:
         g -= np.kron(rho_a.matrix, rho_b.matrix)
         return rho_a, rho_b, flags, g
 
-    rho_a = property(lambda self: self._dense[0])
-    rho_b = property(lambda self: self._dense[1])
-    flags = property(lambda self: self._dense[2])
+    @functools.cached_property
+    def _sectors(self) -> tuple:
+        """(rho_a, rho_b, flags, epsilon, V) on the sectors path, from the
+        label blocks of rho_ab.  g's blocks are rho_ab's less the diagonal of
+        rho_a x rho_b.  V's cross-pair blocks are exactly 0: R_{a_i} R_{b_j}
+        moves N_i and N_j, i != j, off g's blocks.  On pair i only the parts
+        a b* and a* b of R_{a_i} R_{b_i} keep N_i, so with c = Tr[g a_i* b_i],
+        real for real blocks, its block is (Re c) I / tan theta: QP and PQ
+        read Im c = 0.  Those parts have a zero diagonal, so g's diagonal
+        drops out of c."""
+        space = self._pair_space
+        n, arm = space.n_modes // 2, space.cutoff ** (space.n_modes // 2)
+        g, arm1, arm2, held = sector_output(self._splitter, *self._populations)
+        slots = np.arange(g.shape[-1])
+        pops = np.zeros((arm, arm))
+        pops[arm1[held], arm2[held]] = g[:, slots, slots][held]
+        pa, pb = pops.sum(axis=1), pops.sum(axis=0)
+        flags = diagonal_leak_flags(pops.reshape(-1), space, "output", self._tol)
+        g[:, slots, slots] -= np.where(held, pa[arm1] * pb[arm2], 0.0)
+        epsilon = _absolute_sum(np.linalg.eigvalsh(g))
+        v = np.zeros((2 * n, 2 * n), dtype=complex)
+        for i, c in enumerate(sector_exchange(g, space.cutoff, n)):
+            v[2 * i, 2 * i] = v[2 * i + 1, 2 * i + 1] = c / math.tan(self._theta)
+        arm_space = FockSpace(n, space.cutoff)
+        return (FockOperator(arm_space, np.diag(pa)),
+                FockOperator(arm_space, np.diag(pb)), flags, epsilon, v)
+
+    @property
+    def _reductions(self) -> tuple:
+        return self._sectors if self.path == "sectors" else self._dense
+
+    rho_a = property(lambda self: self._reductions[0])
+    rho_b = property(lambda self: self._reductions[1])
+    flags = property(lambda self: self._reductions[2])
     g = property(lambda self: self._dense[3])
 
     @functools.cached_property
     def epsilon(self) -> float:
-        """|g|_1: from the output vector's Schmidt coefficients when both
-        inputs are pure (one column), otherwise from the zero blocks of g."""
-        w, p = self.factor
-        if len(p) > 1:
+        """|g|_1, along ``path``."""
+        if self.path == "sectors":
+            return self._sectors[3]
+        if self.path == "dense":
             return _hermitian_trace_norm(self.g)
+        w, p = self.factor
         arm_dim = self._pair_space.cutoff ** (self._pair_space.n_modes // 2)
         return _schmidt_trace_norm(math.sqrt(p[0]) * w[:, 0].reshape(arm_dim, -1))
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        """The cross covariance V (``_cross_cov_matrix``), along ``path``."""
+        if self.path == "sectors":
+            return self._sectors[4]
+        return _cross_cov_matrix(self.g, self._pair_space, self._theta)
+
+
+def _number_populations(rho: FockOperator) -> np.ndarray | None:
+    """rho's number populations, the real part of its diagonal, when every
+    off-diagonal entry is exactly 0; otherwise None."""
+    diagonal = np.diag(rho.matrix)
+    if np.count_nonzero(rho.matrix) > np.count_nonzero(diagonal):
+        return None
+    return diagonal.real.copy()
 
 
 # Complex dim x dim matrices alive at once in the chain.  Two full-rank
@@ -289,9 +376,12 @@ class PairOutput:
 # head product, in place of an SVD's copy, so the count is unchanged.  A
 # pure witness holds none of them: the splitter is its
 # 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``), not
-# a dense pair unitary, and its epsilon reads no dense member of the output;
-# the count stays 9 because the preflight runs before the input, and so its
-# rank, is known.
+# a dense pair unitary, and its epsilon reads no dense member of the output.
+# A number-diagonal witness holds none either: its output is its real label
+# blocks (``fock.sector_output``), (2 cutoff - 1) cutoff^2 entries at one
+# mode per arm, and a number-diagonal ds-run forms no g, only the factor
+# for kappa.  The count stays 9 because the preflight runs before the
+# input, and so its rank and structure, is known.
 _DENSE_MATRICES = 9
 
 
@@ -308,20 +398,45 @@ def _check_fits_memory(pair_space: FockSpace) -> None:
     complex dim x dim matrices, exceeds physical memory; skipped where that
     is unknown."""
     physical = _physical_memory()
-    n, cutoff = pair_space.n_modes, pair_space.cutoff
-    # cutoff^n is formed only up to 2^1024: no memory holds a larger pair,
-    # and for a large n the exact power takes minutes and gigabytes to form
-    dim = pair_space.dim if n <= 1024 / math.log2(cutoff) else math.inf
-    need = _DENSE_MATRICES * dim ** 2 * 16
+    need = _DENSE_MATRICES * _pair_dim(pair_space) ** 2 * 16
     if 0 < physical < need:
         gib = need / 2 ** 30 if need < 2 ** 1000 else math.inf   # no float overflow
-        # past 20 digits the power says more, and str() fails past 4300
-        shown = dim if dim < 10 ** 20 else f"{cutoff}^{n}"
         raise ValidationError(
-            f"pair dim {shown} ({n // 2} modes per arm, cutoff "
-            f"{cutoff}) needs about {gib:.3g} GiB of dense "
+            f"{_pair_size(pair_space)} needs about {gib:.3g} GiB of dense "
             f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
         )
+
+
+def _pair_dim(pair_space: FockSpace) -> int | float:
+    """cutoff^n, formed only up to 2^1024: no memory holds a larger pair, and
+    for a large n the exact power takes minutes and gigabytes to form."""
+    n, cutoff = pair_space.n_modes, pair_space.cutoff
+    return pair_space.dim if n <= 1024 / math.log2(cutoff) else math.inf
+
+
+def _pair_size(pair_space: FockSpace) -> str:
+    """``pair dim D (n modes per arm, cutoff c)`` in one short line: past 20
+    digits D is written as the power, and past 40 characters a number is cut
+    short (``reprlib``), as str() fails past 4300 digits."""
+    n, cutoff = pair_space.n_modes, pair_space.cutoff
+    dim = _pair_dim(pair_space)
+    shown = dim if dim < 10 ** 20 else f"{cutoff}^{reprlib.repr(n)}"
+    return (f"pair dim {shown} ({reprlib.repr(n // 2)} modes per arm, "
+            f"cutoff {cutoff})")
+
+
+def _names_the_pair(chain):
+    """``chain``, whose first argument is an input state, with an
+    out-of-memory error that names the pair space."""
+    @functools.wraps(chain)
+    def run(rho, *args, **kwargs):
+        try:
+            return chain(rho, *args, **kwargs)
+        except MemoryError as exc:
+            space = FockSpace(2 * rho.space.n_modes, rho.space.cutoff)
+            detail = f": {exc}" if str(exc) else ""
+            raise MemoryError(f"{_pair_size(space)}{detail}") from exc
+    return run
 
 
 def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
@@ -350,13 +465,12 @@ def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
 
     The splitter is passive, so with rho_j = V_j diag(p_j) V_j* the output
     is rho_ab = W diag(p) W*, W = U (V1 x V2), p = p1 x p2: U acts once, on
-    the rank(rho1) rank(rho2) columns of V1 x V2.  The reductions, g and
-    epsilon are formed on first read (see ``PairOutput``)."""
+    the rank(rho1) rank(rho2) columns of V1 x V2.  That factor, the
+    reductions, g, epsilon and V are formed on first read, along the path
+    the inputs choose (see ``PairOutput``)."""
     pair_space = _check_pair(rho1, rho2, theta, tol)
-    u = beam_splitter_unitary(pair_space, theta)
-    (v1, p1), (v2, p2) = support(rho1), support(rho2)
-    w = apply_splitter(u, np.kron(v1, v2))
-    return PairOutput(pair_space, (w, np.kron(p1, p2)), tol)
+    return PairOutput(rho1, rho2, theta, beam_splitter_unitary(pair_space, theta),
+                      tol)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +562,7 @@ def _gaussify_input(rho: FockOperator, label: str,
             f"{label} at cutoff {rho.space.cutoff}: {exc}") from exc
 
 
+@_names_the_pair
 def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
                    seed: int = 0,
                    tol: Tolerances = DEFAULT_TOLERANCES,
@@ -503,7 +618,7 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     dist2 = hs_norm(rho2.matrix - synth2.matrix)
     cm_gap = float(np.linalg.norm(gs1.gamma - gs2.gamma))
 
-    cov = _cross_covariance(out.g, pair_space, theta, kappa, epsilon)
+    cov = _cross_covariance(out.v, theta, kappa, epsilon)
 
     # bound2 holds for every non-trivial theta, bound1 only where c1 does
     margin_state = bound1 - max(dist1, dist2) if bound1 is not None else None
@@ -567,6 +682,7 @@ def _enforce_invariants(report: StabilityReport,
         )
 
 
+@_names_the_pair
 def nongaussianity_witness(rho: FockOperator, theta: float,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Distance of U (rho x rho) U* from the product of its reductions.

@@ -128,8 +128,11 @@ def _spec_key(spec: dict, key: str):
 
 
 def parse_state_spec(spec, space: FockSpace,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
-    """Build a density operator from a CLI state spec (string or JSON object)."""
+                     tol: Tolerances = DEFAULT_TOLERANCES, *,
+                     space_from: str | None = None) -> FockOperator:
+    """Build a density operator from a CLI state spec (string or JSON object);
+    ``space_from`` names the option or config keys that set ``space``, for a
+    density file on another space."""
     if isinstance(spec, str):
         spec = _ALIASES.get(spec, spec)
         where = f"state spec {spec!r}"
@@ -155,7 +158,8 @@ def parse_state_spec(spec, space: FockSpace,
                                       f"components (q, p per mode), got {d.size}")
             return displaced_vacuum(space, d, tol)
         if head == "file":
-            return load_density(arg, expected_space=space, tol=tol)
+            return load_density(arg, expected_space=space, tol=tol,
+                                space_from=space_from)
         raise ValidationError(f"unknown state spec {spec!r}")
     if isinstance(spec, dict):
         kind = spec.get("kind")
@@ -179,12 +183,13 @@ def parse_state_spec(spec, space: FockSpace,
                     f"with 'weight' and 'state', got {components!r}")
             comps = [(_spec_number("mixture spec key 'weight'", c["weight"],
                                    json_number),
-                      parse_state_spec(c["state"], space, tol))
+                      parse_state_spec(c["state"], space, tol,
+                                       space_from=space_from))
                      for c in components]
             return mixture(comps)
         if kind == "file":
             return load_density(_spec_key(spec, "path"), expected_space=space,
-                                tol=tol)
+                                tol=tol, space_from=space_from)
         raise ValidationError(f"unknown state spec kind {kind!r}")
     raise ValidationError(f"state spec must be a string or object, got {type(spec)}")
 
@@ -221,6 +226,10 @@ def _density_operator(data) -> FockOperator:
             fields[key] = read(data[key])
     with _named("keys 'real' and 'imag'"):
         m = fields["real"] + 1j * fields["imag"]
+    for key, least in (("n", 1), ("cutoff", 2)):
+        if fields[key] < least:
+            raise ValidationError(f"key {key!r}: must be at least {least}, got "
+                                  f"{reprlib.repr(fields[key])}")
     space = FockSpace(fields["n"], fields["cutoff"])
     # cutoff >= 2, so cutoff^n rows need n <= log2(rows); checked before
     # FockOperator forms cutoff^n exactly, which at n = 10^9 outlasts 15 s
@@ -236,12 +245,15 @@ def save_density(op: FockOperator, path) -> None:
 
 
 def load_density(path, expected_space: FockSpace | None = None,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
+                 tol: Tolerances = DEFAULT_TOLERANCES, *,
+                 space_from: str | None = None) -> FockOperator:
+    """The validated density in ``path``; with ``expected_space``, one on
+    that space, which ``space_from`` (an option or config keys) set."""
     op = validate_density(read_json("density file", path, _density_operator), tol)
     if expected_space is not None and op.space != expected_space:
-        raise ValidationError(
-            f"density file space {op.space} does not match expected {expected_space}"
-        )
+        source = f" set by {space_from}" if space_from else ""
+        raise ValidationError(f"density file {path} holds {op.space}, not the "
+                              f"expected {expected_space}{source}")
     return op
 
 

@@ -857,7 +857,9 @@ def test_density_file_error_names_the_file_and_key(tmp_path, capsys, text, reaso
 
 @pytest.mark.parametrize("modes", [10 ** 9, HUGE], ids=["1e9", "1e400"])
 def test_mode_count_is_refused_without_forming_the_pair_dim(tmp_path, capsys, modes):
-    # cutoff^(2n) as an exact integer took seconds and gigabytes at n = 10^8
+    # cutoff^(2n) as an exact integer took seconds and gigabytes at n = 10^8;
+    # a 401-digit count is cut short, as reprlib cuts it
+    import reprlib
     import time
 
     cfg = write_config(tmp_path, modes_per_arm=modes, cutoff=4)
@@ -865,9 +867,10 @@ def test_mode_count_is_refused_without_forming_the_pair_dim(tmp_path, capsys, mo
     assert main(["ds-run", "--config", str(cfg)]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith(f"error: pair dim 4^{2 * modes} ({modes} modes per arm, "
-                          "cutoff 4) needs about inf GiB")
-    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: pair dim 4^{reprlib.repr(2 * modes)} "
+                          f"({reprlib.repr(modes)} modes per arm, cutoff 4) needs "
+                          "about inf GiB")
+    assert len(err.splitlines()) == 1 and len(err) < 200
 
 
 def test_overflowing_mixture_weights_print_one_line(tmp_path):
@@ -970,3 +973,72 @@ def test_nested_mixtures_run_to_the_depth_limit(tmp_path, capsys):
     assert main(["ds-run", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: cannot read config {cfg}: arrays and objects nest deeper than 400\n")
+
+
+@pytest.mark.parametrize("command", ["witness", "ds-run"])
+def test_out_of_memory_is_one_line_naming_the_command_and_pair(tmp_path, monkeypatch,
+                                                               capsys, command):
+    # a MemoryError past the preflight, which checks physical memory only
+    # (under ``ulimit -v``, say), ends in one error line, not a traceback
+    from bosonic_ds import stability
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array")
+
+    monkeypatch.setattr(stability, "sector_output", no_memory)
+    if command == "witness":
+        argv = ["witness", "--state", "thermal:0.3", "--theta", "0.6", "--cutoff", "8"]
+    else:
+        argv = ["ds-run", "--config", str(write_config(
+            tmp_path, state1="thermal:0.3", state2="thermal:0.1", cutoff=8))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {command}: out of memory: pair dim 64 (1 modes "
+                            "per arm, cutoff 8): Unable to allocate 5.96 GiB for an "
+                            "array\n")
+
+
+def test_density_file_on_another_cutoff_names_the_file_and_option(tmp_path, capsys):
+    from bosonic_ds.fock import FockSpace
+    from bosonic_ds.states import save_density, vacuum
+
+    density = tmp_path / "d.json"
+    save_density(vacuum(FockSpace(1, 2)), density)
+    assert main(["witness", "--state", f"file:{density}", "--theta", "0.6",
+                 "--cutoff", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: density file {density} holds FockSpace(n_modes=1, cutoff=2), not "
+        "the expected FockSpace(n_modes=1, cutoff=4) set by --cutoff (a witness "
+        "state has one mode)\n")
+
+
+def test_density_file_on_another_space_names_the_config_keys(tmp_path, capsys):
+    from bosonic_ds.fock import FockSpace
+    from bosonic_ds.states import save_density, vacuum
+
+    density = tmp_path / "d.json"
+    save_density(vacuum(FockSpace(1, 2)), density)
+    cfg = write_config(tmp_path, state1={"kind": "file", "path": str(density)},
+                       cutoff=4)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: density file {density} holds FockSpace(n_modes=1, cutoff=2), not "
+        "the expected FockSpace(n_modes=1, cutoff=4) set by config key 'cutoff' "
+        "and config key 'modes_per_arm'\n")
+    assert main(["ds-run", "--config", str(cfg), "--cutoff", "3"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "FockSpace(n_modes=1, cutoff=3) set by --cutoff and config key "
+        "'modes_per_arm'\n")
+
+
+@pytest.mark.parametrize("key, value, least", [("n", 0, 1), ("cutoff", 1, 2)])
+def test_density_file_with_no_space_names_the_key(tmp_path, capsys, key, value, least):
+    data = {"n": 1, "cutoff": 2, "real": [[1, 0], [0, 0]], "imag": [[0, 0], [0, 0]]}
+    data[key] = value
+    density = _density_file(tmp_path, json.dumps(data))
+    assert main(["witness", "--state", f"file:{density}", "--theta", "0.6",
+                 "--cutoff", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read density file {density}: key {key!r}: must be at least "
+        f"{least}, got {value}\n")

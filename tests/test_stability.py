@@ -438,8 +438,10 @@ def test_pair_output_matches_dense_reference(spec1, spec2, modes, cutoff, rank):
 
 
 def test_report_v_matches_cross_covariance_V():
+    # a mixed input that is not number-diagonal: the report's V is read from
+    # the dense g, bit for bit
     space = FockSpace(1, 8)
-    r1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 2))])
+    r1 = _displaced_mixture(space, 0.5)
     r2 = thermal_state(space, 0.2)
     theta = 0.7
     rep = run_experiment(r1, r2, theta, seed=2, strict=False)
@@ -450,6 +452,13 @@ def test_report_v_matches_cross_covariance_V():
     np.testing.assert_array_equal(rep.v, res.v)
     assert rep.v_norm == res.norm
     assert rep.v_bound == res.bound
+
+
+def _displaced_mixture(space, weight):
+    """``weight`` of displaced:0.5,0.3 and the rest vacuum: mixed, and not
+    number-diagonal."""
+    return mixture([(weight, parse_state_spec("displaced:0.5,0.3", space)),
+                    (1.0 - weight, vacuum(space))])
 
 
 def test_gaussify_fails_before_the_splitter(monkeypatch):
@@ -641,18 +650,24 @@ def test_rank_two_pair_epsilon_takes_the_block_path(monkeypatch):
 
     monkeypatch.setattr(stability, "_schmidt_trace_norm", no_schmidt)
     space = FockSpace(1, 10)
-    rho1 = mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 1))])
+    rho1 = _displaced_mixture(space, 0.1)
     out = pair_output(rho1, vacuum(space), 0.6)
     assert out.factor[0].shape[1] == 2
     assert out.epsilon == _hermitian_trace_norm(out.g)
 
 
+_DISPLACED_MIXTURE = {"kind": "mixture", "components": [
+    {"weight": 0.5, "state": "displaced:0.5,0.3"}, {"weight": 0.5, "state": "vacuum"}]}
+
+
 @pytest.mark.parametrize("spec, dense", [
-    ("fock:2", False), ("displaced:0.5,0.3", False), ("thermal:0.3", True),
+    ("fock:2", False), ("displaced:0.5,0.3", False), ("thermal:0.3", False),
+    pytest.param(_DISPLACED_MIXTURE, True, id="displaced-mixture-True"),
 ])
 def test_witness_reduces_only_a_mixed_output(monkeypatch, spec, dense):
-    # a pure witness takes epsilon from the output vector and forms no
-    # reduction of the pair space; a mixed one still needs g
+    # a pure witness takes epsilon from the output vector and a
+    # number-diagonal one from the sector blocks, and neither forms a
+    # reduction of the pair space; any other mixed one still needs g
     from bosonic_ds import stability
 
     calls = {"partial_trace": 0, "leak_flags": 0}
@@ -689,6 +704,7 @@ def test_pair_output_members_do_not_depend_on_read_order(first):
 
 @pytest.mark.parametrize("modes", [10 ** 9, 10 ** 400], ids=["1e9", "1e400"])
 def test_memory_check_never_forms_a_huge_pair_dim(modes):
+    import reprlib
     import time
 
     from bosonic_ds.stability import _check_fits_memory
@@ -697,5 +713,162 @@ def test_memory_check_never_forms_a_huge_pair_dim(modes):
     with pytest.raises(ValidationError) as exc:
         _check_fits_memory(FockSpace(2 * modes, 4))
     assert time.perf_counter() - start < 1.0
-    assert str(exc.value).startswith(f"pair dim 4^{2 * modes} ({modes} modes per "
-                                     "arm, cutoff 4) needs about inf GiB")
+    assert str(exc.value).startswith(
+        f"pair dim 4^{reprlib.repr(2 * modes)} ({reprlib.repr(modes)} modes per "
+        "arm, cutoff 4) needs about inf GiB")
+    assert len(str(exc.value)) < 200
+
+
+# --- number-diagonal pairs, per photon-number sector ------------------------
+
+
+def _dense_oracle(out, theta):
+    """epsilon, rho_a, rho_b, the output flags and V of a ``pair_output``,
+    from the dense rho_ab its factor builds."""
+    from bosonic_ds.fock import leak_flags
+
+    rho_ab = output_density(out)
+    rho_a, rho_b = partial_trace(rho_ab, "first"), partial_trace(rho_ab, "second")
+    g = rho_ab.matrix - np.kron(rho_a.matrix, rho_b.matrix)
+    return (_hermitian_trace_norm(g), rho_a.matrix, rho_b.matrix,
+            leak_flags(rho_ab, "output"),
+            cross_covariance_V(rho_ab, rho_a, rho_b, theta).v)
+
+
+def _assert_sectors_match_dense(rho1, rho2, theta):
+    out = pair_output(rho1, rho2, theta)
+    eps, rho_a, rho_b, flags, v = _dense_oracle(out, theta)
+    # the sector members, whichever path the pair takes
+    s_rho_a, s_rho_b, s_flags, s_eps, s_v = out._sectors
+    for got, ref in ((s_eps, eps), (s_rho_a.matrix, rho_a), (s_rho_b.matrix, rho_b),
+                     (s_v, v)):
+        assert np.all(np.abs(got - ref) <= np.maximum(1e-13 * np.abs(ref), 1e-15))
+    assert s_flags == flags
+    return out, s_eps, eps
+
+
+def _benchmark_pairs(monkeypatch, workload, seed):
+    """The input pairs and angles of a ``perfbench`` ds-run workload."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for case in workloads.cases(workload, seed):
+        space = FockSpace(case.modes, case.cutoff)
+        yield (parse_state_spec(case.state1.spec, space),
+               parse_state_spec(case.state2.spec, space), case.theta)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("workload", ["dsrun-1mode", "dsrun-2mode"])
+def test_sector_path_matches_dense_on_benchmark_cases(monkeypatch, workload, seed):
+    for rho1, rho2, theta in _benchmark_pairs(monkeypatch, workload, seed):
+        out, _, _ = _assert_sectors_match_dense(rho1, rho2, theta)
+        assert out.path == "sectors"
+
+
+def _fock_mixture(space, *components):
+    return mixture([(w, fock_state(space, levels)) for w, levels in components])
+
+
+@pytest.mark.parametrize("make, theta", [
+    # 1, 2 and 3 modes per arm
+    (lambda: (thermal_state(FockSpace(1, 12), 0.3),
+              _fock_mixture(FockSpace(1, 12), (0.7, 0), (0.3, 2))), 0.6),
+    (lambda: (_fock_mixture(FockSpace(2, 4), (0.6, (0, 0)), (0.4, (1, 2))),
+              _fock_mixture(FockSpace(2, 4), (0.5, (0, 1)), (0.5, (2, 0)))), 0.9),
+    (lambda: (_fock_mixture(FockSpace(3, 3), (0.5, (0, 0, 0)), (0.3, (1, 0, 2)),
+                            (0.2, (0, 2, 1))),
+              _fock_mixture(FockSpace(3, 3), (0.6, (0, 1, 0)), (0.4, (2, 2, 2)))), 0.7),
+    # equal (1, 0) and (0, 1) weights: degenerate populations
+    (lambda: (_fock_mixture(FockSpace(2, 4), (0.4, (0, 0)), (0.3, (1, 0)), (0.3, (0, 1))),
+              _fock_mixture(FockSpace(2, 4), (0.5, (0, 0)), (0.5, (1, 1)))), 0.5),
+    # weight on the top levels, where the sectors are clipped
+    (lambda: (thermal_state(FockSpace(1, 8), 2.0),
+              _fock_mixture(FockSpace(1, 8), (0.5, 7), (0.5, 6))), 0.5),
+    (lambda: (_fock_mixture(FockSpace(1, 8), (0.5, 7), (0.5, 0)),
+              fock_state(FockSpace(1, 8), 7)), math.pi / 4),
+], ids=["1-mode", "2-modes", "3-modes", "degenerate", "top-levels", "top-pi/4"])
+def test_sector_path_matches_dense(make, theta):
+    out, _, _ = _assert_sectors_match_dense(*make(), theta)
+    assert out.path == "sectors"
+
+
+@pytest.mark.parametrize("level, cutoff, theta", [(0, 8, 0.6), (7, 8, math.pi / 4)],
+                         ids=["vacuum", "fock-7-top"])
+def test_sector_epsilon_is_exactly_zero_on_a_product_output(level, cutoff, theta):
+    # vacuum stays vacuum, and |7, 7> fills the one-state top sector at
+    # cutoff 8: both outputs are products, so g is exactly 0 on either path
+    rho = fock_state(FockSpace(1, cutoff), level)
+    out, s_eps, eps = _assert_sectors_match_dense(rho, rho, theta)
+    assert out.path == "schmidt" and s_eps == eps == out.epsilon == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [12, 26, 40])
+@pytest.mark.parametrize("nbar", [0.3, 1.0])
+def test_thermal_witness_reads_roundoff(cutoff, nbar):
+    # thermal states are Gaussian: the sector blocks leave epsilon at a few
+    # units of roundoff
+    assert nongaussianity_witness(thermal_state(FockSpace(1, cutoff), nbar),
+                                  0.6) < 1e-15
+
+
+def _forbid(monkeypatch, owner, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense pair-space step on the sectors path")
+
+    for name in names:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_number_diagonal_witness_forms_no_pair_space_array(monkeypatch):
+    from bosonic_ds import stability
+
+    _forbid(monkeypatch, stability, "support", "apply_splitter",
+            "_hermitian_trace_norm", "partial_trace")
+    _forbid(monkeypatch, np, "kron")
+    monkeypatch.setattr(stability.PairOutput, "_dense", property(
+        lambda self: pytest.fail("dense g read on the sectors path")))
+    rho = thermal_state(FockSpace(1, 16), 0.4)
+    assert nongaussianity_witness(rho, 0.6) < 1e-15
+
+
+def test_number_diagonal_ds_run_builds_the_factor_for_kappa_only(monkeypatch):
+    from bosonic_ds import stability
+
+    calls = []
+    estimate = stability.estimate_kappa
+
+    def counted(factor, space, **kwargs):
+        calls.append(factor[0].shape)
+        return estimate(factor, space, **kwargs)
+
+    monkeypatch.setattr(stability, "estimate_kappa", counted)
+    _forbid(monkeypatch, stability, "_hermitian_trace_norm", "partial_trace")
+    monkeypatch.setattr(stability.PairOutput, "_dense", property(
+        lambda self: pytest.fail("dense g read on the sectors path")))
+    space = FockSpace(1, 10)
+    rho1 = _fock_mixture(space, (0.8, 0), (0.2, 1))
+    rep = run_experiment(rho1, thermal_state(space, 0.2), 0.6, seed=0, strict=False)
+    assert calls == [(100, 20)]
+    assert rep.v[0, 1] == rep.v[1, 0] == 0 and rep.v[0, 0] == rep.v[1, 1]
+
+
+def test_mixed_pair_off_the_number_diagonal_takes_the_dense_path(monkeypatch):
+    from bosonic_ds import stability
+
+    _forbid(monkeypatch, stability, "sector_output")
+    space = FockSpace(1, 10)
+    out = pair_output(_displaced_mixture(space, 0.5), thermal_state(space, 0.2), 0.6)
+    assert out.path == "dense"
+    assert out.epsilon == _hermitian_trace_norm(out.g)
+
+
+@pytest.mark.parametrize("spec, path", [
+    ("vacuum", "schmidt"), ("fock:3", "schmidt"), ("squeezed:0.3", "schmidt"),
+    ("thermal:0.3", "sectors"), (_DISPLACED_MIXTURE, "dense"),
+])
+def test_witness_path_follows_the_input(spec, path):
+    rho = parse_state_spec(spec, FockSpace(1, 12))
+    assert pair_output(rho, rho, 0.6).path == path
