@@ -253,7 +253,9 @@ def _cmd_witness(args) -> int:
     if not (math.isfinite(args.witness_tol) and args.witness_tol >= 0):
         raise ValidationError(
             f"--witness-tol must be finite and >= 0, got {args.witness_tol}")
-    _check_fits_memory(FockSpace(2, args.cutoff))   # before the input is built
+    # before the input is built, the least any witness holds; the pair's
+    # own count follows once its inputs are known
+    _check_fits_memory(FockSpace(2, args.cutoff), sectors=True)
     rho = parse_state_spec(args.state, FockSpace(1, args.cutoff),
                            space_from="--cutoff (a witness state has one mode)")
     eps = nongaussianity_witness(rho, args.theta)

@@ -367,18 +367,31 @@ def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
     return blocks
 
 
-def _sector_lowering(cutoff: int) -> np.ndarray:
-    """Blocks <N|a_l|N + 1>/sqrt2 of the two lowering operators (l = 1, 2) on
-    a mode pair for the full sectors N = 0 .. cutoff - 3, in the slots of
-    ``_sector_grid`` (slot n1 of a full sector is |n1, N - n1>): a real
-    array of shape (2, cutoff - 2, cutoff, cutoff).  a_1 takes |n1 + 1, n2>
-    to |n1, n2> with weight sqrt(n1 + 1), a_2 takes |n1, n2 + 1> to it with
-    weight sqrt(n2 + 1)."""
-    total, n1 = np.nonzero(np.tri(cutoff - 2, cutoff - 1, dtype=bool))
-    out = np.zeros((2, cutoff - 2, cutoff, cutoff))
-    out[0, total, n1, n1 + 1] = np.sqrt(n1 + 1.0) / SQRT2
-    out[1, total, n1, n1] = np.sqrt(total - n1 + 1.0) / SQRT2
-    return out
+def _transport_defects(blocks: np.ndarray, theta: float, cutoff: int) -> np.ndarray:
+    """max |B_N^T (L_l B_(N + 1)) - sum_m S_lm L_m| for the two lowering
+    blocks L_l = <N|a_l|N + 1>/sqrt2 (l = 1, 2) of a mode pair, over the full
+    sectors N = 0 .. cutoff - 3 and every entry, in the slots of
+    ``_sector_grid`` (slot n1 of a full sector is |n1, N - n1>).  a_1 takes
+    |n1 + 1, n2> to |n1, n2> with weight sqrt(n1 + 1), a_2 takes |n1, n2 + 1>
+    to it with weight sqrt(n2 + 1), so L_1 lies on the superdiagonal and L_2
+    on the diagonal of slots n1 <= N, and L_l B is B's rows, shifted by one
+    for a_1 and scaled: one batched product by B_N^T, from which the two
+    scaled diagonals of S L are subtracted."""
+    top = cutoff - 2
+    total, n1 = np.arange(top)[:, None], np.arange(cutoff - 1)
+    held = n1 <= total
+    w1 = np.where(held, np.sqrt(n1 + 1.0) / SQRT2, 0.0)
+    w2 = np.sqrt(np.where(held, total - n1 + 1.0, 0.0)) / SQRT2
+    nxt = blocks[1:top + 1]
+    moved = np.zeros((2,) + nxt.shape)
+    np.multiply(w1[:, :, None], nxt[:, 1:], out=moved[0, :, :-1])
+    np.multiply(w2[:, :, None], nxt[:, :-1], out=moved[1, :, :-1])
+    diff = np.swapaxes(blocks[:top], -1, -2) @ moved
+    s = beam_splitter(theta, 1)[0::2, 0::2]
+    for l in range(2):
+        diff[l, :, n1, n1 + 1] -= s[l, 0] * w1.T
+        diff[l, :, n1, n1] -= s[l, 1] * w2.T
+    return np.max(np.abs(diff), axis=(1, 2, 3), initial=0.0)
 
 
 _TRANSPORT_TOL = 1e-9   # on <N|a_l|N + 1>/sqrt2, the quadratures' scale
@@ -413,11 +426,7 @@ def _calibrate_beam_splitter(blocks: np.ndarray, theta: float,
     if np.iscomplexobj(blocks):
         raise CalibrationError(f"{where}: blocks are complex; the transport "
                                "check holds for real sector blocks only")
-    top = cutoff - 2
-    lowering = _sector_lowering(cutoff)
-    lhs = np.swapaxes(blocks[:top], -1, -2) @ lowering @ blocks[1:top + 1]
-    rhs = np.tensordot(beam_splitter(theta, 1)[0::2, 0::2], lowering, axes=1)
-    defect = np.max(np.abs(lhs - rhs), axis=(1, 2, 3), initial=0.0)
+    defect = _transport_defects(blocks, theta, cutoff)
     for l in range(2):
         if not defect[l] <= _TRANSPORT_TOL:   # a NaN defect fails too
             raise CalibrationError(
@@ -709,12 +718,56 @@ def _kappa_blocks(left: np.ndarray, space: FockSpace) -> list:
     """``block_groups`` of a pattern that holds the nonzeros of every product
     left R_u R_u R_v R_v.  Each R_u is nonzero only where the sum of the Q_l
     is, so the pattern is that of the indicator of ``left`` times that sum
-    four times; all its terms are positive, so none cancels to zero."""
-    reach = (left != 0).astype(float)
-    ones_q = np.tile([1.0, 0.0], space.n_modes)
+    four times; all its terms are positive, so none cancels to zero.  Each
+    step is taken on the boolean pattern: an entry reaches one level up or
+    down in each mode, wherever ``_shift_weights`` is nonzero."""
+    strides, up, down = _shift_weights(space.n_modes, space.cutoff)
+    reach = left != 0
     for _ in range(4):
-        reach = apply_quadratures(reach, ones_q, space)
-    return block_groups(reach != 0)
+        step = np.zeros_like(reach)
+        for mode, s in enumerate(strides):
+            step[:, s:] |= reach[:, :-s] & (up[mode, :-s] != 0)
+            step[:, :-s] |= reach[:, s:] & (down[mode, s:] != 0)
+        reach = step
+    return block_groups(reach)
+
+
+@dataclass(frozen=True)
+class _KappaRows:
+    """Rows of a kappa search's ``left`` in their level box: ``left`` holds
+    them on ``space`` = FockSpace(n, min(cutoff, m + 5)), m their top nonzero
+    level over all modes, and ``blocks`` are their products' exact zero
+    blocks there (``_kappa_blocks``).  Four quadrature steps raise a level
+    by at most 4, so a product never reaches level m + 5; inside the box
+    each of its entries takes the same float operations as on the whole
+    space (the entries it adds from outside are zeros), and outside it the
+    whole-space product is exactly 0."""
+    left: np.ndarray
+    space: FockSpace
+    blocks: list
+
+
+def _level_tops(left: np.ndarray, space: FockSpace) -> np.ndarray:
+    """Each row's top nonzero level over all modes (the top level for a zero
+    row): per mode, the highest level at which the row has a nonzero entry."""
+    n, cutoff = space.n_modes, space.cutoff
+    nonzero = (left != 0).reshape((len(left),) + (cutoff,) * n)
+    tops = []
+    for mode in range(1, n + 1):
+        held = np.any(nonzero, axis=tuple(a for a in range(1, n + 1) if a != mode))
+        tops.append(cutoff - 1 - np.argmax(held[:, ::-1], axis=1))
+    return np.max(tops, axis=0)
+
+
+def _boxed_rows(left: np.ndarray, space: FockSpace, rows, top: int) -> _KappaRows:
+    """The rows ``rows`` (an index of ``left``'s first axis) of ``left``,
+    whose top nonzero level is ``top``, in their level box: one indexing
+    step, a view when the box is the whole space and ``rows`` a slice."""
+    box = FockSpace(space.n_modes, min(space.cutoff, int(top) + 5))
+    shape = (len(left),) + (space.cutoff,) * space.n_modes
+    sub = left.reshape(shape)[(rows,) + (slice(box.cutoff),) * space.n_modes]
+    sub = sub.reshape(-1, box.dim)
+    return _KappaRows(sub, box, _kappa_blocks(sub, box))
 
 
 def _kappa_products(left: np.ndarray, space: FockSpace, us: np.ndarray,
@@ -756,23 +809,6 @@ def _block_trace_norms(prod: np.ndarray, blocks: list) -> np.ndarray:
                      for k in range(len(prod))])
 
 
-def _head_blocks(blocks: list, head: np.ndarray, r: int) -> list:
-    """``blocks`` of an r-row ``left`` restricted to the rows ``head``,
-    numbered by their position in ``head``; blocks with no head row are
-    dropped.  Rows of different blocks have disjoint column supports, so
-    ``left[head] X`` is zero outside the restricted blocks."""
-    if isinstance(blocks[0][0], slice):   # one block holds every row
-        return blocks
-    restricted = []
-    for rows, cols in blocks:
-        inside = np.zeros(r, dtype=bool)
-        inside[rows] = True
-        at = np.flatnonzero(inside[head])
-        if at.size:
-            restricted.append((at[:, None], cols))
-    return restricted
-
-
 def _gram_trace_norm_bounds(m: np.ndarray) -> np.ndarray:
     """Upper bounds on the trace norm of each matrix of a (b, rows, cols)
     stack, from the eigenvalues of its Gram matrix on the short side.
@@ -809,22 +845,20 @@ def _gram_trace_norm_bounds(m: np.ndarray) -> np.ndarray:
     return np.sum(np.sqrt(lam + delta[:, None]), axis=-1)
 
 
-def _head_bounds(left: np.ndarray, space: FockSpace, us: np.ndarray,
-                 vs: np.ndarray, blocks: list, head: np.ndarray,
-                 tail: float) -> np.ndarray:
+def _head_bounds(head: _KappaRows, us: np.ndarray, vs: np.ndarray,
+                 tail: float, cutoff: int) -> np.ndarray:
     """Upper bounds on ||left X||_1, X = R_u^2 R_v^2, for each pair, from the
-    rows ``head`` of ``left`` alone: ||left[head] X||_1 + ||X||_op tail, where
+    rows ``head`` of ``left`` alone: ||head X||_1 + ||X||_op tail, where
     ``tail`` is at least the summed norms of the other rows.  By the triangle
     inequality each other row adds at most the norm of row_i X, which is at
-    most ||row_i|| ||R_u||^2 ||R_v||^2 (``_quadrature_norms``).  The head's
-    trace norm is bounded per block of ``blocks`` (``_head_blocks``) by
-    ``_gram_trace_norm_bounds``, with no SVD."""
-    op = (_quadrature_norms(us, space.cutoff)
-          * _quadrature_norms(vs, space.cutoff)) ** 2
-    prod = _kappa_products(left[head], space, us, vs)
-    head_blocks = _head_blocks(blocks, head, len(left))
+    most ||row_i|| ||R_u||^2 ||R_v||^2 (``_quadrature_norms``), taken at the
+    whole space's ``cutoff``, on which those rows live.  The head's trace
+    norm is bounded per block of its own products in its level box
+    (``_KappaRows``) by ``_gram_trace_norm_bounds``, with no SVD."""
+    op = (_quadrature_norms(us, cutoff) * _quadrature_norms(vs, cutoff)) ** 2
+    prod = _kappa_products(head.left, head.space, us, vs)
     return sum(_gram_trace_norm_bounds(prod[(slice(None),) + idx])
-               for idx in head_blocks) + op * tail
+               for idx in head.blocks) + op * tail
 
 
 def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
@@ -847,15 +881,25 @@ def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
 # one pair's product exceeds the cap, a batch holds one pair.
 _KAPPA_BATCH_ENTRIES = 2 ** 14
 
-# The head bound of ``estimate_kappa``: the tail weight a head of rows may
-# leave out, as a share of the floor, and the relative roundoff allowance on
-# the bound.  With two full-rank thermals (0.3, 0.2) at cutoff 28, shares of
-# 0.003, 0.01, 0.03 and 0.1 keep heads of 52, 44, 38 and 31 rows, send 3, 3,
-# 8 and 15 of 100 pairs to the full product, and the search takes 0.65-0.81,
-# 0.72-0.75, 1.21-1.23 and 1.95-2.13 s.  Two full-rank Gaussians at 2
-# modes/arm, cutoff 5 (heads of 235, 185, 142 and 100 of 625 rows) go the
-# other way: 6.7-7.1, 5.2-5.3, 3.7-3.9 and 2.9-3.0 s.
-_KAPPA_HEAD_SHARE = 0.01
+# The head bounds of ``estimate_kappa``: the tail weight each stage's head of
+# rows may leave out, as a share of the floor, first stage first, and the
+# relative roundoff allowance on the bound.  A short first head proves most
+# pairs unable to win; the longer second head is formed only for the pairs
+# it leaves.  The search's time (fastest and slowest of 3 runs, 2 for the
+# Gaussians) for first shares of 0.03, 0.1 and 0.3 before 0.01, and for
+# 0.01 alone:
+#
+#   input pair                        0.01 alone  0.03       0.1        0.3
+#   thermals 0.3, 0.2, cutoff 40      0.40-0.42   0.42-0.52  0.38-0.38  0.38-0.41 s
+#   thermals 0.3, 0.2, cutoff 28      0.24-0.25   0.22-0.24  0.22-0.25  0.22-0.23 s
+#   Gaussians, 2 modes/arm, cutoff 6  6.65-6.66   5.31-5.42  4.21-4.38  3.74-4.21 s
+#   24 dsrun-1mode cases, seeds 0-5   0.47-0.53   0.43-0.46  0.41-0.42  0.41-0.41 s
+#
+# The Gaussians are CI's full-rank pair (r = 1296).  At 0.1 the first heads
+# hold 36 of the 437 thermal rows at cutoff 40 and 131 of the 1296 Gaussian
+# rows, the second 50 and 250.  0.3 gains only on the Gaussians, within
+# their spread.
+_KAPPA_HEAD_SHARES = (0.1, 0.01)
 _KAPPA_SKIP_SLACK = 1e-9
 # The search plan: random pairs after the canonical ones, then refine steps,
 # each a Gaussian move of this spread per component from the current best.
@@ -878,16 +922,22 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
 
     ``factor = (w, p)`` with orthonormal columns w gives the same singular
     values from the r x dim matrix diag(p) w* X.
-    The exact zero blocks that every product shares are found once per
-    search (``_kappa_blocks``); each evaluation takes its singular values
-    block by block (``_block_trace_norms``), and each head bound its Gram
-    eigenvalues (``_gram_trace_norm_bounds``).
+    Every product is formed only on its rows' level box (``_KappaRows``):
+    for rows whose top nonzero level over all modes is m, on the levels
+    below min(cutoff, m + 5), the only levels four quadrature steps reach.
+    The entries there hold the bits of the whole-space product, and the
+    rest are zero, so each evaluation, on the box of all r rows built once
+    per search, takes the same blocks into the same SVDs.  Those exact zero
+    blocks are found once per search (``_kappa_blocks``); each evaluation
+    takes its singular values block by block (``_block_trace_norms``), and
+    each head bound its Gram eigenvalues (``_gram_trace_norm_bounds``) on
+    the blocks of the head's own rows in the head's own box.
     Pairs are offered in order, in batches whose products hold at most
-    ``_KAPPA_BATCH_ENTRIES`` entries each, sized for the rows the batch's
-    first product holds: the head rows when a head bound comes first,
-    otherwise all r.  The canonical and random pairs are fixed before the
-    search, so a gain inside a batch keeps the values already taken and no
-    fixed pair is multiplied out twice.  The refine moves are drawn up front
+    ``_KAPPA_BATCH_ENTRIES`` entries each, sized for the boxed rows the
+    batch's first product holds: the first head when a head bound comes
+    first, otherwise all r.  The canonical and random pairs are fixed before
+    the search, so a gain inside a batch keeps the values already taken and
+    no fixed pair is multiplied out twice.  The refine moves are drawn up front
     (the same stream as one step at a time) and each batch of candidates is
     formed from the current best; at the first candidate that raises the
     best, the rest of its batch is dropped and rebuilt from the new best.
@@ -899,52 +949,72 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     pass it skips its product and SVDs, and still counts as an evaluation.
     It is skipped once an upper bound b on its trace norm has (1 + s) b <=
     floor, s a roundoff allowance of at least 16 dim eps.  With a floor
-    above 0 the bound is ``_head_bounds``, before the full products, on the
+    above 0 the bounds are ``_head_bounds``, before the full products, in
+    two stages, one per share of ``_KAPPA_HEAD_SHARES``: each on the
     shortest head of rows by norm (``_row_order``) whose tail weight t has
-    sup ||X||_op t <= ``_KAPPA_HEAD_SHARE`` floor, sup ||X||_op = q^4 n^2
-    over unit u, v on n modes; only when that head leaves out a row.  A
-    batch's bounds are taken against the floor at its start, and each full
-    evaluation, r x dim at a time within ``_KAPPA_BATCH_ENTRIES``, against
-    the running floor.  Every row of a product holds the same bits whichever
-    pairs share its batch, so kappa, its pair and the count are those of
+    sup ||X||_op t <= share floor, sup ||X||_op = q^4 n^2 over unit u, v on
+    n modes, and only when that head leaves out a row.  The batch is
+    bounded on the short head of the larger share first; only the pairs
+    that survive it are bounded on the longer head, each stage within
+    ``_KAPPA_BATCH_ENTRIES`` of its own boxed rows.  A head is boxed once
+    per row count, while the floor keeps that count.  The bounds are taken
+    against the floor at the batch's start, and each full evaluation, r x
+    dim at a time within ``_KAPPA_BATCH_ENTRIES``, against the running
+    floor.  Every row of a product holds the same bits whichever pairs
+    share its batch, so kappa, its pair and the count are those of
     the one-by-one search with no skip.
     """
     w, p = factor
     left = p[:, None] * w.conj().T
     r = len(left)
-    blocks = _kappa_blocks(left, space)
     order, tail = _row_order(left)
+    # reach[h - 1]: the top nonzero level of the head of h rows
+    reach = np.maximum.accumulate(_level_tops(left, space)[order])
+    full = _boxed_rows(left, space, slice(None), reach[-1])
     margin = 1.0 + space.dim * np.finfo(float).eps
     slack = 1.0 + max(_KAPPA_SKIP_SLACK, 16 * space.dim * np.finfo(float).eps)
     sup = (_mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
     dim = 2 * space.n_modes
-    chunk = max(1, _KAPPA_BATCH_ENTRIES // left.size)
+    chunk = max(1, _KAPPA_BATCH_ENTRIES // full.left.size)
     rng = np.random.default_rng(seed)
     best, best_pair = -np.inf, None
+    heads = {}   # the boxed heads of the current floor, by row count
 
-    def head():
-        # the rows the next call multiplies out first, and its batch of pairs
+    def stages():
+        # the head sizes the next call bounds on, shortest first, and its
+        # batch of pairs
+        nonlocal heads
         floor = best * margin
-        h = r
+        sizes = []
         if floor > 0:
-            h = int(np.searchsorted(-tail, -_KAPPA_HEAD_SHARE * floor / sup))
-        return h, max(1, _KAPPA_BATCH_ENTRIES // (h * space.dim))
+            sizes = sorted({int(np.searchsorted(-tail, -share * floor / sup))
+                            for share in _KAPPA_HEAD_SHARES} - {r})
+        heads = {h: heads[h] if h in heads else
+                 _boxed_rows(left, space, order[:h], reach[h - 1]) for h in sizes}
+        if not sizes:
+            return sizes, chunk
+        return sizes, max(1, _KAPPA_BATCH_ENTRIES // heads[sizes[0]].left.size)
 
-    def consider(us, vs, h, restart):
+    def consider(us, vs, sizes, restart):
         # offers the pairs in order; returns how many it took: all of them,
         # or with ``restart`` those up to the first that raises the best
         nonlocal best, best_pair
         bounds = np.full(len(us), np.inf)
-        if h < r:
-            bounds = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
         live = np.arange(len(us))
+        for h in sizes:
+            live = live[slack * bounds[live] > best * margin]
+            step = max(1, _KAPPA_BATCH_ENTRIES // heads[h].left.size)
+            for at in range(0, len(live), step):
+                part = live[at:at + step]
+                bounds[part] = np.minimum(bounds[part], _head_bounds(
+                    heads[h], us[part], vs[part], tail[h], space.cutoff))
         while True:
             live = live[slack * bounds[live] > best * margin]
             if not live.size:
                 return len(us)
             part, live = live[:chunk], live[chunk:]
-            for k, val in zip(part, _kappa_values(left, space, us[part],
-                                                  vs[part], blocks)):
+            for k, val in zip(part, _kappa_values(full.left, full.space, us[part],
+                                                  vs[part], full.blocks)):
                 if val > best * margin:
                     best, best_pair = val, (us[k].copy(), vs[k].copy())
                     if restart:
@@ -959,16 +1029,16 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     us, vs = np.array(pairs).transpose(1, 0, 2)
     taken = 0
     while taken < len(pairs):
-        h, batch = head()
-        taken += consider(us[taken:taken + batch], vs[taken:taken + batch], h,
+        sizes, batch = stages()
+        taken += consider(us[taken:taken + batch], vs[taken:taken + batch], sizes,
                           restart=False)
     moves = _KAPPA_REFINE_SCALE * rng.normal(size=(_KAPPA_REFINE_STEPS, 2, dim))
     taken = 0
     while taken < _KAPPA_REFINE_STEPS:
-        h, batch = head()
+        sizes, batch = stages()
         steps = np.array(best_pair) + moves[taken:taken + batch]
         steps = np.array([[x / np.linalg.norm(x) for x in step] for step in steps])
-        taken += consider(steps[:, 0], steps[:, 1], h, restart=True)
+        taken += consider(steps[:, 0], steps[:, 1], sizes, restart=True)
     return best, best_pair, len(pairs) + _KAPPA_REFINE_STEPS
 
 

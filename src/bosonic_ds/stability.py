@@ -366,23 +366,33 @@ def _number_populations(rho: FockOperator) -> np.ndarray | None:
 # factor W stay alive while the kappa search holds diag(p) W*, the product it
 # builds, the quadrature primitive's output and temporary, and the SVD's copy
 # of one zero block of the product (a quarter of it for number-diagonal
-# inputs).  Peak RSS above the interpreter's and the inputs' measures 6.44 of
-# them at dim 1296 for two full-rank Gaussians and 3.72 at dim 1600 for two
-# full-rank thermals.  The rest is headroom.  A batch of kappa pairs adds at
-# most four arrays of 2**14 complex entries (256 KiB each): the head bounds
-# batch their h x dim products and the full evaluations their r x dim ones
-# under that cap, and one pair too large for it goes alone.  The head
-# bounds take Gram matrices of at most h x h per pair, no larger than the
-# head product, in place of an SVD's copy, so the count is unchanged.  A
+# inputs).  Peak RSS above the interpreter's and the inputs' measures 6.35 of
+# them at dim 1296 for two full-rank Gaussians (5.35 before the kappa search
+# kept its two boxed heads, 7.7 MB, around which the heap retains more) and
+# 1.72 at dim 1600 for two full-rank thermals.  The rest is headroom.  A
+# batch of kappa pairs adds at most four arrays of 2**14 complex entries
+# (256 KiB each): the head bounds batch their boxed h-row products and the
+# full evaluations their boxed r-row ones under that cap, and one pair too
+# large for it goes alone.  The head bounds take Gram matrices of at most
+# h x h per pair, no larger than the head product, in place of an SVD's
+# copy, so the count is unchanged.  A
 # pure witness holds none of them: the splitter is its
 # 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``), not
-# a dense pair unitary, and its epsilon reads no dense member of the output.
-# A number-diagonal witness holds none either: its output is its real label
-# blocks (``fock.sector_output``), (2 cutoff - 1) cutoff^2 entries at one
-# mode per arm, and a number-diagonal ds-run forms no g, only the factor
-# for kappa.  The count stays 9 because the preflight runs before the
-# input, and so its rank and structure, is known.
+# a dense pair unitary, and its epsilon reads no dense member of the output;
+# it is still counted here unless its input is number-diagonal.  A
+# number-diagonal ds-run forms no g, only the factor for kappa, but its
+# rank may be dim, so ds-run counts these 9 whatever its inputs.
 _DENSE_MATRICES = 9
+
+# Real sector arrays, (2 cutoff - 1)^n cutoff^(2n) entries each on n mode
+# pairs (``_sector_entries``), alive at once when both inputs are
+# number-diagonal and only epsilon is read, as by the witness: the splitter's
+# sector blocks with the temporaries of their exponential and calibration,
+# then the output's label blocks (``fock.sector_output``) and the copy
+# ``eigvalsh`` takes.  Peak RSS above the interpreter's and the input's
+# measures 8.1-8.2 of them for thermal and Fock witnesses at cutoffs 60-140
+# (the splitter's build is the peak).  The rest is headroom.
+_SECTOR_ARRAYS = 12
 
 
 def _physical_memory() -> int:
@@ -393,17 +403,21 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_fits_memory(pair_space: FockSpace) -> None:
-    """Refuse a pair space whose dense working set, ``_DENSE_MATRICES``
-    complex dim x dim matrices, exceeds physical memory; skipped where that
-    is unknown."""
+def _check_fits_memory(pair_space: FockSpace, sectors: bool = False) -> None:
+    """Refuse a pair space whose working set exceeds physical memory:
+    ``_DENSE_MATRICES`` complex dim x dim matrices, or with ``sectors``
+    ``_SECTOR_ARRAYS`` real sector arrays; skipped where memory is unknown."""
     physical = _physical_memory()
-    need = _DENSE_MATRICES * _pair_dim(pair_space) ** 2 * 16
+    if sectors:
+        need = _SECTOR_ARRAYS * _sector_entries(pair_space) * 8
+    else:
+        need = _DENSE_MATRICES * _pair_dim(pair_space) ** 2 * 16
+    held = "sector arrays" if sectors else "dense matrices"
     if 0 < physical < need:
         gib = need / 2 ** 30 if need < 2 ** 1000 else math.inf   # no float overflow
         raise ValidationError(
-            f"{_pair_size(pair_space)} needs about {gib:.3g} GiB of dense "
-            f"matrices; physical memory is {physical / 2 ** 30:.1f} GiB"
+            f"{_pair_size(pair_space)} needs about {gib:.3g} GiB of {held}; "
+            f"physical memory is {physical / 2 ** 30:.1f} GiB"
         )
 
 
@@ -412,6 +426,16 @@ def _pair_dim(pair_space: FockSpace) -> int | float:
     for a large n the exact power takes minutes and gigabytes to form."""
     n, cutoff = pair_space.n_modes, pair_space.cutoff
     return pair_space.dim if n <= 1024 / math.log2(cutoff) else math.inf
+
+
+def _sector_entries(pair_space: FockSpace) -> int | float:
+    """(2 cutoff - 1)^n cutoff^(2n) on n mode pairs, the entries of the
+    output's label blocks (``fock.sector_output``), bounded as ``_pair_dim``
+    bounds cutoff^(2n)."""
+    dim = _pair_dim(pair_space)
+    if dim == math.inf:
+        return dim
+    return dim * (2 * pair_space.cutoff - 1) ** (pair_space.n_modes // 2)
 
 
 def _pair_size(pair_space: FockSpace) -> str:
@@ -442,7 +466,9 @@ def _names_the_pair(chain):
 def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
                 tol: Tolerances) -> FockSpace:
     """The pair space, once the angle is finite and mixes the arms, both
-    inputs are densities on one space and the pair fits in memory."""
+    inputs are densities on one space and what ``pair_output`` forms for
+    epsilon fits in memory: sector arrays when both inputs are
+    number-diagonal, dense matrices otherwise."""
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
     if abs(theta) > 2.0 * math.pi:   # far out, the splitter's phases lose precision
@@ -455,7 +481,8 @@ def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
     if rho1.space != rho2.space:
         raise ValidationError("input states live on different spaces")
     pair_space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
-    _check_fits_memory(pair_space)
+    _check_fits_memory(pair_space, sectors=all(
+        _number_populations(rho) is not None for rho in (rho1, rho2)))
     return pair_space
 
 
@@ -579,6 +606,7 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     # Gaussify before the splitter, so a cutoff too small for an input fails
     # before U is built and the pair evolved.
     pair_space = _check_pair(rho1, rho2, theta, tol)
+    _check_fits_memory(pair_space)   # the kappa search's factor may be full rank
     gs1 = _gaussify_input(rho1, "state1", tol)
     gs2 = _gaussify_input(rho2, "state2", tol)
     out = pair_output(rho1, rho2, theta, tol)

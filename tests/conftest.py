@@ -56,3 +56,18 @@ def axis_fourth_moments(rho):
 
     return np.array([np.trace(rho.matrix @ np.linalg.matrix_power(q.matrix, 4)).real
                      for q in quadratures(rho.space)])
+
+
+def benchmark_pairs(monkeypatch, workload, seed):
+    """The input pairs and angles of a ``perfbench`` ds-run workload."""
+    from pathlib import Path
+
+    from bosonic_ds.states import parse_state_spec
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for case in workloads.cases(workload, seed):
+        space = FockSpace(case.modes, case.cutoff)
+        yield (parse_state_spec(case.state1.spec, space),
+               parse_state_spec(case.state2.spec, space), case.theta)

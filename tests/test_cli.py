@@ -569,6 +569,48 @@ def test_witness_size_check_precedes_the_input(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+def _physical_memory_of(monkeypatch, mib):
+    monkeypatch.setattr("bosonic_ds.stability._physical_memory", lambda: mib * 2 ** 20)
+
+
+def test_number_diagonal_witness_counts_its_sector_arrays(capsys, monkeypatch):
+    # at cutoff 30 the dense count asks for 117 MB and the sector arrays of
+    # a number-diagonal witness for 5 MB: with 32 MiB of memory the thermal
+    # witness runs, while a displaced state, whose pair is dense, and a
+    # ds-run on the same thermal, whose kappa factor may be full rank, are
+    # still refused in one line
+    from bosonic_ds.stability import _DENSE_MATRICES
+
+    assert _DENSE_MATRICES * 900 ** 2 * 16 > 32 * 2 ** 20
+    _physical_memory_of(monkeypatch, 32)
+    assert main(["witness", "--state", "thermal:0.3", "--theta", "0.6",
+                 "--cutoff", "30"]) == 0
+    assert capsys.readouterr().out.startswith("gaussian")
+    assert main(["witness", "--state", "displaced:0.5,0.3", "--theta", "0.6",
+                 "--cutoff", "30"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 900 ") and "GiB of dense matrices" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_ds_run_on_number_diagonal_inputs_counts_dense_matrices(tmp_path, capsys,
+                                                                 monkeypatch):
+    _physical_memory_of(monkeypatch, 32)
+    cfg = write_config(tmp_path, state1="thermal:0.3", state2="thermal:0.2", cutoff=30)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 900 ") and "GiB of dense matrices" in err
+
+
+def test_witness_refuses_a_huge_cutoff_by_its_sector_arrays(capsys, monkeypatch):
+    _size_check_must_come_first(monkeypatch)
+    assert main(["witness", "--state", "thermal:0.3", "--theta", "0.6",
+                 "--cutoff", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair dim 10000000000 ") and "of sector arrays" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_size_check_of_an_astronomical_pair_is_one_line(tmp_path, capsys):
     # the bytes needed overflow a float; the message must still be one line
     cfg = write_config(tmp_path, modes_per_arm=300, cutoff=2)

@@ -8,11 +8,11 @@ from bosonic_ds import fock
 from bosonic_ds.errors import (CalibrationError, DimensionError,
                                UncertaintyViolationError, ValidationError)
 from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
-                             _calibrate_beam_splitter,
-                             _gram_trace_norm_bounds, _head_blocks,
-                             _head_bounds, _kappa_blocks,
-                             _kappa_values, _quadrature_norms, _row_order,
-                             _sector_grid,
+                             _boxed_rows, _calibrate_beam_splitter,
+                             _gram_trace_norm_bounds, _head_bounds,
+                             _kappa_blocks, _kappa_products, _kappa_values,
+                             _level_tops, _quadrature_norms, _row_order,
+                             _sector_grid, _transport_defects,
                              apply_quadratures, apply_splitter,
                              beam_splitter_unitary, block_groups,
                              certified_levels,
@@ -29,7 +29,7 @@ from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
 
-from conftest import (axis_fourth_moments, output_density,
+from conftest import (axis_fourth_moments, benchmark_pairs, output_density,
                       random_low_energy_density)
 
 
@@ -262,6 +262,33 @@ def test_moment_transport_matches_symplectic():
     expected = transform_gaussian(beam_splitter(theta, 1), big)
     np.testing.assert_allclose(table.d, expected.d, atol=1e-6)
     np.testing.assert_allclose(table.gamma, expected.gamma, atol=1e-6)
+
+
+def _dense_transport_defects(blocks, theta, cutoff):
+    """The transport defects from dense lowering blocks <N|a_l|N + 1>/sqrt2
+    on the full sectors N = 0 .. cutoff - 3: max |B_N^T L_l B_(N + 1) -
+    sum_m S_lm L_m| over every entry."""
+    total, n1 = np.nonzero(np.tri(cutoff - 2, cutoff - 1, dtype=bool))
+    low = np.zeros((2, cutoff - 2, cutoff, cutoff))
+    low[0, total, n1, n1 + 1] = np.sqrt(n1 + 1.0) / np.sqrt(2)
+    low[1, total, n1, n1] = np.sqrt(total - n1 + 1.0) / np.sqrt(2)
+    top = cutoff - 2
+    lhs = np.swapaxes(blocks[:top], -1, -2) @ low @ blocks[1:top + 1]
+    rhs = np.tensordot(beam_splitter(theta, 1)[0::2, 0::2], low, axes=1)
+    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3), initial=0.0)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 24])
+def test_transport_defects_match_dense_lowering_blocks(cutoff):
+    # the row-scaled slices take the same maximum over the same entries as
+    # the products by dense lowering blocks, on a calibrated splitter, one at
+    # another angle and random blocks alike
+    rng = np.random.default_rng(14)
+    for blocks in (pair_blocks(cutoff, 0.4), pair_blocks(cutoff, -0.7),
+                   rng.normal(size=(2 * cutoff - 1, cutoff, cutoff))):
+        ref = _dense_transport_defects(blocks, 0.4, cutoff)
+        np.testing.assert_allclose(_transport_defects(blocks, 0.4, cutoff), ref,
+                                   rtol=1e-12, atol=1e-14)
 
 
 def test_calibration_rejects_reversed_angle():
@@ -802,6 +829,26 @@ def _displaced_gaussian_and_thermal():
             thermal_state(space, 0.3))
 
 
+def _mixture_and_thermal_cutoff_16():
+    space = FockSpace(1, 16)
+    return (mixture([(0.9, vacuum(space)), (0.1, fock_state(space, 1))]),
+            thermal_state(space, 0.3))
+
+
+def _head_stages(calls):
+    """The (head rows, box cutoff, pairs) calls of one kappa search, split
+    into the first stage's and the second's.  Each batch opens with one call
+    on the first stage's head; the second stage's calls follow on a longer
+    head, in chunks of one head."""
+    stages, prev = ([], []), None
+    for call in calls:
+        second = prev is not None and (call[0] > prev[0][0] or
+                                       (call[0] == prev[0][0] and prev[1]))
+        stages[second].append(call)
+        prev = call, second
+    return stages
+
+
 @pytest.mark.parametrize("make, batched", [
     (_thermal_and_mixture, True),
     (_two_mode_mixtures, True),
@@ -810,9 +857,10 @@ def _displaced_gaussian_and_thermal():
     (_displaced_gaussian_and_thermal, False),  # r = dim = 100, one zero block
     (_full_rank_thermals_cutoff_10, False),  # head batches of several pairs
     (_fock_mixtures, True),   # a refine batch meets a gain before its last pair
+    (_mixture_and_thermal_cutoff_16, True),  # boxed heads; stage one skips pairs
 ], ids=["thermal-mixture", "two-modes-per-arm", "full-rank-thermals",
         "full-rank-gaussians-two-modes", "displaced-gaussian-thermal",
-        "head-batches", "refine-gain-inside-a-batch"])
+        "head-batches", "refine-gain-inside-a-batch", "mixture-thermal-cutoff-16"])
 def test_batched_kappa_search_matches_sequential_search(monkeypatch, make, batched):
     # the search skips pairs that provably cannot beat the running best and
     # takes the refine steps in batches from the running best; the unpruned
@@ -824,8 +872,7 @@ def test_batched_kappa_search_matches_sequential_search(monkeypatch, make, batch
                 _displaced_gaussian_and_thermal, _full_rank_thermals_cutoff_10):
         assert len(out.factor[1]) == space.dim
     if make is _displaced_gaussian_and_thermal:
-        # the displacement breaks the photon parity: the head bounds take the
-        # single-block branch of _head_blocks
+        # the displacement breaks the photon parity: one block holds every row
         w, p = out.factor
         [(rows, _)] = _kappa_blocks(p[:, None] * w.conj().T, space)
         assert isinstance(rows, slice)
@@ -833,9 +880,9 @@ def test_batched_kappa_search_matches_sequential_search(monkeypatch, make, batch
     head_bounds, kappa_values = fock._head_bounds, fock._kappa_values
     head_batches, evaluated = [], []
 
-    def counting_bounds(left, space, us, *args):
-        head_batches.append(len(us))
-        return head_bounds(left, space, us, *args)
+    def counting_bounds(head, us, *args):
+        head_batches.append((len(head.left), head.space.cutoff, len(us)))
+        return head_bounds(head, us, *args)
 
     def counting_values(left, space, us, *args):
         evaluated.append(len(us))
@@ -854,7 +901,14 @@ def test_batched_kappa_search_matches_sequential_search(monkeypatch, make, batch
         if make is _full_rank_thermals_cutoff_10:
             # the heads hold a few of the 100 rows, so one head bound takes
             # several pairs although a full product takes one at a time
-            assert max(head_batches) > 1
+            assert max(pairs for _, _, pairs in head_batches) > 1
+        if make is _mixture_and_thermal_cutoff_16:
+            # the heads' rows stop below the top levels, so their products
+            # are boxed; the first stage's short head bounds every batch and
+            # proves some pairs unable to win before the second stage
+            first, second = _head_stages(head_batches)
+            assert max(cut for _, cut, _ in head_batches) < space.cutoff
+            assert 0 < sum(n for *_, n in second) < sum(n for *_, n in first)
         if make is _fock_mixtures:
             # every row is in the head, so nothing is skipped and one batch
             # holds every remaining refine step: a gain before the last step
@@ -916,14 +970,13 @@ def _displaced_and_thermal():
 def test_kappa_bounds_hold(make):
     # the bound that lets the kappa search skip a pair lies above the trace
     # norm of the dense product, for any head of rows, with the head's trace
-    # norm taken on the blocks restricted to the head rows
+    # norm taken on the blocks of the head's own rows in its level box
     rho1, rho2 = make()
     rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
     space = rho_ab.space
     left = p[:, None] * w.conj().T
     r = len(left)
     assert r >= 4   # three distinct heads
-    blocks = _kappa_blocks(left, space)
     quads = np.array([q.matrix for q in quadratures(space)])
     rng = np.random.default_rng(8)
     us, vs = rng.normal(size=(2, 6, 2 * space.n_modes))
@@ -934,11 +987,72 @@ def test_kappa_bounds_hold(make):
                       for ru, rv in zip(np.tensordot(us, quads, 1),
                                         np.tensordot(vs, quads, 1))])
     order, tail = _row_order(left)
-    # one head row lies in one block: any other block has no head rows
-    assert len(_head_blocks(blocks, order[:1], r)) == 1
-    for h in (1, r // 2, r - 1):
-        head = _head_bounds(left, space, us, vs, blocks, order[:h], tail[h])
-        assert np.all(head >= dense * (1 - 1e-12))
+    reach = np.maximum.accumulate(_level_tops(left, space)[order])
+    # one head row lies in one block of its own products
+    assert len(_boxed_rows(left, space, order[:1], reach[0]).blocks) == 1
+    # the heads of both stages at the floor of the largest dense value, and
+    # three more head sizes
+    sup = (fock._mode_quadrature_norm(space.cutoff) ** 2 * space.n_modes) ** 2
+    stages = [int(np.searchsorted(-tail, -share * np.max(dense) / sup))
+              for share in fock._KAPPA_HEAD_SHARES]
+    assert stages == sorted(set(stages)) and stages[-1] < r
+    for h in (*stages, 1, r // 2, r - 1):
+        head = _boxed_rows(left, space, order[:h], reach[h - 1])
+        bound = _head_bounds(head, us, vs, tail[h], space.cutoff)
+        assert np.all(bound >= dense * (1 - 1e-12))
+
+
+def _boxes_of(left, space):
+    """``_boxed_rows`` of the whole ``left`` and of its heads of 1, r/4 and
+    r/2 rows by norm, each with the rows it holds."""
+    order, _ = _row_order(left)
+    reach = np.maximum.accumulate(_level_tops(left, space)[order])
+    heads = [order[:h] for h in {1, max(1, len(left) // 4), max(1, len(left) // 2)}]
+    return ([(slice(None), _boxed_rows(left, space, slice(None), reach[-1]))]
+            + [(rows, _boxed_rows(left, space, rows, reach[len(rows) - 1]))
+               for rows in heads])
+
+
+def test_boxed_products_hold_the_whole_space_bits(monkeypatch):
+    # on every dsrun-1mode case of seed 0, the products of the whole left and
+    # of its heads, formed in their level boxes, hold the bits of the
+    # whole-space product inside the box; outside it that product is 0
+    rng = np.random.default_rng(13)
+    for rho1, rho2, theta in benchmark_pairs(monkeypatch, "dsrun-1mode", 0):
+        out = pair_output(rho1, rho2, theta)
+        space = FockSpace(2, rho1.space.cutoff)
+        w, p = out.factor
+        left = p[:, None] * w.conj().T
+        us = np.vstack([np.eye(4), rng.normal(size=(3, 4))])
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        vs = np.roll(us, 1, axis=0)
+        whole = _kappa_products(left, space, us, vs)
+        boxes = _boxes_of(left, space)
+        assert min(boxed.space.cutoff for _, boxed in boxes) < space.cutoff
+        for rows, boxed in boxes:
+            got = _kappa_products(boxed.left, boxed.space, us, vs)
+            ref = np.array(whole[:, rows]).reshape(len(us), -1, space.cutoff, space.cutoff)
+            inside = (slice(None), slice(None)) + (slice(boxed.space.cutoff),) * 2
+            np.testing.assert_array_equal(
+                got.view(np.uint64), ref[inside].reshape(got.shape).view(np.uint64))
+            ref[inside] = 0
+            assert not np.any(ref)
+
+
+@pytest.mark.parametrize("make", [
+    _displaced_gaussian_and_thermal, _full_rank_gaussians_two_modes,
+], ids=["displaced-gaussian-thermal", "two-modes-per-arm"])
+def test_dense_gaussian_rows_keep_the_whole_space(make):
+    # rows with weight on every level reach the top: each box is the whole
+    # space, and the whole left is taken as it is, uncopied
+    rho1, rho2 = make()
+    out = pair_output(rho1, rho2, 0.6)
+    space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+    w, p = out.factor
+    left = p[:, None] * w.conj().T
+    boxes = _boxes_of(left, space)
+    assert all(boxed.space == space for _, boxed in boxes)
+    assert boxes[0][1].left is not left and np.shares_memory(boxes[0][1].left, left)
 
 
 def _with_singular_values(rng, rows, cols, sv):

@@ -21,7 +21,7 @@ from bosonic_ds.states import (fock_state, mixture, parse_state_spec,
                                thermal_state, vacuum)
 from bosonic_ds.symplectic import GaussianState, two_mode_squeezer
 
-from conftest import (axis_fourth_moments, output_density,
+from conftest import (axis_fourth_moments, benchmark_pairs, output_density,
                       random_low_energy_density)
 
 
@@ -719,6 +719,23 @@ def test_memory_check_never_forms_a_huge_pair_dim(modes):
     assert len(str(exc.value)) < 200
 
 
+def test_dense_pairs_and_the_experiment_keep_the_dense_count(monkeypatch):
+    # the pair of a mixture with a displaced state takes the dense path, so
+    # its witness counts dense matrices where a number-diagonal one would not
+    from bosonic_ds.states import displaced_vacuum
+
+    monkeypatch.setattr("bosonic_ds.stability._physical_memory", lambda: 32 * 2 ** 20)
+    space = FockSpace(1, 30)
+    nongaussianity_witness(thermal_state(space, 0.3), 0.6)
+    rho = mixture([(0.5, displaced_vacuum(space, np.array([0.5, 0.3]))),
+                   (0.5, thermal_state(space, 0.3))])
+    with pytest.raises(ValidationError, match="GiB of dense matrices"):
+        nongaussianity_witness(rho, 0.6)
+    # the experiment's kappa factor may be full rank, whatever its inputs
+    with pytest.raises(ValidationError, match="GiB of dense matrices"):
+        run_experiment(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
+
+
 # --- number-diagonal pairs, per photon-number sector ------------------------
 
 
@@ -747,23 +764,10 @@ def _assert_sectors_match_dense(rho1, rho2, theta):
     return out, s_eps, eps
 
 
-def _benchmark_pairs(monkeypatch, workload, seed):
-    """The input pairs and angles of a ``perfbench`` ds-run workload."""
-    from pathlib import Path
-
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import workloads
-
-    for case in workloads.cases(workload, seed):
-        space = FockSpace(case.modes, case.cutoff)
-        yield (parse_state_spec(case.state1.spec, space),
-               parse_state_spec(case.state2.spec, space), case.theta)
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("workload", ["dsrun-1mode", "dsrun-2mode"])
 def test_sector_path_matches_dense_on_benchmark_cases(monkeypatch, workload, seed):
-    for rho1, rho2, theta in _benchmark_pairs(monkeypatch, workload, seed):
+    for rho1, rho2, theta in benchmark_pairs(monkeypatch, workload, seed):
         out, _, _ = _assert_sectors_match_dense(rho1, rho2, theta)
         assert out.path == "sectors"
 
