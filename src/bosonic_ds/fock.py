@@ -644,7 +644,7 @@ def block_groups(pattern: np.ndarray) -> list:
     if not label.any() and not cols.any():   # every line reaches row 0
         return [(slice(None), slice(None))]
     return [np.ix_(np.flatnonzero(label == root), np.flatnonzero(cols == root))
-            for root in np.unique(cols[cols < m])]
+            for root in np.flatnonzero(np.bincount(cols[cols < m], minlength=m))]
 
 
 def trace_norm(op: FockOperator | np.ndarray) -> float:

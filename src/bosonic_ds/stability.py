@@ -258,19 +258,36 @@ class PairOutput:
       rho_a x rho_b (in rho_ab's buffer) are dense pair-space arrays, built
       together by ``_dense`` on the first read of any of them.
 
-    The factor (W, p), W = U (V1 x V2) and p = p1 x p2 from the inputs'
-    support, is built on first read: by kappa, and by the schmidt and dense
-    paths.  The dense members are reference API on the sectors path, formed
-    only when read, as ``fock.Splitter.matrix`` is."""
+    The constructor admits the pair once: the angle, the inputs' densities
+    and their common space, then each input's number populations, which
+    choose ``path`` and ``pair_output``'s memory count.  The splitter on the
+    pair ``space`` is built on first read, as is the factor (W, p), W = U
+    (V1 x V2) and p = p1 x p2 from the inputs' support: by kappa, and by the
+    schmidt and dense paths.  The dense members are reference API on the
+    sectors path, formed only when read, as ``fock.Splitter.matrix`` is."""
 
     def __init__(self, rho1: FockOperator, rho2: FockOperator, theta: float,
-                 splitter: Splitter, tol: Tolerances):
+                 tol: Tolerances):
+        if not math.isfinite(theta):
+            raise ValidationError(f"theta must be finite, got {theta}")
+        if abs(theta) > 2.0 * math.pi:   # far out, the splitter's phases lose precision
+            raise ValidationError(f"theta must lie in [-2 pi, 2 pi], got {theta}; "
+                                  "the splitter is 2 pi-periodic")
+        if is_trivial_angle(theta):
+            raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
+        validate_density(rho1, tol)
+        validate_density(rho2, tol)
+        if rho1.space != rho2.space:
+            raise ValidationError("input states live on different spaces")
         self._inputs = (rho1, rho2)
         self._populations = [_number_populations(rho) for rho in self._inputs]
         self._theta = theta
-        self._splitter = splitter
-        self._pair_space = splitter.space
         self._tol = tol
+        self.space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+
+    @functools.cached_property
+    def _splitter(self) -> Splitter:
+        return beam_splitter_unitary(self.space, self._theta)
 
     @functools.cached_property
     def path(self) -> str:
@@ -289,7 +306,7 @@ class PairOutput:
         """(rho_a, rho_b, flags, g): reduce rho_ab, flag its leak, then form
         g in its buffer."""
         w, p = self.factor
-        rho_ab = FockOperator(self._pair_space, (w * p) @ w.conj().T)
+        rho_ab = FockOperator(self.space, (w * p) @ w.conj().T)
         rho_a = partial_trace(rho_ab, "first")
         rho_b = partial_trace(rho_ab, "second")
         flags = leak_flags(rho_ab, "output", self._tol)
@@ -307,7 +324,7 @@ class PairOutput:
         real for real blocks, its block is (Re c) I / tan theta: QP and PQ
         read Im c = 0.  Those parts have a zero diagonal, so g's diagonal
         drops out of c."""
-        space = self._pair_space
+        space = self.space
         n, arm = space.n_modes // 2, space.cutoff ** (space.n_modes // 2)
         g, arm1, arm2, held = sector_output(self._splitter, *self._populations)
         slots = np.arange(g.shape[-1])
@@ -341,7 +358,7 @@ class PairOutput:
         if self.path == "dense":
             return _hermitian_trace_norm(self.g)
         w, p = self.factor
-        arm_dim = self._pair_space.cutoff ** (self._pair_space.n_modes // 2)
+        arm_dim = self.space.cutoff ** (self.space.n_modes // 2)
         return _schmidt_trace_norm(math.sqrt(p[0]) * w[:, 0].reshape(arm_dim, -1))
 
     @functools.cached_property
@@ -349,7 +366,7 @@ class PairOutput:
         """The cross covariance V (``_cross_cov_matrix``), along ``path``."""
         if self.path == "sectors":
             return self._sectors[4]
-        return _cross_cov_matrix(self.g, self._pair_space, self._theta)
+        return _cross_cov_matrix(self.g, self.space, self._theta)
 
 
 def _number_populations(rho: FockOperator) -> np.ndarray | None:
@@ -367,21 +384,21 @@ def _number_populations(rho: FockOperator) -> np.ndarray | None:
 # builds, the quadrature primitive's output and temporary, and the SVD's copy
 # of one zero block of the product (a quarter of it for number-diagonal
 # inputs).  Peak RSS above the interpreter's and the inputs' measures 6.35 of
-# them at dim 1296 for two full-rank Gaussians (5.35 before the kappa search
-# kept its two boxed heads, 7.7 MB, around which the heap retains more) and
-# 1.72 at dim 1600 for two full-rank thermals.  The rest is headroom.  A
-# batch of kappa pairs adds at most four arrays of 2**14 complex entries
-# (256 KiB each): the head bounds batch their boxed h-row products and the
-# full evaluations their boxed r-row ones under that cap, and one pair too
-# large for it goes alone.  The head bounds take Gram matrices of at most
-# h x h per pair, no larger than the head product, in place of an SVD's
-# copy, so the count is unchanged.  A
-# pure witness holds none of them: the splitter is its
-# 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``), not
-# a dense pair unitary, and its epsilon reads no dense member of the output;
-# it is still counted here unless its input is number-diagonal.  A
-# number-diagonal ds-run forms no g, only the factor for kappa, but its
-# rank may be dim, so ds-run counts these 9 whatever its inputs.
+# them at dim 1296 for two full-rank Gaussians, whose kappa search keeps two
+# boxed heads (7.7 MB) around which the heap retains more, and 1.72 at dim
+# 1600 for two full-rank thermals.  The rest is headroom.  A batch of kappa
+# pairs adds at most four arrays of 2**14 complex entries (256 KiB each): the
+# head bounds batch their boxed h-row products and the full evaluations
+# their boxed r-row ones under that cap, and one pair too large for it goes
+# alone; the head bounds' Gram matrices, at most h x h per pair, take the
+# place of an SVD's copy.  A pure witness holds none of them: the splitter
+# is its 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``),
+# not a dense pair unitary, and its epsilon reads no dense member of the
+# output; it is still counted here unless its input is number-diagonal.  A
+# number-diagonal ds-run forms no g, only the factor for kappa, but its rank
+# may be dim, so ds-run counts these 9 whatever its inputs: 144 dim^2 bytes,
+# at least 1.5 times its 96 dim (2 cutoff - 1)^n bytes of sector arrays, as
+# cutoff^2 >= 2 cutoff - 1.
 _DENSE_MATRICES = 9
 
 # Real sector arrays, (2 cutoff - 1)^n cutoff^(2n) entries each on n mode
@@ -463,41 +480,20 @@ def _names_the_pair(chain):
     return run
 
 
-def _check_pair(rho1: FockOperator, rho2: FockOperator, theta: float,
-                tol: Tolerances) -> FockSpace:
-    """The pair space, once the angle is finite and mixes the arms, both
-    inputs are densities on one space and what ``pair_output`` forms for
-    epsilon fits in memory: sector arrays when both inputs are
-    number-diagonal, dense matrices otherwise."""
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {theta}")
-    if abs(theta) > 2.0 * math.pi:   # far out, the splitter's phases lose precision
-        raise ValidationError(f"theta must lie in [-2 pi, 2 pi], got {theta}; "
-                              "the splitter is 2 pi-periodic")
-    if is_trivial_angle(theta):
-        raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
-    validate_density(rho1, tol)
-    validate_density(rho2, tol)
-    if rho1.space != rho2.space:
-        raise ValidationError("input states live on different spaces")
-    pair_space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
-    _check_fits_memory(pair_space, sectors=all(
-        _number_populations(rho) is not None for rho in (rho1, rho2)))
-    return pair_space
-
-
 def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
-    """Send rho1 x rho2 through the splitter.
+    """Send rho1 x rho2 through the splitter: the admitted ``PairOutput``,
+    once what it forms for epsilon fits in memory (sector arrays when both
+    inputs are number-diagonal, dense matrices otherwise).
 
     The splitter is passive, so with rho_j = V_j diag(p_j) V_j* the output
     is rho_ab = W diag(p) W*, W = U (V1 x V2), p = p1 x p2: U acts once, on
     the rank(rho1) rank(rho2) columns of V1 x V2.  That factor, the
     reductions, g, epsilon and V are formed on first read, along the path
     the inputs choose (see ``PairOutput``)."""
-    pair_space = _check_pair(rho1, rho2, theta, tol)
-    return PairOutput(rho1, rho2, theta, beam_splitter_unitary(pair_space, theta),
-                      tol)
+    out = PairOutput(rho1, rho2, theta, tol)
+    _check_fits_memory(out.space, sectors=all(q is not None for q in out._populations))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +599,13 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     raises CalibrationError.  With ``strict=False`` the report is returned
     regardless, for callers that surface failures through exit codes.
     """
-    # Gaussify before the splitter, so a cutoff too small for an input fails
-    # before U is built and the pair evolved.
-    pair_space = _check_pair(rho1, rho2, theta, tol)
-    _check_fits_memory(pair_space)   # the kappa search's factor may be full rank
+    # Gaussify before the splitter is built, so a cutoff too small for an
+    # input fails before the pair is evolved.  The kappa search's factor may
+    # be full rank whatever the inputs, so the pair counts dense matrices.
+    out = PairOutput(rho1, rho2, theta, tol)
+    _check_fits_memory(out.space)
     gs1 = _gaussify_input(rho1, "state1", tol)
     gs2 = _gaussify_input(rho2, "state2", tol)
-    out = pair_output(rho1, rho2, theta, tol)
     n = rho1.space.n_modes
     epsilon = out.epsilon
 
@@ -621,7 +617,7 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     # factor, of rank rank(rho1) rank(rho2)
     arms = (moments(out.rho_a), moments(out.rho_b))
     lam = 0.5 * max(_operator_norm(gs1.gamma), _operator_norm(gs2.gamma))
-    kappa, _, kappa_samples = estimate_kappa(out.factor, pair_space, seed=seed)
+    kappa, _, kappa_samples = estimate_kappa(out.factor, out.space, seed=seed)
     trace_gamma_out = float(np.sum(np.concatenate([np.diag(m.gamma) for m in arms])))
 
     try:

@@ -516,6 +516,24 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("state1", ["thermal:0.3", "squeezed:0.3"],
+                         ids=["sectors", "dense"])
+def test_ds_run_leaves_numpy_ma_unloaded(tmp_path, state1):
+    # a fresh ds-run pays for no numpy.ma import: block_groups lists its
+    # roots without np.unique, on either path
+    cfg = write_config(tmp_path, state1=state1, state2="thermal:0.2", theta=0.6,
+                       cutoff=12, seed=0)
+    script = f"""
+import sys
+from bosonic_ds.cli import main
+assert main(["ds-run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r.json")!r}]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "bosonic_ds.cli", "--help"],
                           capture_output=True, text=True)
@@ -573,12 +591,44 @@ def _physical_memory_of(monkeypatch, mib):
     monkeypatch.setattr("bosonic_ds.stability._physical_memory", lambda: mib * 2 ** 20)
 
 
+def test_each_pair_is_admitted_once(tmp_path, monkeypatch):
+    # a ds-run and a witness each validate their two inputs, scan their
+    # populations and check memory twice (the CLI's pre-input check, then
+    # the pair's own count), and build the splitter once
+    from bosonic_ds import stability
+
+    names = ("validate_density", "_number_populations", "_check_fits_memory",
+             "beam_splitter_unitary")
+    calls = dict.fromkeys(names, 0)
+
+    def count(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(stability, name, count(name, getattr(stability, name)))
+    once = dict(zip(names, (2, 2, 2, 1)))
+    cfg = write_config(tmp_path, state1="thermal:0.3", theta=0.6, cutoff=12, seed=0,
+                       state2={"kind": "mixture", "components": [
+                           {"weight": 0.9, "state": "vacuum"},
+                           {"weight": 0.1, "state": "fock:1"}]})
+    assert main(["ds-run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == once
+    calls.update(dict.fromkeys(names, 0))
+    assert main(["witness", "--state", "thermal:0.3", "--theta", "0.6",
+                 "--cutoff", "20"]) == 0
+    assert calls == once
+
+
 def test_number_diagonal_witness_counts_its_sector_arrays(capsys, monkeypatch):
     # at cutoff 30 the dense count asks for 117 MB and the sector arrays of
     # a number-diagonal witness for 5 MB: with 32 MiB of memory the thermal
-    # witness runs, while a displaced state, whose pair is dense, and a
-    # ds-run on the same thermal, whose kappa factor may be full rank, are
-    # still refused in one line
+    # witness runs, while a displaced state, whose pure pair takes the
+    # Schmidt path but is counted in dense matrices as every pair that is
+    # not number-diagonal is, and a ds-run on the same thermal, whose kappa
+    # factor may be full rank, are still refused in one line
     from bosonic_ds.stability import _DENSE_MATRICES
 
     assert _DENSE_MATRICES * 900 ** 2 * 16 > 32 * 2 ** 20

@@ -707,6 +707,39 @@ def test_block_groups_single_block_is_the_matrix_itself():
     assert np.shares_memory(m[idx], m)
 
 
+def _permuted_blocks(sizes, seed):
+    """A pattern block diagonal on ``sizes`` up to a row and a column
+    permutation."""
+    rng = np.random.default_rng(seed)
+    pattern = np.zeros((sum(sizes),) * 2, dtype=bool)
+    start = np.cumsum([0] + list(sizes))
+    for lo, k in zip(start, sizes):
+        pattern[lo:lo + k, lo:lo + k] = rng.random((k, k)) < 0.6
+        pattern[lo + np.arange(k), lo + np.arange(k)] = True
+    return pattern[np.ix_(rng.permutation(len(pattern)), rng.permutation(len(pattern)))]
+
+
+@pytest.mark.parametrize("pattern", [
+    np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0]], dtype=bool),
+    _permuted_blocks([1, 3, 2, 5, 4], 4),
+    _permuted_blocks([1, 2, 3] * 24, 5),
+    _permuted_blocks([7, 1, 30, 10] * 27, 6),
+], ids=["rectangular", "m15", "m144", "m1296"])
+def test_block_groups_list_their_roots_in_ascending_order(pattern):
+    # a group's root is the smallest row it reaches, its first row; the
+    # groups come in ascending order of their roots, as np.unique lists them,
+    # and every row and column of a nonzero line is in exactly one group
+    groups = block_groups(pattern)
+    roots = [int(rows.ravel()[0]) for rows, _ in groups]
+    assert roots == np.unique(roots).tolist() and len(groups) > 1
+    for rows, cols in groups:
+        assert rows.ravel()[0] == rows.min()
+    rows = np.sort(np.concatenate([r.ravel() for r, _ in groups]))
+    cols = np.sort(np.concatenate([c.ravel() for _, c in groups]))
+    np.testing.assert_array_equal(rows, np.flatnonzero(pattern.any(axis=1)))
+    np.testing.assert_array_equal(cols, np.flatnonzero(pattern.any(axis=0)))
+
+
 def _number_diagonal_pair():
     space = FockSpace(1, 10)
     return thermal_state(space, 0.3), thermal_state(space, 0.2)

@@ -736,6 +736,16 @@ def test_dense_pairs_and_the_experiment_keep_the_dense_count(monkeypatch):
         run_experiment(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
 
 
+def test_experiment_names_the_dense_count_on_a_number_diagonal_pair(monkeypatch):
+    # at cutoff 30 the sector arrays ask for 5 MB and the dense matrices for
+    # 117 MB: with 1 MiB neither fits, and the experiment, whose kappa factor
+    # may be full rank, names the dense count it checks
+    monkeypatch.setattr("bosonic_ds.stability._physical_memory", lambda: 2 ** 20)
+    space = FockSpace(1, 30)
+    with pytest.raises(ValidationError, match="GiB of dense matrices"):
+        run_experiment(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
+
+
 # --- number-diagonal pairs, per photon-number sector ------------------------
 
 
