@@ -20,51 +20,69 @@ from .errors import (BoundViolationError, CalibrationError, DecompositionError,
                      ValidationError)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("ds-run", "constants", "classify", "witness", "selftest")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that subcommand's parser is built, under the full parser's usage line;
+    otherwise every subcommand's is."""
     parser = argparse.ArgumentParser(
         prog="bosonic-ds",
         description="Beam-splitter experiments on truncated Fock spaces: "
                     "factorization residuals, Gaussification distances, "
                     "stability constants and symplectic classification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
 
-    run = sub.add_parser("ds-run", help="run one stability experiment")
-    run.add_argument("--config", required=True, help="experiment config JSON")
-    run.add_argument("--theta", type=float, help="override config theta (radians)")
-    run.add_argument("--cutoff", type=int, help="override per-mode cutoff")
-    run.add_argument("--seed", type=int, help="override sampling seed")
-    run.add_argument("--out", help="report path (default: config 'out' or stdout)")
+    def wanted(name):
+        return not one or name == command
 
-    con = sub.add_parser("constants", help="sweep the stability constants")
-    con.add_argument("--theta-min", type=float, required=True)
-    con.add_argument("--theta-max", type=float, required=True)
-    con.add_argument("--steps", type=int, required=True)
-    con.add_argument("--modes", type=int, default=1)
-    con.add_argument("--kappa", type=float, default=1.0)
-    con.add_argument("--out", help="output path (default stdout)")
-    con.add_argument("--format", choices=("csv", "json"), default="csv")
+    if wanted("ds-run"):
+        run = sub.add_parser("ds-run", help="run one stability experiment")
+        run.add_argument("--config", required=True, help="experiment config JSON")
+        run.add_argument("--theta", type=float, help="override config theta (radians)")
+        run.add_argument("--cutoff", type=int, help="override per-mode cutoff")
+        run.add_argument("--seed", type=int, help="override sampling seed")
+        run.add_argument("--out", help="report path (default: config 'out' or stdout)")
 
-    cls = sub.add_parser("classify", help="classify a symplectic matrix")
-    cls.add_argument("--matrix", required=True, help="JSON file: array of rows")
-    cls.add_argument("--seed", type=int, default=0)
-    cls.add_argument("--out", help="result path (default stdout)")
+    if wanted("constants"):
+        con = sub.add_parser("constants", help="sweep the stability constants")
+        con.add_argument("--theta-min", type=float, required=True)
+        con.add_argument("--theta-max", type=float, required=True)
+        con.add_argument("--steps", type=int, required=True)
+        con.add_argument("--modes", type=int, default=1)
+        con.add_argument("--kappa", type=float, default=1.0)
+        con.add_argument("--out", help="output path (default stdout)")
+        con.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    wit = sub.add_parser("witness", help="non-Gaussianity witness for one state")
-    wit.add_argument("--state", required=True,
-                     help='state spec, e.g. vacuum, fock:1, thermal:0.5')
-    wit.add_argument("--theta", type=float, required=True)
-    wit.add_argument("--cutoff", type=int, default=14)
-    wit.add_argument("--witness-tol", type=float, default=1e-3,
-                     help="epsilon below which the state counts as Gaussian "
-                          "(keep above the truncation floor of the cutoff)")
+    if wanted("classify"):
+        cls = sub.add_parser("classify", help="classify a symplectic matrix")
+        cls.add_argument("--matrix", required=True, help="JSON file: array of rows")
+        cls.add_argument("--seed", type=int, default=0)
+        cls.add_argument("--out", help="result path (default stdout)")
 
-    sub.add_parser("selftest", help="run the reduced invariant suite")
+    if wanted("witness"):
+        wit = sub.add_parser("witness", help="non-Gaussianity witness for one state")
+        wit.add_argument("--state", required=True,
+                         help='state spec, e.g. vacuum, fock:1, thermal:0.5')
+        wit.add_argument("--theta", type=float, required=True)
+        wit.add_argument("--cutoff", type=int, default=14)
+        wit.add_argument("--witness-tol", type=float, default=1e-3,
+                         help="epsilon below which the state counts as Gaussian "
+                              "(keep above the truncation floor of the cutoff)")
+
+    if wanted("selftest"):
+        sub.add_parser("selftest", help="run the reduced invariant suite")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     commands = {"ds-run": _cmd_ds_run, "constants": _cmd_constants,
                 "classify": _cmd_classify, "witness": _cmd_witness,
                 "selftest": _cmd_selftest}

@@ -774,27 +774,36 @@ def _kappa_products(left: np.ndarray, space: FockSpace, us: np.ndarray,
                     vs: np.ndarray) -> np.ndarray:
     """left R_u R_u R_v R_v for each row pair (u, v) of the (b, 2n) arrays
     ``us`` and ``vs``, shape (b, rows, dim), applied left to right by the
-    quadrature primitive on the whole batch at once.  Row i of product k
-    depends only on row i of ``left`` and on pair k, so it holds the same
-    bits in any batch and beside any other rows."""
+    quadrature primitive on the whole batch at once.  A run of pairs with
+    equal u shares one left R_u R_u: the two u passes take one row per run,
+    and their product is indexed out to the run's pairs before the v passes.
+    Row i of product k depends only on row i of ``left`` and on pair k, so it
+    holds the same bits in any batch and beside any other rows."""
+    first = np.ones(len(us), dtype=bool)
+    first[1:] = np.any(us[1:] != us[:-1], axis=1)
     prod = left[None]
-    for c in (us, us, vs, vs):
+    for c in (us[first], us[first]):
+        prod = apply_quadratures(prod, c, space)
+    if not first.all():
+        prod = prod[np.cumsum(first) - 1]
+    for c in (vs, vs):
         prod = apply_quadratures(prod, c, space)
     return prod
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Norms of the rows (last axis) of a complex array, summed from views of
-    its real and imaginary parts, with no temporary the size of ``x``."""
+def _row_squares(x: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows (last axis) of a complex array, summed from
+    views of its real and imaginary parts, with no temporary the size of
+    ``x``."""
     sq = np.einsum("...j,...j->...", x.real, x.real)
     sq += np.einsum("...j,...j->...", x.imag, x.imag)
-    return np.sqrt(sq)
+    return sq
 
 
 def _row_order(left: np.ndarray) -> tuple:
     """The rows of ``left`` by norm, largest first, and tail[k], the summed
     norms of rows order[k:] (tail[r] = 0)."""
-    weight = _row_norms(left)
+    weight = np.sqrt(_row_squares(left))
     order = np.argsort(weight)[::-1]
     return order, np.append(np.cumsum(weight[order][::-1])[::-1], 0.0)
 
@@ -805,8 +814,27 @@ def _block_trace_norms(prod: np.ndarray, blocks: list) -> np.ndarray:
     each matrix's singular values summed largest first."""
     svs = [np.linalg.svd(prod[(slice(None),) + idx], compute_uv=False)
            for idx in blocks]
-    return np.array([np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1])
-                     for k in range(len(prod))])
+    return np.sum(np.sort(np.concatenate(svs, -1), -1)[:, ::-1], -1)
+
+
+def _frobenius_bounds(prod: np.ndarray, blocks: list) -> np.ndarray:
+    """Upper bounds on the trace norm of each matrix of a (b, rows, dim)
+    stack that is zero outside ``blocks``: the sum over blocks of
+    sqrt(min(h, c)) ||block||_F, h x c the block's shape, as a block's rank
+    is at most min(h, c) and ||B||_1 <= sqrt(rank B) ||B||_F.  A row lies in
+    at most one block and is zero outside it, so a block's Frobenius norm
+    sums the squared norms of its rows, read from the stack in one pass.
+    The roundoff of the sums is left to the caller's slack."""
+    sq = _row_squares(prod)
+    bound = np.zeros(len(prod))
+    for rows, cols in blocks:
+        if isinstance(rows, slice):
+            h, c = prod.shape[1:]
+        else:
+            rows = rows.ravel()
+            h, c = len(rows), np.size(cols)
+        bound += math.sqrt(min(h, c)) * np.sqrt(np.sum(sq[:, rows], axis=-1))
+    return bound
 
 
 def _gram_trace_norm_bounds(m: np.ndarray) -> np.ndarray:
@@ -862,13 +890,57 @@ def _head_bounds(head: _KappaRows, us: np.ndarray, vs: np.ndarray,
 
 
 def _kappa_values(left: np.ndarray, space: FockSpace, us: np.ndarray,
-                  vs: np.ndarray, blocks: list) -> list:
+                  vs: np.ndarray, blocks: list, floor: float = -np.inf) -> list:
     """Trace norms of left R_u R_u R_v R_v for each row pair (u, v) of the
     (b, 2n) arrays ``us`` and ``vs`` (``_kappa_products``), taken per block
     of ``blocks``, the product's exact zero blocks (``_kappa_blocks``), by
-    ``_block_trace_norms``."""
-    return _block_trace_norms(_kappa_products(left, space, us, vs),
-                              blocks).tolist()
+    ``_block_trace_norms``.  With a finite ``floor``, a pair whose
+    ``_frobenius_bounds`` bound is at most ``floor`` takes no SVD and reads
+    -inf."""
+    prod = _kappa_products(left, space, us, vs)
+    values = np.full(len(us), -np.inf)
+    keep = slice(None)
+    if floor > -np.inf:
+        keep = np.flatnonzero(~(_frobenius_bounds(prod, blocks) <= floor))
+        if len(keep) < len(us):
+            prod = prod[keep]
+    if len(prod):
+        values[keep] = _block_trace_norms(prod, blocks)
+    return values.tolist()
+
+
+def _conserves_pair_totals(left: np.ndarray, space: FockSpace) -> bool:
+    """Whether each row of ``left`` lies in one label (N_1, ..., N_n) of the
+    photon totals of ``space``'s mode pairs, pair l being mode l with mode
+    n + l of the 2n modes, the totals a splitter conserves."""
+    if space.n_modes % 2:
+        return False
+    n, d = space.n_modes // 2, space.cutoff
+    levels = np.arange(space.dim) // d ** np.arange(2 * n - 1, -1, -1)[:, None] % d
+    label = np.ravel_multi_index(tuple(levels[:n] + levels[n:]), (2 * d - 1,) * n)
+    table = np.broadcast_to(label, left.shape)
+    held = left != 0
+    lo = np.min(table, axis=1, where=held, initial=(2 * d - 1) ** n)
+    hi = np.max(table, axis=1, where=held, initial=-1)
+    return bool(np.all(lo >= hi))
+
+
+def _phase_orbit_representatives(axes: list, n_pairs: int) -> list:
+    """The axis pairs (i, j) of ``axes``, in order, less each one that is the
+    image of an earlier one under the phase rotations exp(i pi/2 N_l) of the
+    mode pairs' totals.  Axis i is quadrature i % 2 (Q, P) of mode i // 2,
+    and the rotation of pair l maps (Q, P) to (P, -Q) on both its modes, so
+    it flips that bit on every axis of the two.  Both axes on one pair flip
+    together, and only the xor of their bits is kept; on two pairs each
+    flips alone."""
+    seen, kept = set(), []
+    for i, j in axes:
+        mi, mj = i // 2, j // 2
+        key = (mi, mj, (i ^ j) & 1) if mi % n_pairs == mj % n_pairs else (mi, mj)
+        if key not in seen:
+            seen.add(key)
+            kept.append((i, j))
+    return kept
 
 
 # The kappa search's products hold at most this many complex entries (256 KiB
@@ -916,9 +988,18 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     over xi . sigma R, but sigma is orthogonal so both direction sets
     coincide.  All canonical axis pairs, ``_KAPPA_RANDOM_PAIRS`` random
     pairs, then ``_KAPPA_REFINE_STEPS`` steps of greedy local refinement.
-    The canonical pairs include (e_k, e_k) for every axis k, and
-    ||rho R_k^4||_1 >= |Tr[rho R_k^4]|, so kappa is never below an axis
-    fourth moment.
+    The canonical pairs evaluated hold every pair (e_i, e_j) or its exact
+    phase image.  When every row of the factor lies in one label (N_1, ...,
+    N_n) of the mode pairs' photon totals (``_conserves_pair_totals``, read
+    from the factor's nonzeros; never on the dense path), rho commutes with
+    each pair's exp(i pi/2 N_l), which keeps the truncated space and maps
+    (Q, P) to (P, -Q) on both modes of pair l.  The trace norm is unitarily
+    invariant and R_{-e}^2 = R_e^2, so (e_i, e_j) ties exactly with its
+    image, and only the first pair of each orbit, in search order, is
+    offered (``_phase_orbit_representatives``); the others still count as
+    evaluations.  (e_k, e_k) or its image (e_k', e_k') is evaluated for
+    every axis k, the two tie, and ||rho R_k^4||_1 >= |Tr[rho R_k^4]|, so
+    kappa is never below an axis fourth moment.
 
     ``factor = (w, p)`` with orthonormal columns w gives the same singular
     values from the r x dim matrix diag(p) w* X.
@@ -931,7 +1012,9 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     blocks are found once per search (``_kappa_blocks``); each evaluation
     takes its singular values block by block (``_block_trace_norms``), and
     each head bound its Gram eigenvalues (``_gram_trace_norm_bounds``) on
-    the blocks of the head's own rows in the head's own box.
+    the blocks of the head's own rows in the head's own box.  The pairs of
+    a batch that share u, as the canonical pairs do in runs, share one
+    left R_u R_u (``_kappa_products``).
     Pairs are offered in order, in batches whose products hold at most
     ``_KAPPA_BATCH_ENTRIES`` entries each, sized for the boxed rows the
     batch's first product holds: the first head when a head bound comes
@@ -960,9 +1043,12 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
     per row count, while the floor keeps that count.  The bounds are taken
     against the floor at the batch's start, and each full evaluation, r x
     dim at a time within ``_KAPPA_BATCH_ENTRIES``, against the running
-    floor.  Every row of a product holds the same bits whichever pairs
-    share its batch, so kappa, its pair and the count are those of
-    the one-by-one search with no skip.
+    floor.  Within a full evaluation, a formed product takes its SVDs only
+    when its ``_frobenius_bounds`` bound b has b > floor / (1 + s), the
+    floor at the chunk's start (``_kappa_values``); the first chunk, with no
+    floor yet, takes every SVD.  Every row of a product holds the same bits
+    whichever pairs share its batch, so kappa, its pair and the count are
+    those of the one-by-one search with no skip.
     """
     w, p = factor
     left = p[:, None] * w.conj().T
@@ -1014,14 +1100,18 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
                 return len(us)
             part, live = live[:chunk], live[chunk:]
             for k, val in zip(part, _kappa_values(full.left, full.space, us[part],
-                                                  vs[part], full.blocks)):
+                                                  vs[part], full.blocks,
+                                                  best * margin / slack)):
                 if val > best * margin:
                     best, best_pair = val, (us[k].copy(), vs[k].copy())
                     if restart:
                         return k + 1
 
     eye = np.eye(dim)
-    pairs = [(eye[i], eye[j]) for i in range(dim) for j in range(dim)]
+    axes = [(i, j) for i in range(dim) for j in range(dim)]
+    if _conserves_pair_totals(left, space):
+        axes = _phase_orbit_representatives(axes, space.n_modes // 2)
+    pairs = [(eye[i], eye[j]) for i, j in axes]
     for _ in range(_KAPPA_RANDOM_PAIRS):
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
@@ -1039,7 +1129,7 @@ def estimate_kappa(factor: tuple, space: FockSpace, *, seed: int = 0) -> tuple:
         steps = np.array(best_pair) + moves[taken:taken + batch]
         steps = np.array([[x / np.linalg.norm(x) for x in step] for step in steps])
         taken += consider(steps[:, 0], steps[:, 1], sizes, restart=True)
-    return best, best_pair, len(pairs) + _KAPPA_REFINE_STEPS
+    return best, best_pair, dim * dim + _KAPPA_RANDOM_PAIRS + _KAPPA_REFINE_STEPS
 
 
 def moments(rho: FockOperator) -> GaussianState:

@@ -541,6 +541,63 @@ def test_console_script_help():
     assert "ds-run" in proc.stdout
 
 
+def _parsed(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser`` on ``argv``; code None when
+    it parses."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ds-run", "--help"], ["ds-run"], ["ds-run", "--config", "c.json", "--seed", "x"],
+    ["constants", "--help"], ["constants", "--theta-min", "0.1"],
+    ["constants", "--theta-min", "0.1", "--theta-max", "1", "--steps", "2",
+     "--format", "xml"],
+    ["classify", "--help"], ["classify"],
+    ["witness", "--help"], ["witness", "--state", "fock:1"],
+    ["witness", "--state", "fock:1", "--theta", "0.6", "--seed", "3"],
+    ["selftest", "--help"], ["selftest", "--verbose"],
+], ids=lambda argv: " ".join(argv))
+def test_one_command_parser_speaks_like_the_full_parser(argv, capsys):
+    # built for the command alone, the parser prints the same help, usage
+    # and errors, with the same exit code, as the parser of every command
+    from bosonic_ds.cli import build_parser
+
+    full = _parsed(build_parser(), argv, capsys)
+    one = _parsed(build_parser(argv[0]), argv, capsys)
+    assert one == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "bosonic-ds: error: the following arguments are required: command"),
+    (["ds-rum"], "bosonic-ds: error: argument command: invalid choice: "),
+], ids=["no-command", "unknown-command"])
+def test_no_or_unknown_command_exits_2(argv, message, capsys):
+    # the full parser answers both, with its usage line and one error line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage == "usage: bosonic-ds [-h] {ds-run,constants,classify,witness,selftest} ..."
+    assert error.startswith(message)
+
+
+def test_one_command_parser_builds_one_subparser(capsys):
+    # the parser built for witness knows no other command
+    from bosonic_ds.cli import build_parser
+
+    argv = ["ds-run", "--config", "c.json"]
+    assert build_parser().parse_args(argv).command == "ds-run"
+    code, _, err = _parsed(build_parser("witness"), argv, capsys)
+    assert code == 2 and "invalid choice" in err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

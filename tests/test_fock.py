@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              weyl_alphas, weyl_operator)
 from bosonic_ds.stability import pair_output
 from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
+                               parse_state_spec,
                                squeezed_surrogate, thermal_state, vacuum)
 from bosonic_ds.symplectic import (GaussianState, beam_splitter,
                                    symplectic_form, transform_gaussian)
@@ -803,6 +805,22 @@ def _fixed_pairs(dim, rng):
     return pairs
 
 
+def _phase_images(n_modes):
+    """The canonical pairs (i, j) of a pair space of ``n_modes`` modes that a
+    phase rotation exp(i pi/2 N_l) of the mode pairs' totals maps onto an
+    earlier canonical pair, (i, j) in search order.  The rotation of pair l
+    (mode l with mode n + l) flips the Q/P bit, i % 2, of every axis on its
+    two modes, and any set of pairs may be rotated at once."""
+    n, dim = n_modes // 2, 2 * n_modes
+    images = set()
+    for i in range(dim):
+        for j in range(dim):
+            for flips in itertools.product((0, 1), repeat=n):
+                if (i ^ flips[i // 2 % n], j ^ flips[j // 2 % n]) < (i, j):
+                    images.add((i, j))
+    return images
+
+
 def _sequential_kappa(factor, space, seed):
     """The kappa search one pair at a time: every canonical pair, the random
     pairs, then the refine steps, each kept when it beats the best by more
@@ -943,14 +961,15 @@ def test_batched_kappa_search_matches_sequential_search(monkeypatch, make, batch
             assert max(cut for _, cut, _ in head_batches) < space.cutoff
             assert 0 < sum(n for *_, n in second) < sum(n for *_, n in first)
         if make is _fock_mixtures:
-            # every row is in the head, so nothing is skipped and one batch
-            # holds every remaining refine step: a gain before the last step
-            # drops the rest of its batch, evaluated but rebuilt from the
-            # new best
+            # every row is in the head, so nothing is skipped by bound and
+            # one batch holds every remaining refine step: a gain before the
+            # last step drops the rest of its batch, evaluated but rebuilt
+            # from the new best (the canonical pairs' phase images are never
+            # formed)
             assert not head_batches
             assert _KAPPA_BATCH_ENTRIES // out.factor[0].size >= fock._KAPPA_REFINE_STEPS
             assert any(step < fock._KAPPA_REFINE_STEPS - 1 for step in gains)
-            assert sum(evaluated) > n_eval
+            assert sum(evaluated) > n_eval - len(_phase_images(space.n_modes))
 
 
 @pytest.mark.parametrize("make", [_two_mode_mixtures, _full_rank_thermals],
@@ -964,17 +983,23 @@ def test_kappa_search_evaluates_no_fixed_pair_twice(monkeypatch, make):
     kappa_values = fock._kappa_values
     seen = Counter()
 
-    def counting(left, space, us, vs, blocks):
+    def counting(left, space, us, vs, blocks, floor):
         seen.update(u.tobytes() + v.tobytes() for u, v in zip(us, vs))
-        return kappa_values(left, space, us, vs, blocks)
+        return kappa_values(left, space, us, vs, blocks, floor)
 
     monkeypatch.setattr(fock, "_kappa_values", counting)
     estimate_kappa(out.factor, space, seed=0)
     fixed = [u.tobytes() + v.tobytes() for u, v in
              _fixed_pairs(2 * space.n_modes, np.random.default_rng(0))]
     assert max(seen[pair] for pair in fixed) == 1
-    if make is _two_mode_mixtures:   # r = 6: no pair is skipped
-        assert all(seen[pair] == 1 for pair in fixed)
+    if make is _two_mode_mixtures:
+        # r = 6: no pair is skipped by bound, so every fixed pair is formed
+        # once, except the canonical pairs' phase images, which are never
+        # formed
+        dim = 2 * space.n_modes
+        images = {i * dim + j for i, j in _phase_images(space.n_modes)}
+        assert len(images) == 40
+        assert all(seen[pair] == (k not in images) for k, pair in enumerate(fixed))
 
 
 @pytest.mark.parametrize("make", [
@@ -1210,6 +1235,197 @@ def test_kappa_search_svds_stay_within_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     estimate_kappa(out.factor, ab, seed=0)
     assert columns and max(columns) <= widest
+
+
+def _canonical_axes(dim):
+    return [(i, j) for i in range(dim) for j in range(dim)]
+
+
+def _conserving_pairs(monkeypatch):
+    """Input pairs whose output keeps every mode pair's photon total: every
+    dsrun case of seeds 0-5, CI's full-rank Gaussians at 2 modes/arm,
+    cutoff 4, and a pure Fock pair at 2 modes/arm."""
+    for workload in ("dsrun-1mode", "dsrun-2mode"):
+        for seed in range(6):
+            yield from benchmark_pairs(monkeypatch, workload, seed)
+    space = FockSpace(2, 4)
+    gaussians = [gaussian_to_fock(GaussianState(np.zeros(4), np.diag([a, a, b, b])),
+                                  space) for a, b in ((1.3, 1.2), (1.6, 1.5))]
+    yield (*gaussians, 0.6)
+    yield fock_state(space, (1, 0)), vacuum(space), 0.6
+
+
+def test_phase_images_tie_with_their_representatives(monkeypatch):
+    # on an output that keeps every mode pair's photon total, each canonical
+    # pair the search leaves out as a phase image, evaluated anyway, ties
+    # with its orbit's first pair, the one kept, within the search's tie
+    # margin (1 + dim eps); the kept pairs are the orbits' first pairs
+    n_cases = 0
+    for rho1, rho2, theta in _conserving_pairs(monkeypatch):
+        out = pair_output(rho1, rho2, theta)
+        space = out.space
+        w, p = out.factor
+        left = p[:, None] * w.conj().T
+        assert fock._conserves_pair_totals(left, space)
+        dim = 2 * space.n_modes
+        axes = _canonical_axes(dim)
+        images = _phase_images(space.n_modes)
+        kept = fock._phase_orbit_representatives(axes, space.n_modes // 2)
+        assert kept == [pair for pair in axes if pair not in images]
+        assert len(kept) == {2: 8, 4: 24}[space.n_modes]
+        blocks = _kappa_blocks(left, space)
+        eye = np.eye(dim)
+        values = {}
+        for at in range(0, len(axes), 8):
+            part = axes[at:at + 8]
+            values.update(zip(part, _kappa_values(
+                left, space, eye[[i for i, _ in part]], eye[[j for _, j in part]],
+                blocks)))
+        margin = 1.0 + space.dim * np.finfo(float).eps
+        n = space.n_modes // 2
+        for i, j in images:
+            first = min((i ^ f[i // 2 % n], j ^ f[j // 2 % n])
+                        for f in itertools.product((0, 1), repeat=n))
+            assert values[i, j] <= values[first] * margin
+            assert values[first] <= values[i, j] * margin
+        n_cases += 1
+    assert n_cases == 6 * 4 + 6 * 2 + 2
+
+
+def _squeezed_and_thermal_cutoff_16():
+    space = FockSpace(1, 16)
+    return (parse_state_spec("squeezed:0.3", space),
+            parse_state_spec("thermal:0.2", space))
+
+
+@pytest.mark.parametrize("make", [_squeezed_and_thermal_cutoff_16,
+                                  _displaced_and_thermal],
+                         ids=["squeezed-thermal", "displaced-thermal"])
+def test_dense_path_factors_offer_every_canonical_pair(monkeypatch, make):
+    # the rows of a dense-path factor mix photon totals, so no phase
+    # rotation leaves rho fixed: every canonical pair reaches a head bound
+    # or a full product
+    rho1, rho2 = make()
+    out = pair_output(rho1, rho2, 0.6)
+    assert out.path == "dense"
+    w, p = out.factor
+    assert not fock._conserves_pair_totals(p[:, None] * w.conj().T, out.space)
+    head_bounds, kappa_values = fock._head_bounds, fock._kappa_values
+    offered = set()
+
+    def offer(us, vs):
+        offered.update((int(np.argmax(u)), int(np.argmax(v)))
+                       for u, v in zip(us, vs) if np.count_nonzero(u) == 1)
+
+    def bounds(head, us, vs, *args):
+        offer(us, vs)
+        return head_bounds(head, us, vs, *args)
+
+    def values(left, space, us, vs, *args):
+        offer(us, vs)
+        return kappa_values(left, space, us, vs, *args)
+
+    monkeypatch.setattr(fock, "_head_bounds", bounds)
+    monkeypatch.setattr(fock, "_kappa_values", values)
+    estimate_kappa(out.factor, out.space, seed=0)
+    assert offered >= set(_canonical_axes(2 * out.space.n_modes))
+
+
+@pytest.mark.parametrize("make", [
+    _number_diagonal_pair, _displaced_and_thermal, _full_rank_gaussians_two_modes,
+    _two_mode_mixtures,
+], ids=["number-diagonal", "displaced", "full-rank-two-modes", "two-mode-mixtures"])
+def test_frobenius_bound_lies_above_the_trace_norm(make):
+    # sum over blocks of sqrt(min(h, c)) ||block||_F is at least each
+    # product's block trace norm and its dense trace norm
+    rho1, rho2 = make()
+    rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
+    space = rho_ab.space
+    left = p[:, None] * w.conj().T
+    blocks = _kappa_blocks(left, space)
+    quads = np.array([q.matrix for q in quadratures(space)])
+    rng = np.random.default_rng(14)
+    dim = 2 * space.n_modes
+    us, vs = rng.normal(size=(2, 6, dim))
+    us[:2], vs[:2] = np.eye(dim)[:2], np.eye(dim)[1:3]   # canonical pairs too
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    prod = _kappa_products(left, space, us, vs)
+    bound = fock._frobenius_bounds(prod, blocks)
+    assert np.all(bound >= fock._block_trace_norms(prod, blocks))
+    dense = [trace_norm(left @ ru @ ru @ rv @ rv)
+             for ru, rv in zip(np.tensordot(us, quads, 1), np.tensordot(vs, quads, 1))]
+    assert np.all(bound >= np.array(dense) * (1 - 1e-12))
+
+
+def test_prefiltered_pairs_could_not_be_kept(monkeypatch):
+    # a pair whose Frobenius bound is at most the floor takes no SVD; its
+    # trace norm, taken anyway, is at most that floor, and every other pair
+    # keeps the value it has with no floor
+    kappa_values = fock._kappa_values
+    calls = Counter()
+
+    def checked(left, space, us, vs, blocks, floor):
+        got = kappa_values(left, space, us, vs, blocks, floor)
+        every = kappa_values(left, space, us, vs, blocks)
+        for val, ref in zip(got, every):
+            if val == -np.inf:
+                calls["filtered"] += 1
+                assert ref <= floor
+            else:
+                calls["kept"] += 1
+                assert val == ref
+        return got
+
+    monkeypatch.setattr(fock, "_kappa_values", checked)
+    pairs = list(benchmark_pairs(monkeypatch, "dsrun-2mode", 0))
+    pairs += list(benchmark_pairs(monkeypatch, "dsrun-1mode", 0))[2:3]   # c16
+    for rho1, rho2, theta in pairs:
+        out = pair_output(rho1, rho2, theta)
+        estimate_kappa(out.factor, out.space, seed=0)
+    assert calls["filtered"] > calls["kept"] > 0
+
+
+def test_shared_u_products_hold_the_unshared_bits():
+    # pairs that share u in a batch share one left R_u R_u; each product
+    # holds the bits of the pair formed alone
+    rho1, rho2 = _two_mode_mixtures()
+    rho_ab, (w, p) = _output_and_factor(rho1, rho2, 0.6)
+    space = rho_ab.space
+    left = p[:, None] * w.conj().T
+    dim = 2 * space.n_modes
+    eye = np.eye(dim)
+    rng = np.random.default_rng(15)
+    random_u = rng.normal(size=dim)
+    random_u /= np.linalg.norm(random_u)
+    us = np.array([eye[2]] * 3 + [random_u] * 2 + [eye[2], eye[5]])
+    vs = np.vstack([eye[[0, 3, 7, 1, 6]], rng.normal(size=(2, dim))])
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    shared = _kappa_products(left, space, us, vs)
+    alone = np.array([_kappa_products(left, space, u[None], v[None])[0]
+                      for u, v in zip(us, vs)])
+    np.testing.assert_array_equal(shared.view(np.uint64), alone.view(np.uint64))
+
+
+def test_block_trace_norms_sum_like_the_per_pair_loop():
+    # the one-pass sum over the sorted singular values of every pair holds
+    # the bits of summing each pair's own sorted values
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 6, size=rng.integers(1, 5)).tolist()
+        pattern = _permuted_blocks(sizes, seed)
+        blocks = block_groups(pattern)
+        b = int(rng.integers(1, 5))
+        prod = (rng.normal(size=(b,) + pattern.shape)
+                + 1j * rng.normal(size=(b,) + pattern.shape)) * pattern
+        prod *= 10.0 ** rng.uniform(-3, 3, size=(b, 1, 1))
+        svs = [np.linalg.svd(prod[(slice(None),) + idx], compute_uv=False)
+               for idx in blocks]
+        loop = [np.sum(np.sort(np.concatenate([sv[k] for sv in svs]))[::-1])
+                for k in range(b)]
+        np.testing.assert_array_equal(
+            fock._block_trace_norms(prod, blocks).view(np.uint64),
+            np.array(loop).view(np.uint64))
 
 
 def test_gaussify_round_trip():
