@@ -321,17 +321,39 @@ def _sector_grid(cutoff: int) -> tuple:
 def _sector_exponential(hop: np.ndarray) -> np.ndarray:
     """exp(A) for the real antisymmetric tridiagonal A with A[j, j + 1] =
     hop[j] = -A[j + 1, j], batched over the leading axes of ``hop``, in
-    closed form.  With D = diag(i^j), D A D* = -i T for the real symmetric
-    tridiagonal T with off-diagonal ``hop``, so from T = V diag(lam) V^T,
-    exp(A)[j, k] = i^(k - j) (V exp(-i lam) V^T)[j, k]."""
-    j = np.arange(hop.shape[-1] + 1)
-    t = np.zeros(hop.shape[:-1] + (len(j), len(j)))
-    t[..., j[:-1], j[1:]] = hop
-    t[..., j[1:], j[:-1]] = hop
-    lam, v = np.linalg.eigh(t)
-    phase = np.array([1, 1j, -1, -1j])[(j[None, :] - j[:, None]) % 4]
-    return (phase * ((v * np.exp(-1j * lam)[..., None, :])
-                     @ np.swapaxes(v, -1, -2))).real
+    closed form and real arithmetic.  With D = diag(i^j), D A D* = -i T for
+    the real symmetric tridiagonal T with off-diagonal ``hop``, so exp(A)[j,
+    k] = i^(k - j) (cos T - i sin T)[j, k].
+
+    T couples only slots of opposite parity: in even/odd slot order T =
+    [[0, B], [B^T, 0]], with B the ceil(c/2) x floor(c/2) lower bidiagonal
+    B[a, a] = hop[2a], B[a, a - 1] = hop[2a - 1] (c slots).  From one SVD B =
+    U S V^T with U square, cos T = diag(U cos S U^T, V cos S V^T) (cos 0 = 1
+    on U's extra column when c is odd) and sin T holds U sin S V^T and its
+    transpose off the diagonal.  So exp(A)[j, k] is (-1)^((k - j)/2) cos T[j,
+    k] when j = k (mod 2) and (-1)^((k - j - 1)/2) sin T[j, k] otherwise;
+    the signs (-1)^a are folded into U's and V's rows.  Every array formed is
+    real and of half size.  Functions of T do not depend on the basis an SVD
+    picks inside a degenerate singular subspace (zero hops, or the null
+    vector of an odd c)."""
+    c = hop.shape[-1] + 1
+    even, odd = (c + 1) // 2, c // 2
+    b = np.zeros(hop.shape[:-1] + (even, odd))
+    diag, sub = np.arange(odd), np.arange(1, even)
+    b[..., diag, diag] = hop[..., 0::2]
+    b[..., sub, sub - 1] = hop[..., 1::2]
+    u, s, vt = np.linalg.svd(b)
+    sign = 1.0 - 2.0 * (np.arange(even) % 2)
+    u *= sign[:, None]
+    v = np.swapaxes(vt, -1, -2) * sign[:odd, None]
+    cos_u = np.ones(u.shape[:-1])
+    cos_u[..., :odd] = np.cos(s)
+    out = np.empty(hop.shape[:-1] + (c, c))
+    out[..., 0::2, 0::2] = (u * cos_u[..., None, :]) @ np.swapaxes(u, -1, -2)
+    out[..., 1::2, 1::2] = (v * cos_u[..., None, :odd]) @ np.swapaxes(v, -1, -2)
+    out[..., 0::2, 1::2] = (u[..., :odd] * np.sin(s)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    out[..., 1::2, 0::2] = -np.swapaxes(out[..., 0::2, 1::2], -1, -2)
+    return out
 
 
 def _sector_hops(cutoff: int) -> np.ndarray:
@@ -355,9 +377,11 @@ def pair_blocks(cutoff: int, theta: float) -> np.ndarray:
     direct sum over totals N of the exponential of the generator on the
     states |n1, N - n1> inside the cutoff.  There it is real tridiagonal:
     a2* a1 takes |n1, n2> to |n1 - 1, n2 + 1> with weight sqrt(n1 (n2 + 1)),
-    and a1* a2 is its transpose.  Every entry on an empty slot is exactly 0:
-    the exponential of a padded block is the identity on its padding, and
-    ``eigh`` may mix degenerate eigenvectors across it, so the padding is
+    and a1* a2 is its transpose.  ``_sector_exponential`` takes all blocks
+    from one batched real SVD of half their size.  Every entry on an empty
+    slot is exactly 0: the exponential of a padded block is the identity on
+    its padding, whose zero hops give zero singular values, and the SVD may
+    mix that degenerate subspace with the sector's own, so the padding is
     zeroed after the exponential."""
     _, _, inside = _sector_grid(cutoff)
     blocks = np.where(inside[:, :, None] & inside[:, None, :],
@@ -450,26 +474,37 @@ class Splitter:
         return apply_splitter(self, np.eye(self.space.dim, dtype=complex))
 
 
+_SPLITTER_CHUNK_ENTRIES = 2 ** 16   # a column chunk's gathered entries, past cutoff columns
+
+
 def apply_splitter(u: Splitter, x: np.ndarray) -> np.ndarray:
     """U x for x of shape (dim, r) on the splitter's two-arm space.  On each
     mode pair (arm-1 mode l, arm-2 mode l), x is read as (cutoff^2, rest) on
-    the pair's flat index, and the rows of sector N, gathered by
-    ``_sector_grid``, are multiplied by block N.  The whole padded block is
-    applied: the rows gathered for empty slots are row 0, and they meet
-    exact zeros in the block, so only the sector's own rows are kept.  No
-    cutoff^2 x cutoff^2 array is formed."""
+    the pair's flat index; for each chunk of its columns, the rows of every
+    sector, gathered by ``_sector_grid``, form one (2 cutoff - 1, cutoff,
+    columns) stack, multiplied by the blocks in one stacked product.  The
+    whole padded block is applied: the rows gathered for empty slots are
+    row 0, and they meet exact zeros in the block, so only the sectors' own
+    rows are scattered back.  Complex columns go in as pairs of real ones,
+    so the real blocks are never cast.  A chunk takes
+    ``_SPLITTER_CHUNK_ENTRIES`` // ((2 cutoff - 1) cutoff) columns, and
+    cutoff at least, so its stack is no larger than that cap or than the
+    blocks themselves: small stacks stay in cache, and no product is thinner
+    than a block.  No cutoff^2 x cutoff^2 array is formed."""
     d, n = u.space.cutoff, u.space.n_modes // 2
     _, idx, inside = _sector_grid(d)
-    sizes = np.count_nonzero(inside, axis=1)
+    rows = idx[inside]
+    step = max(d, _SPLITTER_CHUNK_ENTRIES // idx.size)
+    dtype = complex if np.iscomplexobj(x) else float
     t = x.reshape((d,) * (2 * n) + (-1,))
     for l in range(n):
         moved = np.moveaxis(t, (l, n + l), (0, 1))
-        flat = moved.reshape(d * d, -1)
-        out = np.empty(flat.shape, dtype=np.result_type(u.blocks, flat))
-        for sector, size in enumerate(sizes):
-            rows = idx[sector]
-            out[rows[:size]] = (u.blocks[sector] @ flat[rows])[:size]
-        t = np.moveaxis(out.reshape(moved.shape), (0, 1), (l, n + l))
+        flat = np.ascontiguousarray(moved.reshape(d * d, -1), dtype=dtype).view(float)
+        out = np.empty_like(flat)
+        for lo in range(0, flat.shape[1], step):
+            cols = slice(lo, lo + step)
+            out[rows, cols] = (u.blocks @ flat[idx, cols])[inside]
+        t = np.moveaxis(out.view(dtype).reshape(moved.shape), (0, 1), (l, n + l))
     return t.reshape(x.shape)
 
 

@@ -87,8 +87,13 @@ def f_bound(theta: float, n: int, kappa: float, epsilon: float,
 
 def region_radius(lam: float, epsilon: float) -> tuple:
     """Radius of the ball where input characteristic functions stay away
-    from zero, r = sqrt(log2(1/eps^(1/12)) / lam), with the guaranteed
-    floor 12 eps^(1/12) on |chi| inside it."""
+    from zero, r = sqrt(log2(1/eps^(1/12)) / lam), and the value 12
+    eps^(1/12) reported beside it as ``r_floor``.  That value is not a floor
+    on |chi|: every |chi| is at most 1, and 12 eps^(1/12) exceeds 1 for
+    every eps above 12^-12 (about 1.1e-13); reports read 9.5-9.9 where the
+    smallest |chi| sampled over the ball is 0.85-0.87.  Only the paper's
+    abstract is at hand, so the lemma these two values stand for is not
+    checked here."""
     if lam <= 0:
         raise ValidationError("largest variance must be positive")
     if not 0.0 < epsilon < 1.0:
@@ -260,11 +265,13 @@ class PairOutput:
 
     The constructor admits the pair once: the angle, the inputs' densities
     and their common space, then each input's number populations, which
-    choose ``path`` and ``pair_output``'s memory count.  The splitter on the
-    pair ``space`` is built on first read, as is the factor (W, p), W = U
-    (V1 x V2) and p = p1 x p2 from the inputs' support: by kappa, and by the
-    schmidt and dense paths.  The dense members are reference API on the
-    sectors path, formed only when read, as ``fock.Splitter.matrix`` is."""
+    choose ``path`` and ``pair_output``'s memory count.  One operator passed
+    as both inputs (a witness) is validated, scanned and later decomposed
+    once (``_each_input``).  The splitter on the pair ``space`` is built on
+    first read, as is the factor (W, p), W = U (V1 x V2) and p = p1 x p2
+    from the inputs' support: by kappa, and by the schmidt and dense paths.
+    The dense members are reference API on the sectors path, formed only
+    when read, as ``fock.Splitter.matrix`` is."""
 
     def __init__(self, rho1: FockOperator, rho2: FockOperator, theta: float,
                  tol: Tolerances):
@@ -275,15 +282,21 @@ class PairOutput:
                                   "the splitter is 2 pi-periodic")
         if is_trivial_angle(theta):
             raise TrivialSplitterError(f"theta = {theta} does not mix the arms")
-        validate_density(rho1, tol)
-        validate_density(rho2, tol)
+        self._inputs = (rho1, rho2)
+        self._each_input(lambda rho: validate_density(rho, tol))
         if rho1.space != rho2.space:
             raise ValidationError("input states live on different spaces")
-        self._inputs = (rho1, rho2)
-        self._populations = [_number_populations(rho) for rho in self._inputs]
+        self._populations = self._each_input(_number_populations)
         self._theta = theta
         self._tol = tol
         self.space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+
+    def _each_input(self, f) -> list:
+        """[f(rho1), f(rho2)], with f called once when both inputs are one
+        operator, as in a witness."""
+        rho1, rho2 = self._inputs
+        first = f(rho1)
+        return [first, first if rho2 is rho1 else f(rho2)]
 
     @functools.cached_property
     def _splitter(self) -> Splitter:
@@ -298,7 +311,7 @@ class PairOutput:
 
     @functools.cached_property
     def factor(self) -> tuple:
-        (v1, p1), (v2, p2) = (support(rho) for rho in self._inputs)
+        (v1, p1), (v2, p2) = self._each_input(support)
         return apply_splitter(self._splitter, np.kron(v1, v2)), np.kron(p1, p2)
 
     @functools.cached_property
@@ -407,8 +420,9 @@ _DENSE_MATRICES = 9
 # sector blocks with the temporaries of their exponential and calibration,
 # then the output's label blocks (``fock.sector_output``) and the copy
 # ``eigvalsh`` takes.  Peak RSS above the interpreter's and the input's
-# measures 8.1-8.2 of them for thermal and Fock witnesses at cutoffs 60-140
-# (the splitter's build is the peak).  The rest is headroom.
+# measures 4.3-5.1 of them for thermal and Fock witnesses at cutoffs 60-140
+# (the splitter's build and calibration are the peak).  The rest is
+# headroom.
 _SECTOR_ARRAYS = 12
 
 

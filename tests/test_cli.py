@@ -520,7 +520,9 @@ assert not loaded, loaded
                          ids=["sectors", "dense"])
 def test_ds_run_leaves_numpy_ma_unloaded(tmp_path, state1):
     # a fresh ds-run pays for no numpy.ma import: block_groups lists its
-    # roots without np.unique, on either path
+    # roots without np.unique, on either path; nor does it or a witness on
+    # the same input import scipy, whose linalg import costs more than a
+    # whole set-up (the splitter's SVD is numpy's)
     cfg = write_config(tmp_path, state1=state1, state2="thermal:0.2", theta=0.6,
                        cutoff=12, seed=0)
     script = f"""
@@ -528,6 +530,9 @@ import sys
 from bosonic_ds.cli import main
 assert main(["ds-run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r.json")!r}]) == 0
 assert "numpy.ma" not in sys.modules
+assert main(["witness", "--state", {state1!r}, "--theta", "0.6", "--cutoff", "12"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True)
@@ -649,9 +654,10 @@ def _physical_memory_of(monkeypatch, mib):
 
 
 def test_each_pair_is_admitted_once(tmp_path, monkeypatch):
-    # a ds-run and a witness each validate their two inputs, scan their
-    # populations and check memory twice (the CLI's pre-input check, then
-    # the pair's own count), and build the splitter once
+    # a ds-run validates its two inputs and scans their populations, a
+    # witness its one input, passed as both; each checks memory twice (the
+    # CLI's pre-input check, then the pair's own count) and builds the
+    # splitter once
     from bosonic_ds import stability
 
     names = ("validate_density", "_number_populations", "_check_fits_memory",
@@ -666,17 +672,16 @@ def test_each_pair_is_admitted_once(tmp_path, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(stability, name, count(name, getattr(stability, name)))
-    once = dict(zip(names, (2, 2, 2, 1)))
     cfg = write_config(tmp_path, state1="thermal:0.3", theta=0.6, cutoff=12, seed=0,
                        state2={"kind": "mixture", "components": [
                            {"weight": 0.9, "state": "vacuum"},
                            {"weight": 0.1, "state": "fock:1"}]})
     assert main(["ds-run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == once
+    assert calls == dict(zip(names, (2, 2, 2, 1)))
     calls.update(dict.fromkeys(names, 0))
     assert main(["witness", "--state", "thermal:0.3", "--theta", "0.6",
                  "--cutoff", "20"]) == 0
-    assert calls == once
+    assert calls == dict(zip(names, (1, 1, 2, 1)))
 
 
 def test_number_diagonal_witness_counts_its_sector_arrays(capsys, monkeypatch):

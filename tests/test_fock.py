@@ -316,10 +316,12 @@ def test_calibration_rejects_nan_in_an_uncalibrated_sector():
 
 
 @pytest.mark.parametrize("theta", [0.3, -0.6, 1.2])
-@pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 32])
+@pytest.mark.parametrize("cutoff", [2, 3, 7, 8, 16, 32, 33])
 def test_sector_pair_unitary_matches_dense_expm(cutoff, theta):
     # applied sector by sector, U equals the exponential of the dense
-    # Kronecker generator and never couples two total-photon sectors
+    # Kronecker generator and never couples two total-photon sectors.  An
+    # odd cutoff makes the even/odd coupling of the full-size blocks
+    # non-square, with a null vector
     u = beam_splitter_unitary(FockSpace(2, cutoff), theta).matrix
     a = lowering(cutoff)
     dense = expm(theta * (np.kron(a, a.T) - np.kron(a.T, a)))
@@ -327,6 +329,88 @@ def test_sector_pair_unitary_matches_dense_expm(cutoff, theta):
     total = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel()
     assert np.all(u[total[:, None] != total[None, :]] == 0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(cutoff ** 2))) <= 1e-11
+
+
+@pytest.mark.parametrize("theta", [0.3, -0.6, 1.2, np.pi / 2 - 1e-3,
+                                   -2 * np.pi + 0.1])
+@pytest.mark.parametrize("cutoff", [2, 3, 7, 8, 33])
+def test_each_sector_block_is_the_exponential_of_its_own_generator(cutoff, theta):
+    # every block, full or clipped, of either parity of size, equals scipy's
+    # expm of that sector's tridiagonal generator on its own slots, is real,
+    # orthogonal there, and exactly 0 on the padding.  expm's own error grows
+    # with the generator's norm (against 40-digit mpmath it is off by up to
+    # 4.3e-12 at cutoff 32, theta -2 pi + 0.1, where the blocks are off by
+    # 7.8e-14), so the entries are compared to 1e-13 per unit of its 1-norm
+    blocks = pair_blocks(cutoff, theta)
+    slot_n1, _, inside = _sector_grid(cutoff)
+    assert blocks.dtype == np.float64
+    for total, held in enumerate(inside):
+        n1 = slot_n1[total][held]
+        n2 = total - n1
+        hop = np.sqrt(n1[1:] * (n2[1:] + 1.0))   # <n1, n2| a2* a1 |n1 + 1, n2 - 1>
+        gen = theta * (np.diag(hop, 1) - np.diag(hop, -1))
+        block = blocks[total][np.ix_(held, held)]
+        tol = 1e-13 * max(1.0, np.linalg.norm(gen, 1))
+        assert np.max(np.abs(block - expm(gen))) <= tol, total
+        assert np.max(np.abs(block.T @ block - np.eye(len(n1)))) <= 1e-13, total
+        assert np.all(blocks[total][~(held[:, None] & held[None, :])] == 0.0), total
+
+
+def _per_sector_splitter(u, x):
+    """U x by one product per mode pair and sector on the sector's own
+    slots: the reference for the stacked ``apply_splitter``."""
+    d, n = u.space.cutoff, u.space.n_modes // 2
+    _, idx, inside = _sector_grid(d)
+    t = x.reshape((d,) * (2 * n) + (-1,))
+    for l in range(n):
+        moved = np.moveaxis(t, (l, n + l), (0, 1))
+        flat = moved.reshape(d * d, -1)
+        out = np.empty(flat.shape, dtype=np.result_type(u.blocks, flat))
+        for total, held in enumerate(inside):
+            rows = idx[total][held]
+            out[rows] = u.blocks[total][np.ix_(held, held)] @ flat[rows]
+        t = np.moveaxis(out.reshape(moved.shape), (0, 1), (l, n + l))
+    return t.reshape(x.shape)
+
+
+class _CountedBlocks(np.ndarray):
+    """Sector blocks that count the products taken with them."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedBlocks.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n,cutoff", [(1, 5), (1, 6), (2, 3)])
+@pytest.mark.parametrize("columns", [1, 3, "chunks"])
+def test_stacked_splitter_matches_per_sector_products(monkeypatch, n, cutoff,
+                                                      columns, dtype):
+    # one stacked product per column chunk equals one product per sector on
+    # its own slots, for real and complex columns (complex ones go in as
+    # real pairs); with the chunk cap at its floor of cutoff columns, 3
+    # cutoff + 1 columns per mode pair take at least three chunks
+    monkeypatch.setattr(fock, "_SPLITTER_CHUNK_ENTRIES", 1)
+    space = FockSpace(2 * n, cutoff)
+    u = beam_splitter_unitary(space, 0.6)
+    counted = fock.Splitter(space, u.blocks.view(_CountedBlocks))
+    per_pair = cutoff ** (2 * n - 2) * (2 if dtype is complex else 1)
+    r = 3 * cutoff + 1 if columns == "chunks" else columns
+    rng = np.random.default_rng(cutoff)
+    x = rng.normal(size=(space.dim, r))
+    if dtype is complex:
+        x = x + 1j * rng.normal(size=x.shape)
+    _CountedBlocks.products = 0
+    out = apply_splitter(counted, x)
+    assert out.shape == x.shape and out.dtype == dtype
+    chunks = _CountedBlocks.products / n
+    assert chunks == -(-r * per_pair // cutoff)
+    if columns == "chunks":
+        assert chunks >= 3
+    ref = _per_sector_splitter(u, x)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("total", range(1, 7))
