@@ -153,7 +153,7 @@ def _run_inputs(args, cfg: dict) -> tuple:
 
     from .config import Tolerances
     from .fock import FockSpace
-    from .stability import _check_fits_memory
+    from .stability import _check_pair_fits
     from .states import parse_state_spec
 
     for name in cfg:
@@ -167,6 +167,9 @@ def _run_inputs(args, cfg: dict) -> tuple:
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
         modes = _integer("modes_per_arm", cfg.get("modes_per_arm", 1))
+        out = cfg.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValidationError(f"out must be a path string, got {reprlib.repr(out)}")
         tolerances = cfg.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ValidationError("tolerances must be a JSON object")
@@ -178,7 +181,7 @@ def _run_inputs(args, cfg: dict) -> tuple:
                 raise ValidationError(f"tolerance {name!r} is not read by ds-run")
         tol = Tolerances(**tolerances)
         space = FockSpace(modes, cutoff)
-        _check_fits_memory(FockSpace(2 * modes, cutoff))   # before any input is built
+        _check_pair_fits(FockSpace(2 * modes, cutoff))   # before any input is built
         space_from = ("--cutoff" if args.cutoff is not None
                       else "config key 'cutoff'") + " and config key 'modes_per_arm'"
         rho1 = parse_state_spec(cfg["state1"], space, tol, space_from=space_from)
@@ -266,14 +269,12 @@ def _cmd_classify(args) -> int:
 def _cmd_witness(args) -> int:
     from .fock import FockSpace, leak_flags
     from .states import parse_state_spec
-    from .stability import _check_fits_memory, nongaussianity_witness
+    from .stability import _check_pair_fits, nongaussianity_witness
 
     if not (math.isfinite(args.witness_tol) and args.witness_tol >= 0):
         raise ValidationError(
             f"--witness-tol must be finite and >= 0, got {args.witness_tol}")
-    # before the input is built, the least any witness holds; the pair's
-    # own count follows once its inputs are known
-    _check_fits_memory(FockSpace(2, args.cutoff), sectors=True)
+    _check_pair_fits(FockSpace(2, args.cutoff))   # before the input is built
     rho = parse_state_spec(args.state, FockSpace(1, args.cutoff),
                            space_from="--cutoff (a witness state has one mode)")
     eps = nongaussianity_witness(rho, args.theta)

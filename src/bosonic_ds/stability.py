@@ -265,16 +265,21 @@ class PairOutput:
 
     The constructor admits the pair once: the angle, the inputs' densities
     and their common space, then each input's number populations, which
-    choose ``path`` and ``pair_output``'s memory count.  One operator passed
-    as both inputs (a witness) is validated, scanned and later decomposed
-    once (``_each_input``).  The splitter on the pair ``space`` is built on
-    first read, as is the factor (W, p), W = U (V1 x V2) and p = p1 x p2
-    from the inputs' support: by kappa, and by the schmidt and dense paths.
-    The dense members are reference API on the sectors path, formed only
-    when read, as ``fock.Splitter.matrix`` is."""
+    choose ``path``, then the sector-array guard that every pair passes
+    (``_check_pair_fits``).  One operator passed as both inputs (a witness)
+    is validated, scanned and later decomposed once (``_each_input``).  The
+    splitter on the pair ``space`` is built on first read, as is the factor
+    (W, p): the splitter is passive, so with rho_j = V_j diag(p_j) V_j* the
+    output is W diag(p) W*, W = U (V1 x V2), p = p1 x p2, and U acts once,
+    on the rank(rho1) rank(rho2) columns of V1 x V2.  The factor serves
+    kappa and the schmidt and dense paths.  Each dense array is counted
+    where it is formed: the factor's dim x r columns once the ranks are
+    known, the dense members' dim x dim before they are built.  The dense
+    members are reference API on the sectors path, formed only when read,
+    as ``fock.Splitter.matrix`` is."""
 
     def __init__(self, rho1: FockOperator, rho2: FockOperator, theta: float,
-                 tol: Tolerances):
+                 tol: Tolerances = DEFAULT_TOLERANCES):
         if not math.isfinite(theta):
             raise ValidationError(f"theta must be finite, got {theta}")
         if abs(theta) > 2.0 * math.pi:   # far out, the splitter's phases lose precision
@@ -290,6 +295,7 @@ class PairOutput:
         self._theta = theta
         self._tol = tol
         self.space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
+        _check_pair_fits(self.space)
 
     def _each_input(self, f) -> list:
         """[f(rho1), f(rho2)], with f called once when both inputs are one
@@ -309,15 +315,23 @@ class PairOutput:
         pure = all(np.count_nonzero(q) == 1 for q in self._populations)
         return "schmidt" if pure else "sectors"
 
+    def _check_dense_fits(self, k: int) -> None:
+        """Refuse ``_DENSE_MATRICES`` complex dim x ``k`` arrays beyond
+        physical memory."""
+        _check_fits_memory(self.space, _DENSE_MATRICES * self.space.dim * k * 16,
+                           "dense matrices")
+
     @functools.cached_property
     def factor(self) -> tuple:
         (v1, p1), (v2, p2) = self._each_input(support)
+        self._check_dense_fits(len(p1) * len(p2))
         return apply_splitter(self._splitter, np.kron(v1, v2)), np.kron(p1, p2)
 
     @functools.cached_property
     def _dense(self) -> tuple:
         """(rho_a, rho_b, flags, g): reduce rho_ab, flag its leak, then form
         g in its buffer."""
+        self._check_dense_fits(self.space.dim)
         w, p = self.factor
         rho_ab = FockOperator(self.space, (w * p) @ w.conj().T)
         rho_a = partial_trace(rho_ab, "first")
@@ -391,38 +405,31 @@ def _number_populations(rho: FockOperator) -> np.ndarray | None:
     return diagonal.real.copy()
 
 
-# Complex dim x dim matrices alive at once in the chain.  Two full-rank
-# inputs (r = dim) are the worst case: g, formed in rho_ab's buffer, and the
-# factor W stay alive while the kappa search holds diag(p) W*, the product it
-# builds, the quadrature primitive's output and temporary, and the SVD's copy
-# of one zero block of the product (a quarter of it for number-diagonal
-# inputs).  Peak RSS above the interpreter's and the inputs' measures 6.35 of
-# them at dim 1296 for two full-rank Gaussians, whose kappa search keeps two
-# boxed heads (7.7 MB) around which the heap retains more, and 1.72 at dim
-# 1600 for two full-rank thermals.  The rest is headroom.  A batch of kappa
-# pairs adds at most four arrays of 2**14 complex entries (256 KiB each): the
-# head bounds batch their boxed h-row products and the full evaluations
-# their boxed r-row ones under that cap, and one pair too large for it goes
-# alone; the head bounds' Gram matrices, at most h x h per pair, take the
-# place of an SVD's copy.  A pure witness holds none of them: the splitter
-# is its 2 cutoff - 1 real cutoff x cutoff sector blocks (``fock.Splitter``),
-# not a dense pair unitary, and its epsilon reads no dense member of the
-# output; it is still counted here unless its input is number-diagonal.  A
-# number-diagonal ds-run forms no g, only the factor for kappa, but its rank
-# may be dim, so ds-run counts these 9 whatever its inputs: 144 dim^2 bytes,
-# at least 1.5 times its 96 dim (2 cutoff - 1)^n bytes of sector arrays, as
-# cutoff^2 >= 2 cutoff - 1.
+# Complex dim x k arrays alive at once, counted where the chain forms them:
+# k = r = rank rho1 rank rho2 when the factor W is formed (``factor``),
+# k = dim before the dense members are (``_dense``).  The factor holds W
+# while the kappa search holds diag(p) W*, the r x dim product it builds,
+# the quadrature primitive's output and temporary, and the SVD's copy of one
+# zero block; the dense members add rho_ab, reused for g, and rho_a x rho_b.
+# Peak RSS above the interpreter's and the inputs' measures 6.3 dim x r
+# arrays for two full-rank Gaussians at 2 modes/arm, cutoff 6 (r = dim =
+# 1296), 3.78 for thermals 0.3 and 0.2 at cutoff 100 (dim 10^4, r = 396) and
+# 2.11 dim x dim for squeezed:0.3 x thermal:0.2 at cutoff 40 (dense path).
+# A batch of kappa pairs adds at most four arrays of 2**14 complex entries
+# (256 KiB each).  The rest is headroom.
 _DENSE_MATRICES = 9
 
 # Real sector arrays, (2 cutoff - 1)^n cutoff^(2n) entries each on n mode
-# pairs (``_sector_entries``), alive at once when both inputs are
-# number-diagonal and only epsilon is read, as by the witness: the splitter's
-# sector blocks with the temporaries of their exponential and calibration,
-# then the output's label blocks (``fock.sector_output``) and the copy
-# ``eigvalsh`` takes.  Peak RSS above the interpreter's and the input's
-# measures 4.3-5.1 of them for thermal and Fock witnesses at cutoffs 60-140
-# (the splitter's build and calibration are the peak).  The rest is
-# headroom.
+# pairs (``_sector_entries``): the guard that every pair passes, before its
+# inputs are built and in ``PairOutput``'s constructor (``_check_pair_fits``).
+# A number-diagonal pair whose epsilon alone is read, as by the witness,
+# holds them alive at once: the splitter's sector blocks with the
+# temporaries of their exponential and calibration, then the output's label
+# blocks (``fock.sector_output``) and the copy ``eigvalsh`` takes.  Peak RSS
+# above the interpreter's and the input's measures 4.3-5.1 of them for
+# thermal and Fock witnesses at cutoffs 60-140 (the splitter's build and
+# calibration are the peak).  The rest is headroom.  As 2 cutoff - 1 <=
+# cutoff^2, the guard asks no more than ``_DENSE_MATRICES`` dim x dim arrays.
 _SECTOR_ARRAYS = 12
 
 
@@ -434,22 +441,23 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_fits_memory(pair_space: FockSpace, sectors: bool = False) -> None:
-    """Refuse a pair space whose working set exceeds physical memory:
-    ``_DENSE_MATRICES`` complex dim x dim matrices, or with ``sectors``
-    ``_SECTOR_ARRAYS`` real sector arrays; skipped where memory is unknown."""
+def _check_fits_memory(pair_space: FockSpace, need: int | float, held: str) -> None:
+    """Refuse ``need`` bytes of ``held`` on ``pair_space`` beyond physical
+    memory; skipped where memory is unknown."""
     physical = _physical_memory()
-    if sectors:
-        need = _SECTOR_ARRAYS * _sector_entries(pair_space) * 8
-    else:
-        need = _DENSE_MATRICES * _pair_dim(pair_space) ** 2 * 16
-    held = "sector arrays" if sectors else "dense matrices"
     if 0 < physical < need:
         gib = need / 2 ** 30 if need < 2 ** 1000 else math.inf   # no float overflow
         raise ValidationError(
             f"{_pair_size(pair_space)} needs about {gib:.3g} GiB of {held}; "
             f"physical memory is {physical / 2 ** 30:.1f} GiB"
         )
+
+
+def _check_pair_fits(pair_space: FockSpace) -> None:
+    """Refuse a pair space whose ``_SECTOR_ARRAYS`` real sector arrays
+    exceed physical memory: the guard every pair passes."""
+    _check_fits_memory(pair_space, _SECTOR_ARRAYS * _sector_entries(pair_space) * 8,
+                       "sector arrays")
 
 
 def _pair_dim(pair_space: FockSpace) -> int | float:
@@ -494,20 +502,8 @@ def _names_the_pair(chain):
     return run
 
 
-def pair_output(rho1: FockOperator, rho2: FockOperator, theta: float,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> PairOutput:
-    """Send rho1 x rho2 through the splitter: the admitted ``PairOutput``,
-    once what it forms for epsilon fits in memory (sector arrays when both
-    inputs are number-diagonal, dense matrices otherwise).
-
-    The splitter is passive, so with rho_j = V_j diag(p_j) V_j* the output
-    is rho_ab = W diag(p) W*, W = U (V1 x V2), p = p1 x p2: U acts once, on
-    the rank(rho1) rank(rho2) columns of V1 x V2.  That factor, the
-    reductions, g, epsilon and V are formed on first read, along the path
-    the inputs choose (see ``PairOutput``)."""
-    out = PairOutput(rho1, rho2, theta, tol)
-    _check_fits_memory(out.space, sectors=all(q is not None for q in out._populations))
-    return out
+# Send rho1 x rho2 through the splitter: the admitted ``PairOutput``.
+pair_output = PairOutput
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +610,8 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     regardless, for callers that surface failures through exit codes.
     """
     # Gaussify before the splitter is built, so a cutoff too small for an
-    # input fails before the pair is evolved.  The kappa search's factor may
-    # be full rank whatever the inputs, so the pair counts dense matrices.
+    # input fails before the pair is evolved.
     out = PairOutput(rho1, rho2, theta, tol)
-    _check_fits_memory(out.space)
     gs1 = _gaussify_input(rho1, "state1", tol)
     gs2 = _gaussify_input(rho2, "state2", tol)
     n = rho1.space.n_modes
@@ -728,4 +722,4 @@ def nongaussianity_witness(rho: FockOperator, theta: float,
     Zero (within truncation noise) exactly when rho is Gaussian; the
     canonical two-photon interference case gives 1.5 at theta = pi/4.
     """
-    return pair_output(rho, rho, theta, tol).epsilon
+    return PairOutput(rho, rho, theta, tol).epsilon

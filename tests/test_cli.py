@@ -373,7 +373,7 @@ def test_ds_run_preflight_counts_full_rank_working_set(tmp_path, capsys,
                                                        monkeypatch):
     # two full-rank Gaussians at 2 modes/arm, cutoff 6 (dim 1296) peak at
     # 8.1 dense complex matrices above the interpreter; with physical memory
-    # at 8 of them the run must be refused up front
+    # at 8 of them the run must be refused when kappa's factor is counted
     import os
 
     dim, page = 6 ** 4, 4096
@@ -655,9 +655,9 @@ def _physical_memory_of(monkeypatch, mib):
 
 def test_each_pair_is_admitted_once(tmp_path, monkeypatch):
     # a ds-run validates its two inputs and scans their populations, a
-    # witness its one input, passed as both; each checks memory twice (the
-    # CLI's pre-input check, then the pair's own count) and builds the
-    # splitter once
+    # witness its one input, passed as both; each builds the splitter once.
+    # Both pass the sector-array guard twice (before the inputs are built,
+    # then in the pair's constructor); the ds-run also counts kappa's factor
     from bosonic_ds import stability
 
     names = ("validate_density", "_number_populations", "_check_fits_memory",
@@ -677,21 +677,24 @@ def test_each_pair_is_admitted_once(tmp_path, monkeypatch):
                            {"weight": 0.9, "state": "vacuum"},
                            {"weight": 0.1, "state": "fock:1"}]})
     assert main(["ds-run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == dict(zip(names, (2, 2, 2, 1)))
+    assert calls == dict(zip(names, (2, 2, 3, 1)))
     calls.update(dict.fromkeys(names, 0))
     assert main(["witness", "--state", "thermal:0.3", "--theta", "0.6",
                  "--cutoff", "20"]) == 0
     assert calls == dict(zip(names, (1, 1, 2, 1)))
 
 
-def test_number_diagonal_witness_counts_its_sector_arrays(capsys, monkeypatch):
-    # at cutoff 30 the dense count asks for 117 MB and the sector arrays of
-    # a number-diagonal witness for 5 MB: with 32 MiB of memory the thermal
-    # witness runs, while a displaced state, whose pure pair takes the
-    # Schmidt path but is counted in dense matrices as every pair that is
-    # not number-diagonal is, and a ds-run on the same thermal, whose kappa
-    # factor may be full rank, are still refused in one line
+def test_number_diagonal_witness_counts_its_sector_arrays(tmp_path, capsys,
+                                                          monkeypatch):
+    # at cutoff 30 the dense count asks for 117 MB and the sector arrays for
+    # 5 MB: with 32 MiB of memory the thermal witness runs, and so does a
+    # displaced state, whose pure pair takes the Schmidt path and forms a
+    # factor of one column; a mixture of the two takes the dense path, whose
+    # factor of rank r counts 9 dim r complex entries, and is refused in one
+    # line
+    from bosonic_ds.fock import FockSpace
     from bosonic_ds.stability import _DENSE_MATRICES
+    from bosonic_ds.states import displaced_vacuum, mixture, save_density, thermal_state
 
     assert _DENSE_MATRICES * 900 ** 2 * 16 > 32 * 2 ** 20
     _physical_memory_of(monkeypatch, 32)
@@ -699,6 +702,13 @@ def test_number_diagonal_witness_counts_its_sector_arrays(capsys, monkeypatch):
                  "--cutoff", "30"]) == 0
     assert capsys.readouterr().out.startswith("gaussian")
     assert main(["witness", "--state", "displaced:0.5,0.3", "--theta", "0.6",
+                 "--cutoff", "30"]) == 0
+    assert capsys.readouterr().out.startswith("gaussian")
+    space = FockSpace(1, 30)
+    density = tmp_path / "mixed.json"
+    save_density(mixture([(0.5, displaced_vacuum(space, np.array([0.5, 0.3]))),
+                          (0.5, thermal_state(space, 0.3))]), density)
+    assert main(["witness", "--state", f"file:{density}", "--theta", "0.6",
                  "--cutoff", "30"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: pair dim 900 ") and "GiB of dense matrices" in err
@@ -712,6 +722,46 @@ def test_ds_run_on_number_diagonal_inputs_counts_dense_matrices(tmp_path, capsys
     assert main(["ds-run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: pair dim 900 ") and "GiB of dense matrices" in err
+
+
+def test_pure_witness_counts_its_one_column_factor(capsys, monkeypatch):
+    # a displaced state's pure pair takes the Schmidt path: its factor is one
+    # column and it forms no dim x dim array, so at cutoff 100 (dim 10^4) it
+    # runs in 1 GiB, where a dense count would ask for 13.4 GiB
+    _physical_memory_of(monkeypatch, 1024)
+    assert main(["witness", "--state", "displaced:0.5,0.3", "--theta", "0.6",
+                 "--cutoff", "100"]) == 0
+    assert capsys.readouterr().out.startswith("gaussian")
+
+
+def test_low_rank_two_mode_ds_run_counts_its_factor(tmp_path, monkeypatch):
+    # a rank-2 mixture with the vacuum at 2 modes/arm, cutoff 8 (dim 4096):
+    # kappa's factor has 2 columns, so the run fits in 1 GiB, where 9 dense
+    # dim x dim matrices would ask for 2.25 GiB; the photon sits on the first
+    # mode and the second mode pair holds the vacuum, so epsilon is that of
+    # the one-mode pair
+    _physical_memory_of(monkeypatch, 1024)
+    reports = []
+    for modes, fock in ((2, "fock:1,0"), (1, "fock:1")):
+        cfg = write_config(tmp_path, theta=0.6, cutoff=8, seed=0, modes_per_arm=modes,
+                           state1={"kind": "mixture", "components": [
+                               {"weight": 0.9, "state": "vacuum"},
+                               {"weight": 0.1, "state": fock}]})
+        out = tmp_path / f"report-{modes}.json"
+        assert main(["ds-run", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[1]["epsilon"] == pytest.approx(0.0975473928855757, rel=1e-12)
+    assert reports[0]["epsilon"] == pytest.approx(reports[1]["epsilon"], rel=1e-12)
+
+
+@pytest.mark.parametrize("out", [5, ["a"]], ids=["number", "list"])
+def test_ds_run_refuses_an_out_that_is_not_a_path(tmp_path, capsys, monkeypatch, out):
+    _size_check_must_come_first(monkeypatch)
+    cfg = write_config(tmp_path, out=out)
+    assert main(["ds-run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out must be a path string, got {out!r}\n"
 
 
 def test_witness_refuses_a_huge_cutoff_by_its_sector_arrays(capsys, monkeypatch):
@@ -733,11 +783,13 @@ def test_size_check_of_an_astronomical_pair_is_one_line(tmp_path, capsys):
 
 
 def test_size_check_of_a_huge_pair_prints_a_short_need(tmp_path, capsys):
-    # 2^807 bytes still fit a float; the GiB figure must not print in full
+    # the 2^724 bytes of sector arrays still fit a float; the GiB figure
+    # must not print in full
     cfg = write_config(tmp_path, modes_per_arm=200, cutoff=2)
     assert main(["ds-run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: pair dim 2^400 ") and "e+233 GiB" in err
+    assert err.startswith("error: pair dim 2^400 ")
+    assert "6.13e+208 GiB of sector arrays" in err
     assert len(err.strip().splitlines()) == 1 and len(err) < 200
 
 

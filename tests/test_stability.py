@@ -707,11 +707,11 @@ def test_memory_check_never_forms_a_huge_pair_dim(modes):
     import reprlib
     import time
 
-    from bosonic_ds.stability import _check_fits_memory
+    from bosonic_ds.stability import _check_pair_fits
 
     start = time.perf_counter()
     with pytest.raises(ValidationError) as exc:
-        _check_fits_memory(FockSpace(2 * modes, 4))
+        _check_pair_fits(FockSpace(2 * modes, 4))
     assert time.perf_counter() - start < 1.0
     assert str(exc.value).startswith(
         f"pair dim 4^{reprlib.repr(2 * modes)} ({reprlib.repr(modes)} modes per "
@@ -736,13 +736,13 @@ def test_dense_pairs_and_the_experiment_keep_the_dense_count(monkeypatch):
         run_experiment(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
 
 
-def test_experiment_names_the_dense_count_on_a_number_diagonal_pair(monkeypatch):
+def test_experiment_names_the_sector_count_on_a_number_diagonal_pair(monkeypatch):
     # at cutoff 30 the sector arrays ask for 5 MB and the dense matrices for
-    # 117 MB: with 1 MiB neither fits, and the experiment, whose kappa factor
-    # may be full rank, names the dense count it checks
+    # 117 MB: with 1 MiB neither fits, and the pair's constructor refuses
+    # first, naming the sector-array guard that every pair passes
     monkeypatch.setattr("bosonic_ds.stability._physical_memory", lambda: 2 ** 20)
     space = FockSpace(1, 30)
-    with pytest.raises(ValidationError, match="GiB of dense matrices"):
+    with pytest.raises(ValidationError, match="GiB of sector arrays"):
         run_experiment(thermal_state(space, 0.3), thermal_state(space, 0.2), 0.6)
 
 
