@@ -4,9 +4,9 @@ Dense complex matrices on n modes with a per-mode cutoff D (levels 0..D-1).
 Combined two-arm spaces order the modes arm-1 first, then arm-2, matching
 the Kronecker-product convention ``kron(arm1, arm2)``.
 
-Truncation policy: operations never silently hide cutoff effects.  States
-whose top-level population exceeds the leak budget carry a truncation flag
-that downstream reports propagate.
+Truncation policy: cutoff effects are never hidden, and each is flagged once:
+a builder flags the mass it cut (``flags``), and the stage that reads a state
+flags its top-level leak, under its role there (``truncation_flags``).
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class FockOperator:
                 f"matrix shape {m.shape} does not match space dim {self.space.dim}"
             )
         object.__setattr__(self, "matrix", m)
-
-    def with_flags(self, *new_flags: str) -> "FockOperator":
-        merged = tuple(dict.fromkeys(self.flags + new_flags))
-        return FockOperator(self.space, self.matrix, merged)
 
 
 def validate_density(op: FockOperator,
@@ -720,20 +716,24 @@ def leak_flags(rho: FockOperator, label: str,
                tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """``rho``'s truncation flag, named by ``label``, if its top-level
     population exceeds the leak budget."""
-    return _leak_flag(leak_population(rho), label, tol)
+    return diagonal_leak_flags(np.real(np.diag(rho.matrix)), rho.space, label, tol)
 
 
 def diagonal_leak_flags(diagonal: np.ndarray, space: FockSpace, label: str,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """``leak_flags`` of a state on ``space`` whose real diagonal, its number
     populations, is ``diagonal``: all the check reads."""
-    return _leak_flag(_top_population(diagonal, space), label, tol)
-
-
-def _leak_flag(leak: float, label: str, tol: Tolerances) -> tuple:
+    leak = _top_population(diagonal, space)
     if leak > tol.leak_budget:
         return (f"truncation:{label}:leak={leak:.3e}",)
     return ()
+
+
+def truncation_flags(rho: FockOperator, label: str,
+                     tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """Every truncation flag of ``rho``, read as ``label``: what its builder
+    cut (``rho.flags``), then its leak (``leak_flags``)."""
+    return rho.flags + leak_flags(rho, label, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1311,5 +1311,4 @@ def gaussian_to_fock(gs: GaussianState, space: FockSpace,
     flags = ()
     if 1.0 - trace > tol.leak_budget:
         flags = (f"truncation:synthesis:mass-deficit={1.0 - trace:.3e}",)
-    out = FockOperator(space, rho / trace, flags)
-    return out.with_flags(*leak_flags(out, "synthesis", tol))
+    return FockOperator(space, rho / trace, flags)

@@ -30,7 +30,8 @@ from .fock import (FockOperator, FockSpace, Splitter, apply_splitter,
                    beam_splitter_unitary, block_groups, diagonal_leak_flags,
                    estimate_kappa, gaussian_to_fock, gaussify, hs_norm,
                    leak_flags, mode_pair_moments, moments, partial_trace,
-                   sector_exchange, sector_output, support, validate_density)
+                   sector_exchange, sector_output, support, truncation_flags,
+                   validate_density)
 from .symplectic import GaussianState, is_trivial_angle
 
 # Directly evaluated 50-50 one-mode prefactor vs the value quoted alongside
@@ -249,8 +250,8 @@ class PairOutput:
 
     - ``schmidt``: both inputs pure (of rank 1 by ``support``, or with one
       nonzero population when number-diagonal).  epsilon comes from the
-      Schmidt coefficients of the output vector; the rest as on the dense
-      path.
+      Schmidt coefficients of the output vector; the rest as on the sectors
+      path for a number-diagonal pair and as on the dense path otherwise.
     - ``sectors``: both inputs number-diagonal (every off-diagonal Fock
       entry exactly 0, as for Fock and thermal states and their mixtures),
       not both pure.  The output is block diagonal on the labels (N_1, ...,
@@ -292,6 +293,7 @@ class PairOutput:
         if rho1.space != rho2.space:
             raise ValidationError("input states live on different spaces")
         self._populations = self._each_input(_number_populations)
+        self._diagonal = all(q is not None for q in self._populations)
         self._theta = theta
         self._tol = tol
         self.space = FockSpace(2 * rho1.space.n_modes, rho1.space.cutoff)
@@ -310,7 +312,7 @@ class PairOutput:
 
     @functools.cached_property
     def path(self) -> str:
-        if any(q is None for q in self._populations):
+        if not self._diagonal:
             return "schmidt" if len(self.factor[1]) == 1 else "dense"
         pure = all(np.count_nonzero(q) == 1 for q in self._populations)
         return "schmidt" if pure else "sectors"
@@ -370,7 +372,7 @@ class PairOutput:
 
     @property
     def _reductions(self) -> tuple:
-        return self._sectors if self.path == "sectors" else self._dense
+        return self._sectors if self._diagonal else self._dense
 
     rho_a = property(lambda self: self._reductions[0])
     rho_b = property(lambda self: self._reductions[1])
@@ -390,8 +392,8 @@ class PairOutput:
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        """The cross covariance V (``_cross_cov_matrix``), along ``path``."""
-        if self.path == "sectors":
+        """The cross covariance V (``_cross_cov_matrix``), read as rho_a is."""
+        if self._diagonal:
             return self._sectors[4]
         return _cross_cov_matrix(self.g, self.space, self._theta)
 
@@ -617,8 +619,8 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
     n = rho1.space.n_modes
     epsilon = out.epsilon
 
-    flags = [*leak_flags(rho1, "input1", tol), *leak_flags(rho2, "input2", tol),
-             *rho1.flags, *rho2.flags, *out.flags]
+    flags = [*truncation_flags(rho1, "input1", tol),
+             *truncation_flags(rho2, "input2", tol), *out.flags]
 
     # every axis of the output lives in one arm, so Tr Gamma_out is the sum of
     # the arms' covariance diagonals; kappa is searched on the output's
@@ -645,7 +647,8 @@ def run_experiment(rho1: FockOperator, rho2: FockOperator, theta: float, *,
 
     synth1 = gaussian_to_fock(gs1, rho1.space, tol)
     synth2 = gaussian_to_fock(gs2, rho2.space, tol)
-    flags.extend(synth1.flags + synth2.flags)
+    flags.extend(truncation_flags(synth1, "synthesis", tol)
+                 + truncation_flags(synth2, "synthesis", tol))
     dist1 = hs_norm(rho1.matrix - synth1.matrix)
     dist2 = hs_norm(rho2.matrix - synth2.matrix)
     cm_gap = float(np.linalg.norm(gs1.gamma - gs2.gamma))

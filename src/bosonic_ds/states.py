@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .fock import (FockOperator, FockSpace, gaussian_to_fock, leak_flags,
-                   validate_density)
+from .fock import FockOperator, FockSpace, gaussian_to_fock, validate_density
 from .io import canonical_dumps, json_array, json_integer, json_number, read_json
 from .symplectic import GaussianState
 
@@ -44,8 +43,7 @@ def fock_state(space: FockSpace, levels) -> FockOperator:
     return FockOperator(space, m)
 
 
-def thermal_state(space: FockSpace, nbar: float,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> FockOperator:
+def thermal_state(space: FockSpace, nbar: float) -> FockOperator:
     """Geometric-population thermal state, renormalized on the truncation."""
     if space.n_modes != 1:
         raise ValidationError("thermal fixture is single mode")
@@ -57,12 +55,12 @@ def thermal_state(space: FockSpace, nbar: float,
     m = np.arange(space.cutoff)
     pops = (nbar / (1.0 + nbar)) ** m / (1.0 + nbar)
     pops = pops / pops.sum()
-    out = FockOperator(space, np.diag(pops.astype(complex)))
-    return out.with_flags(*leak_flags(out, "thermal", tol))
+    return FockOperator(space, np.diag(pops.astype(complex)))
 
 
 def mixture(components) -> FockOperator:
-    """Convex combination [(weight, FockOperator), ...]; weights renormalized."""
+    """Convex combination [(weight, FockOperator), ...]; weights renormalized,
+    flags kept from the components of positive weight only."""
     if not components:
         raise ValidationError("mixture needs at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
@@ -81,7 +79,7 @@ def mixture(components) -> FockOperator:
         if op.space != space:
             raise ValidationError("mixture components live on different spaces")
         m += w * op.matrix
-        flags += op.flags
+        flags += op.flags if w > 0 else ()
     return FockOperator(space, m, tuple(dict.fromkeys(flags)))
 
 
@@ -148,7 +146,7 @@ def parse_state_spec(spec, space: FockSpace,
             raise ValidationError(f"{where}: a one-mode state, the space has "
                                   f"{space.n_modes} modes")
         if head == "thermal":
-            return thermal_state(space, _spec_number(where, arg, float), tol)
+            return thermal_state(space, _spec_number(where, arg, float))
         if head == "squeezed":
             return squeezed_surrogate(space, _spec_number(where, arg, float), tol)
         if head == "displaced":

@@ -349,7 +349,8 @@ TMS = two_mode_squeezer(0.3)
     ({"modes_per_arm": 2, "cutoff": 5,
       "state1": {"kind": "gaussian", "d": [0.0] * 4,
                  "gamma": (TMS @ TMS.T).tolist()}}, "increase the cutoff"),
-    ({"modes_per_arm": 3, "cutoff": 6}, "GiB"),
+    ({"modes_per_arm": 3, "cutoff": 6, "state1": "displaced:0.1,0,0,0,0,0"},
+     "GiB"),
 ], ids=["displaced-cutoff-6", "two-mode-squeezed-cutoff-5", "3-modes-per-arm"])
 def test_ds_run_cutoff_or_size_failure_is_one_line(tmp_path, capsys, overrides,
                                                     message):
@@ -389,6 +390,38 @@ def test_ds_run_preflight_counts_full_rank_working_set(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: pair dim 1296") and "GiB" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_ds_run_pure_number_diagonal_pair_reads_the_sectors(
+        tmp_path, capsys, monkeypatch):
+    # a pure Fock pair takes epsilon from the Schmidt coefficients and its
+    # reductions and V from the sector blocks: at 2 modes/arm, cutoff 8, it
+    # forms no dense pair-space matrix (2.25 GiB of them), and its second
+    # mode pair, vacuum on both arms, leaves the one-mode epsilon as it is
+    monkeypatch.setattr("bosonic_ds.stability._physical_memory", lambda: 2 ** 30)
+    cfg = write_config(tmp_path, state1="fock:1,0", state2="vacuum",
+                       theta=0.6, cutoff=8, seed=0, modes_per_arm=2)
+    assert main(["ds-run", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["epsilon"] == pytest.approx(1.3663875148525375, abs=1e-12)
+
+
+def test_ds_run_zero_weight_component_adds_no_flag(tmp_path, capsys):
+    # a component of weight 0 is not in the state: its synthesis flags once
+    # turned off every invariant check of an otherwise clean run
+    def report(*components):
+        cfg = write_config(tmp_path, theta=0.6, cutoff=16, seed=0,
+                           state1={"kind": "mixture", "components": [
+                               {"weight": w, "state": s} for w, s in components]},
+                           state2="thermal:0.3")
+        assert main(["ds-run", "--config", str(cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("config")
+        return out
+
+    clean = report((0.9, "vacuum"), (0.1, "fock:1"))
+    assert clean["truncation_flags"] == []
+    assert report((0.9, "vacuum"), (0.1, "fock:1"), (0, "squeezed:3")) == clean
 
 
 def test_witness_lines(capsys):
@@ -441,6 +474,19 @@ def test_witness_warns_on_input_truncation_flags(capsys):
     assert main(["witness", "--state", "fock:1", "--theta", "0.6",
                  "--cutoff", "8"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("state, lines", [
+    ("thermal:0.8", ["warning: truncation:input:leak=6.194e-03"]),
+    ("squeezed:3", ["warning: truncation:synthesis:mass-deficit=7.849e-01",
+                    "warning: truncation:input:leak=1.400e-01"]),
+])
+def test_witness_warns_once_per_truncation_fact(capsys, state, lines):
+    # the builder's flags name only the mass it cut; the input's leak is
+    # read once, by the witness
+    assert main(["witness", "--state", state, "--theta", "0.6",
+                 "--cutoff", "8"]) == 0
+    assert capsys.readouterr().err.splitlines() == lines
 
 
 @pytest.mark.parametrize("state, cutoff", [("fock:7", 8), ("fock:1", 2)])

@@ -22,8 +22,8 @@ from bosonic_ds.fock import (_KAPPA_BATCH_ENTRIES, FockOperator, FockSpace,
                              gaussian_to_fock, gaussify, hs_norm,
                              leak_population, moments, pair_blocks,
                              partial_trace, quadratures, safe_extent, support,
-                             tensor, trace_norm, validate_density,
-                             weyl_alphas, weyl_operator)
+                             tensor, trace_norm, truncation_flags,
+                             validate_density, weyl_alphas, weyl_operator)
 from bosonic_ds.stability import pair_output
 from bosonic_ds.states import (displaced_vacuum, fock_state, mixture,
                                parse_state_spec,
@@ -1641,9 +1641,13 @@ def test_density_validation_errors():
 
 
 def test_leak_flags_on_hot_thermal():
+    # the builder cuts no mass, so it flags nothing: the leak is read from
+    # the state, once, by whoever reads it
     rho = thermal_state(FockSpace(1, 6), 1.0)
     assert leak_population(rho) > 1e-6
-    assert any(f.startswith("truncation:") for f in rho.flags)
+    assert rho.flags == ()
+    (flag,) = truncation_flags(rho, "thermal")
+    assert flag == f"truncation:thermal:leak={leak_population(rho):.3e}"
 
 
 def test_space_validation():

@@ -341,6 +341,20 @@ def test_two_modes_per_arm_experiment():
     assert rep.dist_hs_1 > 0 and rep.dist_hs_2 > 0
 
 
+def test_experiment_flags_each_truncation_fact_once():
+    # each state's builder flags first, then its leak under the role it is
+    # read in: the thermal input, the squeezed input's mass deficit and
+    # leak, the output, then each Gaussified reference's deficit and leak
+    space = FockSpace(1, 8)
+    rep = run_experiment(parse_state_spec("thermal:0.8", space),
+                         parse_state_spec("squeezed:0.4", space), 0.6, seed=0)
+    assert rep.truncation_flags == tuple("truncation:" + f for f in (
+        "input1:leak=6.194e-03", "synthesis:mass-deficit=1.263e-04",
+        "input2:leak=8.698e-04", "output:leak=2.037e-03",
+        "synthesis:mass-deficit=1.361e-03", "synthesis:leak=5.733e-03",
+        "synthesis:mass-deficit=1.211e-04", "synthesis:leak=8.437e-04"))
+
+
 def test_correlated_two_mode_synthesis_matches_expm():
     from scipy.linalg import expm
 
